@@ -1,11 +1,14 @@
 # cython: language_level=3, boundscheck=False, wraparound=False
 """Compiled kernel for exact piecewise linear circle map grids.
 
-Twin of ``plmonster/_core/pure.py`` with the identical contract: grids
-are parallel tuples of lowest-terms ``(numerator, denominator)`` pairs
-of Python ints (arbitrary precision), anchored at x = 0 and x = 1.  See
-the pure module for the grid invariants; this file only restates the
-algorithms with C-level control flow.
+Twin of the contract of ``plmonster/_core/pure.py``, not of its
+algorithm: grids are parallel tuples of lowest-terms ``(numerator,
+denominator)`` pairs of Python ints (arbitrary precision), anchored at
+x = 0 and x = 1, and every function returns the same values as its pure
+counterpart.  See the pure module for the grid invariants.  This file
+keeps the earlier algorithm, which reduces every intermediate sum,
+difference and product to lowest terms; the pure module reduces each
+emitted coordinate once.
 """
 
 from math import gcd

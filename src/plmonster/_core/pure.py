@@ -13,6 +13,11 @@ The circle map is x -> y(x) mod 1; the lift with integer offset k is
 x -> y(x) + k.  Grids returned by this module are canonical: no interior
 point sits on the segment spanned by its neighbours.
 
+The grid operations reduce each coordinate they emit once: intermediate
+differences, products and slopes stay unreduced integers, compared by
+cross-multiplication.  Adding an integer to a lowest-terms pair keeps it
+in lowest terms, so the unit and carry shifts take no gcd at all.
+
 `plmonster/_core/_speed.pyx` is a compiled twin of this file with the same
 contract; `plmonster/_core/__init__.py` picks one at import time.
 """
@@ -74,21 +79,28 @@ def canon_grid(xs, ys):
     """
     kept_x = [xs[0]]
     kept_y = [ys[0]]
+    # unreduced slope of the last kept segment; a dropped point merges two
+    # segments of equal slope, so at most one point goes per new point
+    sn = sd = None
+    xan, xad = xs[0]
+    yan, yad = ys[0]
     for j in range(1, len(xs)):
         xj = xs[j]
         yj = ys[j]
-        while len(kept_x) >= 2:
-            x1 = kept_x[-1]
-            y1 = kept_y[-1]
-            lhs = rmul(rsub(y1, kept_y[-2]), rsub(xj, x1))
-            rhs = rmul(rsub(yj, y1), rsub(x1, kept_x[-2]))
-            if lhs == rhs:
-                kept_x.pop()
-                kept_y.pop()
-            else:
-                break
-        kept_x.append(xj)
-        kept_y.append(yj)
+        xbn, xbd = xj
+        ybn, ybd = yj
+        n = (ybn * yad - yan * ybd) * xbd * xad
+        d = (xbn * xad - xan * xbd) * ybd * yad
+        if sd is not None and n * sd == sn * d:
+            kept_x[-1] = xj
+            kept_y[-1] = yj
+        else:
+            kept_x.append(xj)
+            kept_y.append(yj)
+            sn = n
+            sd = d
+        xan, xad = xbn, xbd
+        yan, yad = ybn, ybd
     return tuple(kept_x), tuple(kept_y)
 
 
@@ -105,20 +117,33 @@ def _segment(xs, x):
     return lo
 
 
+def _interp(xa, xb, ya, yb, x):
+    # ya + (x - xa) * (yb - ya) / (xb - xa) for xa < xb, reduced once
+    xan, xad = xa
+    xbn, xbd = xb
+    yan, yad = ya
+    ybn, ybd = yb
+    xn, xd = x
+    den = xd * ybd * (xbn * xad - xan * xbd)
+    num = (xn * xad - xan * xd) * (ybn * yad - yan * ybd) * xbd
+    return rat(yan * den + num, yad * den)
+
+
 def eval_lift(xs, ys, x):
     """Value of the anchored lift at x in [0, 1]."""
     j = _segment(xs, x)
     if xs[j] == x:
         return ys[j]
-    num = rmul(rsub(x, xs[j]), rsub(ys[j + 1], ys[j]))
-    return radd(ys[j], rdiv(num, rsub(xs[j + 1], xs[j])))
+    return _interp(xs[j], xs[j + 1], ys[j], ys[j + 1], x)
 
 
 def _ext(gxs, gys, t):
     # anchored lift extended to [0, 2) by the unit-translation rule
-    if rcmp(t, ONE) <= 0:
+    n, d = t
+    if n <= d:
         return eval_lift(gxs, gys, t)
-    return radd(eval_lift(gxs, gys, rsub(t, ONE)), ONE)
+    n, d = eval_lift(gxs, gys, (n - d, d))
+    return (n + d, d)
 
 
 def compose(fxs, fys, gxs, gys):
@@ -141,8 +166,10 @@ def compose(fxs, fys, gxs, gys):
             stream_v.append(gys[i])
     for i in range(1, sg):
         if rcmp(gxs[i], t0) < 0:
-            stream_t.append(radd(gxs[i], ONE))
-            stream_v.append(radd(gys[i], ONE))
+            n, d = gxs[i]
+            stream_t.append((n + d, d))
+            n, d = gys[i]
+            stream_v.append((n + d, d))
 
     out_x = [fxs[0]]
     out_y = [_ext(gxs, gys, t0)]
@@ -154,26 +181,21 @@ def compose(fxs, fys, gxs, gys):
         tj1 = fys[j + 1]
         while k < ns and rcmp(stream_t[k], tj) <= 0:
             k += 1  # lands exactly on the vertex emitted already
-        if k < ns and rcmp(stream_t[k], tj1) < 0:
-            xj = fxs[j]
-            dx = rsub(fxs[j + 1], xj)
-            dt = rsub(tj1, tj)
-            while k < ns and rcmp(stream_t[k], tj1) < 0:
-                step = rdiv(rmul(rsub(stream_t[k], tj), dx), dt)
-                out_x.append(radd(xj, step))
-                out_y.append(stream_v[k])
-                k += 1
+        while k < ns and rcmp(stream_t[k], tj1) < 0:
+            out_x.append(_interp(tj, tj1, fxs[j], fxs[j + 1], stream_t[k]))
+            out_y.append(stream_v[k])
+            k += 1
         if j + 1 < sf:
             out_x.append(fxs[j + 1])
             out_y.append(_ext(gxs, gys, tj1))
         else:
+            n, d = out_y[0]
             out_x.append(fxs[sf])
-            out_y.append(radd(out_y[0], ONE))
+            out_y.append((n + d, d))
 
     carry = rfloor(out_y[0])
     if carry:
-        c = (carry, 1)
-        out_y = [rsub(y, c) for y in out_y]
+        out_y = [(n - carry * d, d) for n, d in out_y]
     xs, ys = canon_grid(out_x, out_y)
     return xs, ys, carry
 
@@ -204,33 +226,38 @@ def invert(xs, ys):
         xc = xs[hi]
         start = hi + 1
     else:
-        num = rmul(rsub(ONE, ys[a]), rsub(xs[hi], xs[a]))
-        xc = radd(xs[a], rdiv(num, rsub(ys[hi], ys[a])))
+        xc = _interp(ys[a], ys[hi], xs[a], xs[hi], ONE)
         start = hi
 
     out_x = [ZERO]
     out_y = [xc]
     for j in range(start, s + 1):
-        out_x.append(rsub(ys[j], ONE))
+        n, d = ys[j]
+        out_x.append((n - d, d))
         out_y.append(xs[j])
     for j in range(1, a + 1):
+        n, d = xs[j]
         out_x.append(ys[j])
-        out_y.append(radd(xs[j], ONE))
+        out_y.append((n + d, d))
     out_x.append(ONE)
-    out_y.append(radd(xc, ONE))
+    out_y.append((xc[0] + xc[1], xc[1]))
     ixs, iys = canon_grid(out_x, out_y)
     return ixs, iys, -1
 
 
 def displacement(xs, ys):
     """Exact min and max of y(x) - x over [0, 1] (attained at grid points)."""
-    lo = rsub(ys[0], xs[0])
-    hi = lo
+    xn, xd = xs[0]
+    yn, yd = ys[0]
+    lo_n = hi_n = yn * xd - xn * yd
+    lo_d = hi_d = yd * xd
     for j in range(1, len(xs) - 1):
-        d = rsub(ys[j], xs[j])
-        c = rcmp(d, lo)
-        if c < 0:
-            lo = d
-        elif c > 0 and rcmp(d, hi) > 0:
-            hi = d
-    return lo, hi
+        xn, xd = xs[j]
+        yn, yd = ys[j]
+        n = yn * xd - xn * yd
+        d = yd * xd
+        if n * lo_d < lo_n * d:
+            lo_n, lo_d = n, d
+        elif n * hi_d > hi_n * d:
+            hi_n, hi_d = n, d
+    return rat(lo_n, lo_d), rat(hi_n, hi_d)

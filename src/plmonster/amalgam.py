@@ -212,9 +212,6 @@ class FactorOps:
     def compose(self, factor: Factor, a, b):
         raise NotImplementedError
 
-    def invert(self, factor: Factor, a):
-        raise NotImplementedError
-
     def is_identity(self, factor: Factor, a) -> bool:
         raise NotImplementedError
 
@@ -279,9 +276,6 @@ class _PLFactorOps(FactorOps):
 
     def compose(self, factor, a, b):
         return compose(a, b)
-
-    def invert(self, factor, a):
-        return invert(a)
 
     def is_identity(self, factor, a):
         return a.is_identity()
@@ -379,10 +373,7 @@ class AmalgamWord:
         return AmalgamWord._reduced(self._context, reduced)
 
     def is_trivial(self) -> bool:
-        reduced = self.reduce()._syllables
-        if not reduced:
-            return True
-        return len(reduced) == 1 and reduced[0].element.is_identity()
+        return not self.reduce()._syllables
 
     def multiply(self, other: "AmalgamWord") -> "AmalgamWord":
         if not isinstance(other, AmalgamWord):
@@ -544,9 +535,6 @@ class FiniteAmalgamInstance(FactorOps):
 
     def compose(self, factor, a, b):
         return (a + b) % self._order(factor)
-
-    def invert(self, factor, a):
-        return (-a) % self._order(factor)
 
     def is_identity(self, factor, a):
         return a == 0

@@ -47,17 +47,7 @@ from .serialize import (
     parse_word,
 )
 from .stein import STEIN_2_3, GroupDescriptor, is_member, tuple_map_report
-from .verify import run_suite
-
-_SUITE_CHOICES = (
-    "arith",
-    "centrality",
-    "rot-invariance",
-    "tuple",
-    "amalgam-oracle",
-    "monster-evidence",
-    "all",
-)
+from .verify import SUITES, run_suite
 
 
 class _UsageError(Exception):
@@ -450,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "verify", help="run property suites (exit 0 iff every check passes)"
     )
-    p.add_argument("--suite", required=True, choices=_SUITE_CHOICES)
+    p.add_argument("--suite", required=True, choices=tuple(SUITES) + ("all",))
     p.add_argument("--samples", type=int, default=1000, help="sample budget per suite")
     p.add_argument("--seed", type=int, default=42, help="sampling seed")
     p.set_defaults(handler=_cmd_verify)

@@ -1,0 +1,193 @@
+"""The grid kernel against an independent Fraction reference.
+
+The reference below shares no code with the kernel: it evaluates anchored
+lifts with `Fraction`, finds the corners of composites and inverses by
+solving for preimages of breakpoints, and keeps exactly the points where
+the slope changes.  Each kernel output must equal it tuple for tuple,
+which also pins lowest terms and positive denominators, and must satisfy
+the grid invariants of `plmonster._core.pure`.
+"""
+
+import random
+from fractions import Fraction as F
+from math import floor, gcd
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from plmonster._core import pure
+from plmonster.stein import STEIN_2_3, THOMPSON, irrational_candidate_g0, random_member
+
+try:
+    from plmonster._core import _speed
+except ImportError:
+    _speed = None
+
+KERNELS = [pytest.param(pure, id="pure")]
+if _speed is not None:
+    KERNELS.append(pytest.param(_speed, id="compiled"))
+
+
+def fracs(pairs):
+    return [F(n, d) for n, d in pairs]
+
+
+def pair(q):
+    return (q.numerator, q.denominator)
+
+
+def pairs(values):
+    return tuple(pair(q) for q in values)
+
+
+def lift_at(xs, ys, t):
+    """Anchored lift of the grid (Fractions) at any rational t."""
+    k = floor(t)
+    x = t - k
+    for j in range(len(xs) - 1):
+        if xs[j] <= x <= xs[j + 1]:
+            s = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+            return ys[j] + (x - xs[j]) * s + k
+    raise AssertionError("grid does not cover %s" % x)
+
+
+def ref_canon(xs, ys):
+    keep = [0]
+    for j in range(1, len(xs) - 1):
+        left = (ys[j] - ys[j - 1]) / (xs[j] - xs[j - 1])
+        right = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+        if left != right:
+            keep.append(j)
+    keep.append(len(xs) - 1)
+    return [xs[j] for j in keep], [ys[j] for j in keep]
+
+
+def lift_inverse_at(xs, ys, v):
+    """The t with lift_at(xs, ys, t) == v, for any rational v."""
+    m = floor(v - ys[0])
+    v -= m
+    for j in range(len(xs) - 1):
+        if ys[j] <= v <= ys[j + 1]:
+            return xs[j] + (v - ys[j]) * (xs[j + 1] - xs[j]) / (ys[j + 1] - ys[j]) + m
+    raise AssertionError("grid does not cover %s" % v)
+
+
+def ref_compose(f, g):
+    fx, fy = f
+    gx, gy = g
+    # corners of g(f(x)): those of f, and where f's lift meets one of g's
+    cuts = set(fx)
+    for m in range(floor(fy[0]), floor(fy[-1]) + 1):
+        for b in gx:
+            if fy[0] < b + m < fy[-1]:
+                cuts.add(lift_inverse_at(fx, fy, b + m))
+    xs = sorted(cuts)
+    hs = [lift_at(gx, gy, lift_at(fx, fy, x)) for x in xs]
+    carry = floor(hs[0])
+    xs, ys = ref_canon(xs, [h - carry for h in hs])
+    return xs, ys, carry
+
+
+def ref_invert(f):
+    fx, fy = f
+    # corners of the inverse: f's grid values brought back into [0, 1]
+    xs = sorted({y - floor(y) for y in fy} | {F(0), F(1)})
+    inv = [lift_inverse_at(fx, fy, x) for x in xs]
+    carry = floor(inv[0])
+    xs, ys = ref_canon(xs, [v - carry for v in inv])
+    return xs, ys, carry
+
+
+def assert_canonical(xs, ys):
+    for n, d in xs + ys:
+        assert d > 0 and gcd(n, d) == 1
+    fx, fy = fracs(xs), fracs(ys)
+    assert fx[0] == 0 and fx[-1] == 1
+    assert 0 <= fy[0] < 1 and fy[-1] == fy[0] + 1
+    assert all(a < b for a, b in zip(fx, fx[1:]))
+    assert all(a < b for a, b in zip(fy, fy[1:]))
+    assert ref_canon(fx, fy) == (fx, fy)
+
+
+def check_kernel(core, f, g):
+    fx, fy = f
+    gx, gy = g
+    assert core.canon_grid(fx, fy) == (fx, fy)
+
+    xs, ys, carry = core.compose(fx, fy, gx, gy)
+    assert_canonical(xs, ys)
+    rx, ry, rc = ref_compose((fracs(fx), fracs(fy)), (fracs(gx), fracs(gy)))
+    assert (xs, ys, carry) == (pairs(rx), pairs(ry), rc)
+
+    xs, ys, carry = core.invert(fx, fy)
+    assert_canonical(xs, ys)
+    rx, ry, rc = ref_invert((fracs(fx), fracs(fy)))
+    assert (xs, ys, carry) == (pairs(rx), pairs(ry), rc)
+
+    lo, hi = core.displacement(fx, fy)
+    d = [y - x for x, y in zip(fracs(fx), fracs(fy))]
+    assert (lo, hi) == (pair(min(d)), pair(max(d)))
+
+    for x in fracs(fx + gx + gy[:-1]):
+        x -= floor(x)
+        assert core.eval_lift(fx, fy, pair(x)) == pair(lift_at(fracs(fx), fracs(fy), x))
+
+
+def member_grids(descriptor, count, seed):
+    rng = random.Random(seed)
+    maps = [random_member(descriptor, rng, max_len=6, max_depth=3) for _ in range(count)]
+    return [(f._xs, f._ys) for f in maps]
+
+
+@pytest.mark.parametrize("core", KERNELS)
+@pytest.mark.parametrize("descriptor", [THOMPSON, STEIN_2_3], ids=["thompson", "stein23"])
+def test_kernel_matches_reference_on_member_grids(core, descriptor):
+    grids = member_grids(descriptor, 24, seed=descriptor.lam)
+    for f in grids:
+        for g in grids[:6]:
+            check_kernel(core, f, g)
+
+
+@pytest.mark.parametrize("core", KERNELS)
+def test_kernel_matches_reference_on_g0_iterates(core):
+    g0 = irrational_candidate_g0()
+    g = f = (g0._xs, g0._ys)
+    for _ in range(60):
+        check_kernel(core, f, g)
+        f = core.compose(f[0], f[1], g[0], g[1])[:2]
+    assert max(abs(v).bit_length() for v in sum(f[0] + f[1], ())) > 60
+
+
+@pytest.mark.parametrize("core", KERNELS)
+def test_canon_grid_drops_exactly_the_collinear_points(core):
+    rng = random.Random(7)
+    for f in member_grids(STEIN_2_3, 30, seed=9):
+        fx, fy = fracs(f[0]), fracs(f[1])
+        for _ in range(4):
+            j = rng.randrange(len(fx) - 1)
+            t = F(rng.randint(1, 9), rng.choice([10, 7, 1 << 40]))
+            fx.insert(j + 1, fx[j] + t * (fx[j + 1] - fx[j]))
+            fy.insert(j + 1, fy[j] + t * (fy[j + 1] - fy[j]))
+        assert core.canon_grid(pairs(fx), pairs(fy)) == f
+
+
+@st.composite
+def big_grids(draw):
+    m = draw(st.sampled_from([64, 3**20, 2**70]))
+    cuts = draw(st.sets(st.integers(1, m - 1), max_size=6))
+    xs = [F(0)] + [F(c, m) for c in sorted(cuts)] + [F(1)]
+    vals = draw(
+        st.sets(st.integers(0, 3 * m - 1), min_size=len(xs) - 1, max_size=len(xs) - 1)
+    )
+    ys = [F(v, 3 * m) for v in sorted(vals)]
+    ys.append(ys[0] + 1)
+    xs, ys = ref_canon(xs, ys)
+    return pairs(xs), pairs(ys)
+
+
+@pytest.mark.parametrize("core", KERNELS)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(f=big_grids(), g=big_grids())
+def test_kernel_matches_reference_on_big_grids(core, f, g):
+    check_kernel(core, f, g)
