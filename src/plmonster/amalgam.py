@@ -41,7 +41,6 @@ from .rotation import (
     PowerDetector,
     RationalRotation,
     ZeroBracketError,
-    is_translation,
     rotation_number,
 )
 from .stein import (
@@ -79,7 +78,7 @@ class Factor(str, enum.Enum):
         return Factor.G2 if self is Factor.G1 else Factor.G1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Syllable:
     """One letter of an amalgam word: a factor tag and a factor element.
 
@@ -97,7 +96,9 @@ class AmalgamContext:
 
     Construction validates three gates: the edge map's underlying circle
     map must belong to the right factor's group; its translation number
-    must not be rational with denominator up to EDGE_MAX_DENOMINATOR;
+    must not be rational with denominator up to EDGE_ROTATION_DEPTH
+    (`rotation_number` tests every iterate up to that depth, so the gate
+    is stricter than the EDGE_MAX_DENOMINATOR its certificate states);
     and its translation bracket must exclude zero within
     EDGE_ZERO_EXCLUSION_DEPTH iterates so power detection terminates.
     The defaults glue Thompson's circle group to the (2,3) Stein group
@@ -225,45 +226,57 @@ class FactorOps:
 def britton_reduce(ops: FactorOps, syllables) -> tuple:
     """Reduce a syllable sequence to Britton-reduced form.
 
-    Repeatedly merges adjacent same-factor syllables, drops identity
-    syllables, and flips the leftmost edge-subgroup syllable into the
-    other factor (where it merges with a neighbor).  Terminates because
-    every merge pass shortens the word and every flip enables a merge.
-    The result alternates factors and contains no identity syllable and,
+    Free reduction is one pass over a stack: each pending syllable is
+    dropped if it is the identity, merged into the top of the stack if
+    the factors match (the merged syllable is popped when it is the
+    identity), and pushed otherwise, so the stack always alternates
+    factors with no identity syllable.  The reduced stack is then
+    edge-tested from index ``checked``: every syllable below it is one
+    that an earlier scan already rejected and no merge has touched since,
+    and an edge test depends on the syllable alone.  The leftmost
+    edge-subgroup syllable is flipped into the other factor: the stack is
+    truncated at it, and the flipped syllable and then the untouched
+    suffix go back onto the pending list.  The flipped syllable has the
+    factor of its left neighbor (or, leftmost, of its right one), so it
+    merges at once.
+
+    Terminates because every merge removes a syllable and every flip is
+    followed by a merge, so the syllable count drops between flips.  The
+    result alternates factors and contains no identity syllable and,
     unless it is a single syllable, no edge-subgroup syllable; by the
     normal form theorem for amalgamated products it is empty exactly
     when the word represents the identity.
     """
-    sylls = list(syllables)
+    stack = []
+    checked = 0
+    pending = list(syllables)
+    pending.reverse()
     while True:
-        merged = []
-        changed = False
-        for s in sylls:
+        while pending:
+            s = pending.pop()
             if ops.is_identity(s.factor, s.element):
-                changed = True
                 continue
-            if merged and merged[-1].factor == s.factor:
-                merged[-1] = Syllable(
-                    s.factor, ops.compose(s.factor, merged[-1].element, s.element)
-                )
-                changed = True
-            else:
-                merged.append(s)
-        sylls = merged
-        if changed:
-            continue
-        if len(sylls) < 2:
-            return tuple(sylls)
-        flipped = False
-        for i, s in enumerate(sylls):
+            if stack and stack[-1].factor == s.factor:
+                top = stack.pop()
+                checked = min(checked, len(stack))
+                s = Syllable(s.factor, ops.compose(s.factor, top.element, s.element))
+                if ops.is_identity(s.factor, s.element):
+                    continue
+            stack.append(s)
+        if len(stack) < 2:
+            return tuple(stack)
+        for i in range(checked, len(stack)):
+            s = stack[i]
             k = ops.edge_coefficient(s.factor, s.element)
             if k is not None:
-                other = s.factor.other
-                sylls[i] = Syllable(other, ops.edge_element(other, k))
-                flipped = True
                 break
-        if not flipped:
-            return tuple(sylls)
+        else:
+            return tuple(stack)
+        other = s.factor.other
+        pending = stack[:i:-1]  # the suffix after i, last syllable first
+        pending.append(Syllable(other, ops.edge_element(other, k)))
+        del stack[i:]
+        checked = i
 
 
 class _PLFactorOps(FactorOps):
@@ -282,11 +295,9 @@ class _PLFactorOps(FactorOps):
 
     def edge_coefficient(self, factor, a):
         if factor is Factor.G1:
-            # left edge subgroup: integer translations z**k
-            if not is_translation(a):
-                return None
-            c = a(0)
-            return c.numerator if c.denominator == 1 else None
+            # left edge subgroup: integer translations z**k, the lifts of
+            # the identity circle map, with k their offset
+            return a.offset if a.base.is_identity() else None
         return self._ctx.detector.detect(a)
 
     def edge_element(self, factor, k):

@@ -5,9 +5,10 @@ in file A first, then the map in file B, matching the library.
 
 Exit codes: 0 on success (including the verdicts "member", "trivial",
 and an all-green verify run), 1 on a clean negative verdict or a failed
-verify run, 2 on usage, parse, or runtime errors.  Errors are emitted to
-standard error as a single JSON object.  All output is deterministic:
-the same arguments (and seeds) produce byte-identical bytes.
+verify run, 2 on usage, parse, budget, or runtime errors.  Errors are
+emitted to standard error as a single JSON object.  All output is
+deterministic: the same arguments (and seeds) produce byte-identical
+bytes.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .rotation import (
     rotation_number,
 )
 from .serialize import (
+    BudgetError,
     DocumentError,
     document_descriptor,
     format_map,
@@ -461,6 +463,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except _UsageError as exc:
         _emit_error("usage", str(exc))
+        return 2
+    except BudgetError as exc:
+        _emit_error("budget", str(exc))
         return 2
     except DocumentError as exc:
         _emit_error("parse", str(exc))

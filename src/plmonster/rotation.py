@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+from . import _core as core
 from .maps import (
     DisplacementInterval,
     PLCircleMap,
@@ -195,7 +196,8 @@ def is_translation(f) -> bool:
         f = f.base
     if not isinstance(f, PLCircleMap):
         raise TypeError("expected a circle map or a line map")
-    return f.breakpoints == (Fraction(0),)
+    # a canonical grid keeps an interior point only at a corner
+    return len(f._xs) == 2
 
 
 def log_ratio_bounds(a: int, b: int, denominator: int) -> tuple:
@@ -222,12 +224,41 @@ def log_ratio_bounds(a: int, b: int, denominator: int) -> tuple:
     return (Fraction(p, q), Fraction(p + 1, q))
 
 
+def _bracket(fbar: PLLineMap, n: int) -> tuple:
+    """Displacement interval of fbar divided by n, as two kernel pairs.
+
+    The pairs (numerator, denominator) have positive denominators but are
+    not reduced; they are only compared and floor-divided.
+    """
+    (ln, ld), (hn, hd) = core.displacement(fbar.base._xs, fbar.base._ys)
+    k = fbar.offset
+    return (ln + k * ld, ld * n), (hn + k * hd, hd * n)
+
+
+def _candidates(a, b, lo, hi) -> tuple:
+    """Exponents k != 0 for which k times [a, b] meets [lo, hi].
+
+    All four ends are (numerator, denominator) pairs with positive
+    denominators, and 0 < a <= b.  Returns the positive and the negative
+    exponents as two ranges, found by integer floor and ceiling division.
+    """
+    an, ad = a
+    bn, bd = b
+    ln, ld = lo
+    hn, hd = hi
+    # positive k: k*[a, b] meets [lo, hi] iff lo/b <= k <= hi/a
+    positive = range(max(1, -(-ln * bd // (ld * bn))), hn * ad // (hd * an) + 1)
+    # negative k: [k*b, k*a] meets [lo, hi] iff lo/a <= k <= hi/b
+    negative = range(-(-ln * ad // (ld * an)), min(-1, hn * bd // (hd * bn)) + 1)
+    return positive, negative
+
+
 class _BracketRefiner:
     """Doubling bracket for the translation number of one map.
 
-    Tracks fbar**n for n = 1, 2, 4, ... and intersects the per-n brackets;
-    the current bracket always contains the translation number and its
-    width is below 1/n.
+    Tracks fbar**n for n = 1, 2, 4, ... and intersects the per-n brackets
+    (see `_bracket`); the current bracket always contains the translation
+    number and its width is below 1/n.
     """
 
     __slots__ = ("power_map", "n", "lo", "hi")
@@ -235,20 +266,16 @@ class _BracketRefiner:
     def __init__(self, fbar: PLLineMap):
         self.power_map = fbar
         self.n = 1
-        d = displacement_interval(fbar)
-        self.lo = d.lo
-        self.hi = d.hi
+        self.lo, self.hi = _bracket(fbar, 1)
 
     def refine(self) -> None:
         self.power_map = compose(self.power_map, self.power_map)
         self.n *= 2
-        d = displacement_interval(self.power_map)
-        nlo = d.lo / self.n
-        nhi = d.hi / self.n
-        if nlo > self.lo:
-            self.lo = nlo
-        if nhi < self.hi:
-            self.hi = nhi
+        lo, hi = _bracket(self.power_map, self.n)
+        if core.rcmp(lo, self.lo) > 0:
+            self.lo = lo
+        if core.rcmp(hi, self.hi) < 0:
+            self.hi = hi
 
 
 class PowerDetector:
@@ -279,18 +306,18 @@ class PowerDetector:
         self._candidate_limit = candidate_limit
         self._refine_limit = refine_limit
         probe = _BracketRefiner(base)
-        while probe.lo <= 0 <= probe.hi:
+        while probe.lo[0] <= 0 <= probe.hi[0]:
             if probe.n >= zero_exclusion_depth:
                 raise ZeroBracketError(
                     "translation number bracket still contains 0 after "
                     "%d iterates" % probe.n
                 )
             probe.refine()
-        if probe.hi < 0:
+        if probe.hi[0] < 0:
             self._sign = -1
             self._norm_base = invert(base)
             self._ref = _BracketRefiner(self._norm_base)
-            while self._ref.lo <= 0:
+            while self._ref.lo[0] <= 0:
                 self._ref.refine()
         else:
             self._sign = 1
@@ -309,29 +336,17 @@ class PowerDetector:
             self._powers[k] = cached
         return cached
 
-    def _candidates(self, lo_w: Fraction, hi_w: Fraction):
-        a, b = self._ref.lo, self._ref.hi  # 0 < a <= b
-        out = []
-        # positive k: k*[a, b] meets [lo_w, hi_w]
-        k_lo = max(1, math.ceil(lo_w / b))
-        k_hi = math.floor(hi_w / a) if hi_w > 0 else 0
-        out.extend(range(k_lo, k_hi + 1))
-        # negative k: [k*b, k*a] meets [lo_w, hi_w]
-        k_lo = math.ceil(lo_w / a) if lo_w < 0 else 0
-        k_hi = min(-1, math.floor(hi_w / b))
-        out.extend(range(k_lo, k_hi + 1))
-        return out
-
     def detect(self, candidate: PLLineMap) -> Optional[int]:
         """k with candidate == base**k, or None when no power matches."""
         if not isinstance(candidate, PLLineMap):
             raise TypeError("candidate must be a line map")
         if candidate.is_identity():
             return 0
+        ref = self._ref
         wref = _BracketRefiner(candidate)
         while True:
-            ks = self._candidates(wref.lo, wref.hi)
-            if len(ks) <= self._candidate_limit:
+            positive, negative = _candidates(ref.lo, ref.hi, wref.lo, wref.hi)
+            if len(positive) + len(negative) <= self._candidate_limit:
                 break
             if wref.n >= self._refine_limit:
                 raise ValueError(
@@ -339,8 +354,8 @@ class PowerDetector:
                     "refinement limit"
                 )
             wref.refine()
-            self._ref.refine()
-        for k in sorted(ks, key=abs):
+            ref.refine()
+        for k in sorted((*positive, *negative), key=abs):
             if self._power(k) == candidate:
                 return self._sign * k
         return None

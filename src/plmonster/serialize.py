@@ -9,12 +9,20 @@ block (the two descriptors and the edge map) and a syllable list.
 
 Parsing is strict: unknown formats, non-canonical fraction strings, and
 invariant violations all raise DocumentError with the offending field.
+
+Integers in fraction strings may have up to MAX_DIGITS decimal digits,
+far past CPython's default conversion limit, so every value the library
+computes at a practical size serializes and parses back.  The limit is
+raised to MAX_DIGITS only while one fraction string is converted, and a
+value beyond it raises BudgetError, a DocumentError.  (CPython before
+3.10.7 has no such limit, and there the budget is not enforced.)
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -25,6 +33,9 @@ from .stein import GroupDescriptor
 MAP_FORMAT = "plmonster.map/1"
 WORD_FORMAT = "plmonster.word/1"
 
+# decimal digits allowed in one integer of a fraction string
+MAX_DIGITS = 100_000
+
 _FRACTION_RE = re.compile(r"^-?\d+(/\d+)?$")
 
 
@@ -32,11 +43,42 @@ class DocumentError(ValueError):
     """Raised for malformed or non-canonical documents."""
 
 
-def fraction_to_str(value: Fraction) -> str:
-    """Lowest-terms string form: "p" for integers, "p/q" otherwise."""
+class BudgetError(DocumentError):
+    """Raised when a fraction string would exceed MAX_DIGITS digits."""
+
+
+def _within_budget(convert, value):
+    """convert(value) with CPython's int/str digit limit set to MAX_DIGITS.
+
+    A conversion past MAX_DIGITS digits raises BudgetError, and the
+    process limit is restored afterwards either way.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        # CPython before 3.10.7 has no limit to raise or to enforce
+        return convert(value)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(MAX_DIGITS)
+    try:
+        return convert(value)
+    except ValueError:
+        # the only ValueError these conversions raise is the digit limit
+        raise BudgetError(
+            "an integer in a fraction string exceeds the budget of %d "
+            "decimal digits" % MAX_DIGITS
+        ) from None
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def _format_fraction(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return "%d/%d" % (value.numerator, value.denominator)
+
+
+def fraction_to_str(value: Fraction) -> str:
+    """Lowest-terms string form: "p" for integers, "p/q" otherwise."""
+    return _within_budget(_format_fraction, value)
 
 
 def str_to_fraction(text: str) -> Fraction:
@@ -46,7 +88,7 @@ def str_to_fraction(text: str) -> Fraction:
             "expected a fraction string like '3' or '-1/4', got %r" % (text,)
         )
     try:
-        value = Fraction(text)
+        value = _within_budget(Fraction, text)
     except ZeroDivisionError:
         raise DocumentError("zero denominator in %r" % text) from None
     if fraction_to_str(value) != text:
@@ -120,7 +162,7 @@ def _fraction_list(doc: dict, key: str):
         try:
             out.append(str_to_fraction(text))
         except DocumentError as exc:
-            raise DocumentError("%s[%d]: %s" % (key, i, exc)) from None
+            raise type(exc)("%s[%d]: %s" % (key, i, exc)) from None
     return out
 
 
@@ -258,7 +300,7 @@ def word_from_document(doc: dict) -> AmalgamWord:
         try:
             element = map_from_document(element_doc)
         except DocumentError as exc:
-            raise DocumentError("syllable %d: %s" % (i, exc)) from None
+            raise type(exc)("syllable %d: %s" % (i, exc)) from None
         if not isinstance(element, PLLineMap):
             raise DocumentError(
                 "syllable %d: element must be a line map (offset required)" % i

@@ -1,5 +1,6 @@
 """Amalgam words, Britton reduction, the word problem, and the oracle."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -28,7 +29,7 @@ from plmonster import (
     word_from_syllables,
     words_equal,
 )
-from plmonster.amalgam import FiniteAmalgamInstance, britton_reduce
+from plmonster.amalgam import FiniteAmalgamInstance, _PLFactorOps, britton_reduce
 from plmonster.stein import STEIN_2_3, THOMPSON
 from plmonster.verify import perturb_word, planted_trivial_word
 
@@ -275,7 +276,135 @@ def test_finite_instance_basics():
 
 
 def test_finite_oracle_small_enumeration():
-    report = finite_oracle_check(4)
-    assert report.words_checked == 4 + 16 + 64 + 256
+    report = finite_oracle_check(7)
+    assert report.words_checked == 4 + 16 + 64 + 256 + 1024 + 4096 + 16384
     assert report.mismatches == ()
     assert report.ok
+
+
+# ---------------------------------------------------------------------------
+# britton_reduce against a reference algorithm
+
+
+def reference_britton_reduce(ops, syllables):
+    """Britton reduction as whole-word passes, independent of the library.
+
+    Each pass merges adjacent same-factor syllables and drops identity
+    syllables over the whole word; once a pass changes nothing, the
+    leftmost edge-subgroup syllable is flipped into the other factor and
+    the passes start again from the first syllable.
+    """
+    sylls = list(syllables)
+    while True:
+        merged = []
+        changed = False
+        for s in sylls:
+            if ops.is_identity(s.factor, s.element):
+                changed = True
+                continue
+            if merged and merged[-1].factor == s.factor:
+                merged[-1] = Syllable(
+                    s.factor, ops.compose(s.factor, merged[-1].element, s.element)
+                )
+                changed = True
+            else:
+                merged.append(s)
+        sylls = merged
+        if changed:
+            continue
+        if len(sylls) < 2:
+            return tuple(sylls)
+        flipped = False
+        for i, s in enumerate(sylls):
+            k = ops.edge_coefficient(s.factor, s.element)
+            if k is not None:
+                other = s.factor.other
+                sylls[i] = Syllable(other, ops.edge_element(other, k))
+                flipped = True
+                break
+        if not flipped:
+            return tuple(sylls)
+
+
+def pl_syllable_lists():
+    """Over a thousand PL syllable sequences, most with flips to make.
+
+    Building words is bound by tuple maps, so a pool of random words is
+    built once and reused in concatenations.
+    """
+    c = ctx()
+    pool = [random_word(c, length, seed) for length in range(1, 13) for seed in range(12)]
+    for u in pool:
+        inverse = tuple(Syllable(s.factor, invert(s.element)) for s in reversed(u.syllables))
+        yield u.syllables
+        yield u.syllables + inverse
+    rng = random.Random(2024)
+    for _ in range(600):
+        u, v = rng.choice(pool), rng.choice(pool)
+        yield u.syllables + v.syllables
+    for _ in range(80):
+        w = planted_trivial_word(c, rng, 24)
+        yield w.syllables
+        yield perturb_word(w, rng).syllables
+
+
+def test_britton_reduce_matches_reference_on_pl_words():
+    ops = _PLFactorOps(ctx())
+    count = trivial = 0
+    for sylls in pl_syllable_lists():
+        expected = reference_britton_reduce(ops, sylls)
+        assert britton_reduce(ops, sylls) == expected
+        count += 1
+        trivial += not expected
+    assert count >= 1000
+    assert 200 <= trivial < count
+
+
+def test_britton_reduce_matches_reference_on_finite_words():
+    inst = FiniteAmalgamInstance()
+    for n in range(1, 8):
+        for letters in itertools.product(inst.LETTERS, repeat=n):
+            word = [inst.syllable(letter) for letter in letters]
+            assert britton_reduce(inst, word) == reference_britton_reduce(inst, word)
+
+
+class _Fresh(int):
+    """A finite-instance element that is a new object each time it is made."""
+
+
+class _CountingInstance(FiniteAmalgamInstance):
+    """The finite instance with fresh elements and a log of edge tests."""
+
+    def __init__(self):
+        self.tested = []  # keeps every tested element alive, so ids stay unique
+
+    def syllable(self, letter):
+        s = super().syllable(letter)
+        return Syllable(s.factor, _Fresh(s.element))
+
+    def compose(self, factor, a, b):
+        return _Fresh(super().compose(factor, a, b))
+
+    def edge_element(self, factor, k):
+        return _Fresh(super().edge_element(factor, k))
+
+    def edge_coefficient(self, factor, a):
+        self.tested.append(a)
+        return super().edge_coefficient(factor, a)
+
+
+def repeated_edge_tests(reduce, letters):
+    inst = _CountingInstance()
+    result = reduce(inst, [inst.syllable(letter) for letter in letters])
+    assert (not result) == inst.is_trivial_by_matrices(letters)
+    return len(inst.tested) - len({id(a) for a in inst.tested})
+
+
+def test_britton_reduce_edge_tests_each_syllable_once():
+    reference_repeats = 0
+    for n in range(1, 8):
+        for letters in itertools.product(FiniteAmalgamInstance.LETTERS, repeat=n):
+            assert repeated_edge_tests(britton_reduce, letters) == 0
+            reference_repeats += repeated_edge_tests(reference_britton_reduce, letters)
+    # the count would see repeats: the whole-word passes make them
+    assert reference_repeats > 0

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, documents, determinism."""
 
 import json
+import sys
 
 import pytest
 
@@ -178,6 +179,29 @@ def test_parse_errors_exit_2(capsys, tmp_path):
     bad.write_text('{"format": "plmonster.map/1"}')
     code, _, err = run(capsys, "eval", "--map", str(bad), "--point", "0")
     assert code == 2 and json.loads(err)["error"]["kind"] == "parse"
+
+
+def test_power_past_the_default_digit_limit(capsys, g0_file, tmp_path):
+    code, out, err = run(capsys, "power", g0_file, "30000")
+    assert code == 0 and err == ""
+    assert max(len(v) for v in json.loads(out)["images"]) > 4300
+    big = tmp_path / "big.json"
+    big.write_text(out)
+    code, out, err = run(capsys, "eval", "--map", str(big), "--point", "0")
+    assert code == 0 and err == ""
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="CPython before 3.10.7 has no int/str digit limit",
+)
+def test_budget_errors_exit_2(capsys, tmp_path):
+    doc = json.loads(format_map(irrational_candidate_g0()))
+    doc["images"] = ["1/" + "3" * 100_001, "0"]
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "eval", "--map", str(bad), "--point", "0")
+    assert code == 2 and json.loads(err)["error"]["kind"] == "budget"
 
 
 def test_missing_file_exit_2(capsys, tmp_path):

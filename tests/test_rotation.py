@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plmonster import (
     NonRationalCertificate,
@@ -29,7 +31,8 @@ from plmonster import (
     translation_bracket,
     tuple_map,
 )
-from plmonster.stein import STEIN_2_3, THOMPSON
+from plmonster.rotation import _candidates
+from plmonster.stein import STEIN_2_3, THOMPSON, torsion_rotation
 
 
 def g0bar():
@@ -219,3 +222,69 @@ def test_rotation_number_accepts_line_maps():
     assert isinstance(result, RationalRotation)
     assert result.value == F(7, 3)  # translation number includes the offset
     assert result.circle_value == F(1, 3)
+
+
+def test_detector_finds_every_edge_power():
+    detector = PowerDetector(g0bar())
+    for k in range(-40, 41):
+        assert detector.detect(power(g0bar(), k)) == k
+
+
+def test_detector_rejects_edge_powers_times_stein_members():
+    # each member has a rational rotation number and is not the identity,
+    # so no edge power times it is an edge power again
+    members = [
+        torsion_rotation(STEIN_2_3, 1, 2),
+        torsion_rotation(STEIN_2_3, 5, 6),
+        tuple_map([0, F(1, 4)], [0, F(1, 2)], STEIN_2_3),
+        tuple_map([0, F(1, 3), F(1, 2)], [0, F(1, 6), F(2, 3)], STEIN_2_3),
+    ]
+    detector = PowerDetector(g0bar())
+    for m in members:
+        for offset in (-1, 0, 1):
+            h = lift(m, offset)
+            assert not h.is_identity()
+            for k in (-25, -3, 0, 1, 4, 31):
+                assert detector.detect(compose(power(g0bar(), k), h)) is None
+                assert detector.detect(compose(h, power(g0bar(), k))) is None
+
+
+def test_detector_refines_past_the_candidate_limit():
+    # a limit of one exponent forces the refinement loop on every power
+    detector = PowerDetector(g0bar(), candidate_limit=1)
+    for k in (-17, -2, 3, 29):
+        assert detector.detect(power(g0bar(), k)) == k
+    assert detector.detect(z()) is None
+
+
+def fraction_candidates(a, b, lo, hi):
+    """The exponent ranges of the detector, computed on Fractions."""
+    k_lo = max(1, math.ceil(lo / b))
+    k_hi = math.floor(hi / a) if hi > 0 else 0
+    positive = range(k_lo, k_hi + 1)
+    k_lo = math.ceil(lo / a) if lo < 0 else 0
+    k_hi = min(-1, math.floor(hi / b))
+    negative = range(k_lo, k_hi + 1)
+    return positive, negative
+
+
+def pairs(numerators):
+    return st.tuples(numerators, st.integers(1, 10**6))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    a=pairs(st.integers(1, 10**6)),
+    b_extra=pairs(st.integers(0, 10**6)),
+    lo=pairs(st.integers(-(10**7), 10**7)),
+    width=pairs(st.integers(0, 10**6)),
+)
+def test_integer_candidates_match_fraction_formula(a, b_extra, lo, width):
+    fa = F(*a)
+    fb = fa + F(*b_extra)
+    flo = F(*lo)
+    fhi = flo + F(*width)
+    b = (fb.numerator * 3, fb.denominator * 3)  # unreduced pairs are fine
+    hi = (fhi.numerator, fhi.denominator)
+    # ranges compare as sequences, so two empty ranges are equal
+    assert _candidates(a, b, lo, hi) == fraction_candidates(fa, fb, flo, fhi)

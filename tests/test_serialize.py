@@ -2,12 +2,14 @@
 
 import json
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 from plmonster import (
     AmalgamWord,
+    BudgetError,
     DocumentError,
     Factor,
     PLLineMap,
@@ -22,6 +24,7 @@ from plmonster import (
     map_to_document,
     parse_map,
     parse_word,
+    power,
     random_member,
     random_word,
     relator_word,
@@ -29,6 +32,7 @@ from plmonster import (
     word_from_document,
     word_to_document,
 )
+from plmonster.serialize import MAX_DIGITS
 from plmonster.stein import STEIN_2_3, THOMPSON
 
 
@@ -201,3 +205,48 @@ def test_word_document_rationals_are_strings():
     text = json.dumps(doc)
     for token in json.loads(text)["context"]["edge"]["breakpoints"]:
         assert isinstance(token, str)
+
+
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="CPython before 3.10.7 has no int/str digit limit",
+)
+
+
+@pytest.fixture
+def digit_limit():
+    """A process digit limit of 4300 that serialize must leave as it found it."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield 4300
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@needs_digit_limit
+def test_values_past_the_default_digit_limit_round_trip(digit_limit):
+    h = power(lift(irrational_candidate_g0(), 0), 30000)
+    text = format_map(h)
+    assert max(len(v) for v in json.loads(text)["images"]) > digit_limit
+    assert parse_map(text) == h
+    assert sys.get_int_max_str_digits() == digit_limit
+
+
+@needs_digit_limit
+def test_fraction_strings_over_the_digit_budget_fail(digit_limit):
+    for text in ("2/4", "1/0"):
+        with pytest.raises(DocumentError) as info:
+            str_to_fraction(text)
+        assert not isinstance(info.value, BudgetError)
+    huge = "1" + "0" * MAX_DIGITS  # MAX_DIGITS + 1 digits
+    assert str_to_fraction(huge[:-1]) == 10 ** (MAX_DIGITS - 1)
+    with pytest.raises(BudgetError):
+        str_to_fraction(huge)
+    with pytest.raises(BudgetError):
+        fraction_to_str(F(1, 10**MAX_DIGITS))
+    doc = map_to_document(irrational_candidate_g0())
+    doc["breakpoints"] = ["1/" + huge]
+    with pytest.raises(BudgetError, match=r"breakpoints\[0\]"):
+        map_from_document(doc)
+    assert sys.get_int_max_str_digits() == digit_limit
