@@ -1,33 +1,21 @@
-"""Kernel backend selection.
+"""The exact grid kernel.
 
-The compiled extension (`_speed`, built from Cython) and the pure-Python
-module (`pure`) implement the same contract; the extension is preferred
-when importable.  Set ``PLMONSTER_PURE=1`` to force the fallback.
+The kernel lives in `pure`; this package re-exports the names the map
+layer calls, so callers go through ``plmonster._core`` and never through
+the implementation module.
 """
 
-import os
+from .pure import (
+    ONE,
+    ZERO,
+    canon_grid,
+    compose,
+    displacement,
+    eval_lift,
+    invert,
+    rcmp,
+    rdiv,
+    rsub,
+)
 
-if os.environ.get("PLMONSTER_PURE"):
-    from . import pure as _impl
-else:
-    try:
-        from . import _speed as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import pure as _impl
-
-BACKEND = _impl.BACKEND_NAME
-
-ZERO = _impl.ZERO
-ONE = _impl.ONE
-rat = _impl.rat
-radd = _impl.radd
-rsub = _impl.rsub
-rmul = _impl.rmul
-rdiv = _impl.rdiv
-rcmp = _impl.rcmp
-rfloor = _impl.rfloor
-canon_grid = _impl.canon_grid
-eval_lift = _impl.eval_lift
-compose = _impl.compose
-invert = _impl.invert
-displacement = _impl.displacement
+BACKEND = "pure"

@@ -18,13 +18,10 @@ differences, products and slopes stay unreduced integers, compared by
 cross-multiplication.  Adding an integer to a lowest-terms pair keeps it
 in lowest terms, so the unit and carry shifts take no gcd at all.
 
-`plmonster/_core/_speed.pyx` is a compiled twin of this file with the same
-contract; `plmonster/_core/__init__.py` picks one at import time.
+This is the only kernel; `plmonster._core` re-exports it.
 """
 
 from math import gcd
-
-BACKEND_NAME = "pure"
 
 ZERO = (0, 1)
 ONE = (1, 1)
@@ -42,16 +39,8 @@ def rat(n, d):
     return (n, d)
 
 
-def radd(a, b):
-    return rat(a[0] * b[1] + b[0] * a[1], a[1] * b[1])
-
-
 def rsub(a, b):
     return rat(a[0] * b[1] - b[0] * a[1], a[1] * b[1])
-
-
-def rmul(a, b):
-    return rat(a[0] * b[0], a[1] * b[1])
 
 
 def rdiv(a, b):

@@ -40,6 +40,7 @@ from .rotation import (
 from .serialize import (
     BudgetError,
     DocumentError,
+    _load_json,
     document_descriptor,
     format_map,
     format_word,
@@ -83,7 +84,7 @@ def _read_map(path: str):
 def _read_map_with_descriptor(path: str):
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
-    return parse_map(text), document_descriptor(json.loads(text))
+    return parse_map(text), document_descriptor(_load_json(text))
 
 
 def _read_word(path: str):

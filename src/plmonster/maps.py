@@ -28,8 +28,6 @@ from . import _core as core
 
 RationalLike = Union[Fraction, int, str]
 
-BACKEND = core.BACKEND
-
 
 def as_fraction(value: RationalLike) -> Fraction:
     """Coerce int, ``'p/q'`` string, or Fraction; floats are refused."""

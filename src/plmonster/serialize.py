@@ -10,12 +10,13 @@ block (the two descriptors and the edge map) and a syllable list.
 Parsing is strict: unknown formats, non-canonical fraction strings, and
 invariant violations all raise DocumentError with the offending field.
 
-Integers in fraction strings may have up to MAX_DIGITS decimal digits,
-far past CPython's default conversion limit, so every value the library
-computes at a practical size serializes and parses back.  The limit is
-raised to MAX_DIGITS only while one fraction string is converted, and a
-value beyond it raises BudgetError, a DocumentError.  (CPython before
-3.10.7 has no such limit, and there the budget is not enforced.)
+Integers in fraction strings and JSON integers (a line map's offset)
+may have up to MAX_DIGITS decimal digits, far past CPython's default
+conversion limit, so every value the library computes at a practical
+size serializes and parses back.  The limit is raised to MAX_DIGITS only
+while one fraction string or one JSON document is converted, and a value
+beyond it raises BudgetError, a DocumentError.  (CPython before 3.10.7
+has no such limit, and there the budget is not enforced.)
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Union
 
 from .amalgam import AmalgamContext, AmalgamWord, ContextError, Factor, SyllableError
@@ -33,7 +35,7 @@ from .stein import GroupDescriptor
 MAP_FORMAT = "plmonster.map/1"
 WORD_FORMAT = "plmonster.word/1"
 
-# decimal digits allowed in one integer of a fraction string
+# decimal digits allowed in one integer of a fraction string or document
 MAX_DIGITS = 100_000
 
 _FRACTION_RE = re.compile(r"^-?\d+(/\d+)?$")
@@ -44,14 +46,15 @@ class DocumentError(ValueError):
 
 
 class BudgetError(DocumentError):
-    """Raised when a fraction string would exceed MAX_DIGITS digits."""
+    """Raised when an integer would exceed MAX_DIGITS decimal digits."""
 
 
 def _within_budget(convert, value):
     """convert(value) with CPython's int/str digit limit set to MAX_DIGITS.
 
     A conversion past MAX_DIGITS digits raises BudgetError, and the
-    process limit is restored afterwards either way.
+    process limit is restored afterwards either way.  Malformed JSON is
+    not a budget matter: its JSONDecodeError passes through unchanged.
     """
     if not hasattr(sys, "set_int_max_str_digits"):
         # CPython before 3.10.7 has no limit to raise or to enforce
@@ -60,11 +63,13 @@ def _within_budget(convert, value):
     sys.set_int_max_str_digits(MAX_DIGITS)
     try:
         return convert(value)
+    except json.JSONDecodeError:
+        raise
     except ValueError:
-        # the only ValueError these conversions raise is the digit limit
+        # apart from malformed JSON, the only ValueError these conversions
+        # raise is the digit limit
         raise BudgetError(
-            "an integer in a fraction string exceeds the budget of %d "
-            "decimal digits" % MAX_DIGITS
+            "an integer exceeds the budget of %d decimal digits" % MAX_DIGITS
         ) from None
     finally:
         sys.set_int_max_str_digits(saved)
@@ -190,11 +195,15 @@ def map_from_document(doc: dict) -> Union[PLCircleMap, PLLineMap]:
     return lift(base, offset)
 
 
+def _dump_json(doc: dict) -> str:
+    return _within_budget(partial(json.dumps, indent=2), doc) + "\n"
+
+
 def format_map(
     value: Union[PLCircleMap, PLLineMap],
     descriptor: Optional[GroupDescriptor] = None,
 ) -> str:
-    return json.dumps(map_to_document(value, descriptor), indent=2) + "\n"
+    return _dump_json(map_to_document(value, descriptor))
 
 
 def parse_map(text: str) -> Union[PLCircleMap, PLLineMap]:
@@ -203,7 +212,7 @@ def parse_map(text: str) -> Union[PLCircleMap, PLLineMap]:
 
 def _load_json(text: str) -> dict:
     try:
-        return json.loads(text)
+        return _within_budget(json.loads, text)
     except json.JSONDecodeError as exc:
         raise DocumentError("invalid JSON: %s" % exc) from None
 
@@ -313,7 +322,7 @@ def word_from_document(doc: dict) -> AmalgamWord:
 
 
 def format_word(word: AmalgamWord) -> str:
-    return json.dumps(word_to_document(word), indent=2) + "\n"
+    return _dump_json(word_to_document(word))
 
 
 def parse_word(text: str) -> AmalgamWord:

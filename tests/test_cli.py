@@ -5,7 +5,14 @@ import sys
 
 import pytest
 
-from plmonster import default_context, format_map, format_word, relator_word
+from plmonster import (
+    PLLineMap,
+    default_context,
+    format_map,
+    format_word,
+    identity_map,
+    relator_word,
+)
 from plmonster.cli import main
 from plmonster.stein import STEIN_2_3, irrational_candidate_g0
 
@@ -202,6 +209,35 @@ def test_budget_errors_exit_2(capsys, tmp_path):
     bad.write_text(json.dumps(doc))
     code, _, err = run(capsys, "eval", "--map", str(bad), "--point", "0")
     assert code == 2 and json.loads(err)["error"]["kind"] == "budget"
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="CPython before 3.10.7 has no int/str digit limit",
+)
+def test_offsets_past_the_default_digit_limit(capsys, tmp_path):
+    text = format_map(PLLineMap(identity_map(), 99))
+    t = tmp_path / "t.json"
+    t.write_text(text)
+    big = tmp_path / "big.json"
+    big.write_text(text.replace('"offset": 99', '"offset": 1' + "0" * 4999))
+    code, out, err = run(capsys, "eval", "--map", str(big), "--point", "0")
+    assert (code, out, err) == (0, "1" + "0" * 4999 + "\n", "")
+    code, out, err = run(capsys, "power", str(t), "1" + "0" * 4299)
+    assert code == 0 and err == ""
+    assert '"offset": 99' + "0" * 4299 + "\n" in out  # 4,301 digits
+    power_file = tmp_path / "power.json"
+    power_file.write_text(out)
+    code, out, err = run(capsys, "invert", str(power_file))
+    assert code == 0 and '"offset": -99' + "0" * 4299 + "\n" in out
+    over = tmp_path / "over.json"
+    over.write_text(text.replace('"offset": 99', '"offset": 1' + "0" * 100_000))
+    code, _, err = run(capsys, "eval", "--map", str(over), "--point", "0")
+    assert code == 2 and json.loads(err)["error"]["kind"] == "budget"
+    bad = tmp_path / "bad.json"
+    bad.write_text(text[:-5])
+    code, _, err = run(capsys, "eval", "--map", str(bad), "--point", "0")
+    assert code == 2 and json.loads(err)["error"]["kind"] == "parse"
 
 
 def test_missing_file_exit_2(capsys, tmp_path):

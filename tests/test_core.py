@@ -19,14 +19,8 @@ from hypothesis import strategies as st
 from plmonster._core import pure
 from plmonster.stein import STEIN_2_3, THOMPSON, irrational_candidate_g0, random_member
 
-try:
-    from plmonster._core import _speed
-except ImportError:
-    _speed = None
-
+# the kernel goes in as a parameter so that the test ids name it
 KERNELS = [pytest.param(pure, id="pure")]
-if _speed is not None:
-    KERNELS.append(pytest.param(_speed, id="compiled"))
 
 
 def fracs(pairs):

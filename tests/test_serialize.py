@@ -250,3 +250,35 @@ def test_fraction_strings_over_the_digit_budget_fail(digit_limit):
     with pytest.raises(BudgetError, match=r"breakpoints\[0\]"):
         map_from_document(doc)
     assert sys.get_int_max_str_digits() == digit_limit
+
+
+def _line_map_text(offset_digits: str) -> str:
+    # built as text: the test process keeps CPython's default digit limit
+    return format_map(lift(identity_map(), 1)).replace(
+        '"offset": 1', '"offset": ' + offset_digits
+    )
+
+
+@needs_digit_limit
+def test_offsets_past_the_default_digit_limit_round_trip(digit_limit):
+    big = "1" + "0" * 4999  # 5,000 digits
+    text = _line_map_text(big)
+    h = parse_map(text)
+    assert isinstance(h, PLLineMap) and h.offset == 10**4999
+    assert format_map(h) == text
+    g = power(lift(identity_map(), 99), 10**4299)
+    assert g.offset == 99 * 10**4299  # 4,301 digits
+    assert parse_map(format_map(g)) == g
+    assert sys.get_int_max_str_digits() == digit_limit
+
+
+@needs_digit_limit
+def test_offsets_over_the_digit_budget_fail(digit_limit):
+    with pytest.raises(BudgetError):
+        parse_map(_line_map_text("1" + "0" * MAX_DIGITS))
+    with pytest.raises(BudgetError):
+        format_map(lift(identity_map(), 10**MAX_DIGITS))
+    with pytest.raises(DocumentError) as info:
+        parse_map(_line_map_text("1")[:-5])
+    assert not isinstance(info.value, BudgetError)
+    assert sys.get_int_max_str_digits() == digit_limit
