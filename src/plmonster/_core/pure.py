@@ -126,63 +126,72 @@ def eval_lift(xs, ys, x):
     return _interp(xs[j], xs[j + 1], ys[j], ys[j + 1], x)
 
 
-def _ext(gxs, gys, t):
-    # anchored lift extended to [0, 2) by the unit-translation rule
-    n, d = t
-    if n <= d:
-        return eval_lift(gxs, gys, t)
-    n, d = eval_lift(gxs, gys, (n - d, d))
-    return (n + d, d)
-
-
 def compose(fxs, fys, gxs, gys):
     """Grid and integer carry of "apply f, then g".
 
     Returns (xs, ys, carry) where (xs, ys) is the anchored canonical grid
     of the composite circle map and carry = floor(g~(f~(0))) records how the
     anchored lifts stack (0 or 1); lift offsets add it on top of their own.
+
+    One merge walk, with no search: g's breakpoints pulled into the
+    window [t0, t0 + 1], t0 = f~(0), form a sorted stream, and f's images
+    increase through the same window.  Each stream point strictly inside
+    an f segment emits a vertex; each f breakpoint takes g~ from the
+    stream point it lands on, or interpolates between the two window
+    points around it.  The work is linear in the sizes of the two grids.
     """
     t0 = fys[0]
+    tn, td = t0
     sg = len(gxs) - 1
-    t0_zero = t0 == ZERO
+    # g's segment around t0: gxs[i - 1] <= t0 < gxs[i]
+    i = 1
+    while gxs[i][0] * td <= tn * gxs[i][1]:
+        i += 1  # gxs[sg] == 1 > t0 stops the scan
+    if gxs[i - 1] == t0:
+        y0 = gys[i - 1]
+        below = i - 1
+    else:
+        y0 = _interp(gxs[i - 1], gxs[i], gys[i - 1], gys[i], t0)
+        below = i
 
-    # breakpoints of g pulled into the open window (t0, t0 + 1)
-    stream_t = []
-    stream_v = []
-    for i in range(1, sg + 1):
-        if rcmp(gxs[i], t0) > 0 and not (i == sg and t0_zero):
-            stream_t.append(gxs[i])
-            stream_v.append(gys[i])
-    for i in range(1, sg):
-        if rcmp(gxs[i], t0) < 0:
-            n, d = gxs[i]
-            stream_t.append((n + d, d))
-            n, d = gys[i]
-            stream_v.append((n + d, d))
+    # the window [t0, t0 + 1]: its ends, and g's breakpoints strictly
+    # inside it in increasing order (unit shifts keep lowest terms)
+    top = sg if tn == 0 else sg + 1
+    win_t = [t0]
+    win_t.extend(gxs[i:top])
+    win_t.extend([(n + d, d) for n, d in gxs[1:below]])
+    win_t.append((tn + td, td))
+    win_v = [y0]
+    win_v.extend(gys[i:top])
+    win_v.extend([(n + d, d) for n, d in gys[1:below]])
+    win_v.append((y0[0] + y0[1], y0[1]))
 
     out_x = [fxs[0]]
-    out_y = [_ext(gxs, gys, t0)]
-    ns = len(stream_t)
-    k = 0
+    out_y = [y0]
+    k = 1
     sf = len(fxs) - 1
     for j in range(sf):
         tj = fys[j]
         tj1 = fys[j + 1]
-        while k < ns and rcmp(stream_t[k], tj) <= 0:
-            k += 1  # lands exactly on the vertex emitted already
-        while k < ns and rcmp(stream_t[k], tj1) < 0:
-            out_x.append(_interp(tj, tj1, fxs[j], fxs[j + 1], stream_t[k]))
-            out_y.append(stream_v[k])
+        bn, bd = tj1
+        # f's images stay below t0 + 1 until the last one, which equals
+        # it, so the window end stops this scan
+        while win_t[k][0] * bd < bn * win_t[k][1]:
+            out_x.append(_interp(tj, tj1, fxs[j], fxs[j + 1], win_t[k]))
+            out_y.append(win_v[k])
             k += 1
         if j + 1 < sf:
             out_x.append(fxs[j + 1])
-            out_y.append(_ext(gxs, gys, tj1))
+            if win_t[k] == tj1:
+                out_y.append(win_v[k])  # lands exactly on a breakpoint of g
+                k += 1
+            else:
+                out_y.append(_interp(win_t[k - 1], win_t[k], win_v[k - 1], win_v[k], tj1))
         else:
-            n, d = out_y[0]
             out_x.append(fxs[sf])
-            out_y.append((n + d, d))
+            out_y.append(win_v[k])
 
-    carry = rfloor(out_y[0])
+    carry = rfloor(y0)
     if carry:
         out_y = [(n - carry * d, d) for n, d in out_y]
     xs, ys = canon_grid(out_x, out_y)

@@ -18,7 +18,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .amalgam import ContextError, SyllableError, default_context, random_word
+from .amalgam import default_context, random_word
 from .maps import (
     PLCircleMap,
     PLLineMap,
@@ -31,12 +31,7 @@ from .maps import (
     power,
     rotation_map,
 )
-from .rotation import (
-    NonRationalCertificate,
-    RationalRotation,
-    ZeroBracketError,
-    rotation_number,
-)
+from .rotation import NonRationalCertificate, RationalRotation, rotation_number
 from .serialize import (
     BudgetError,
     DocumentError,
@@ -49,7 +44,13 @@ from .serialize import (
     parse_map,
     parse_word,
 )
-from .stein import STEIN_2_3, GroupDescriptor, is_member, tuple_map_report
+from .stein import (
+    STEIN_2_3,
+    GroupDescriptor,
+    irrational_candidate_g0,
+    is_member,
+    tuple_map_report,
+)
 from .verify import SUITES, run_suite
 
 
@@ -135,7 +136,7 @@ def _descriptor_from_args(args) -> GroupDescriptor:
 def _cmd_element(args) -> int:
     name = args.name
     if name == "g0":
-        _write(format_map(default_context().edge.base, STEIN_2_3), args.out)
+        _write(format_map(irrational_candidate_g0(), STEIN_2_3), args.out)
     elif name == "z":
         _write(format_map(PLLineMap(identity_map(), 1)), args.out)
     elif name == "identity":
@@ -470,9 +471,6 @@ def main(argv=None) -> int:
         return 2
     except DocumentError as exc:
         _emit_error("parse", str(exc))
-        return 2
-    except (ContextError, SyllableError, ZeroBracketError) as exc:
-        _emit_error("runtime", str(exc))
         return 2
     except (ValueError, TypeError) as exc:
         _emit_error("runtime", str(exc))

@@ -265,7 +265,7 @@ class PLLineMap:
         return "PLLineMap(base=%r, offset=%d)" % (self._base, self._offset)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DisplacementInterval:
     """Exact range [lo, hi] of fbar(x) - x; its width is always < 1."""
 

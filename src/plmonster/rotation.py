@@ -44,7 +44,7 @@ class ZeroBracketError(ValueError):
     """Raised when iteration cannot separate a translation number from zero."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RationalRotation:
     """Exact rational translation number with a periodic witness.
 
@@ -62,7 +62,7 @@ class RationalRotation:
         return self.value % 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NonRationalCertificate:
     """Certificate that no rational with small denominator is the value.
 
@@ -158,36 +158,53 @@ def rotation_number(
     ``max_denominator`` whose bracket intersects all depth iterate
     brackets.  Requires depth >= max_denominator so the certificate's
     claim is actually checked.
+
+    The loop runs on kernel grids: the n-th iterate is a grid and an
+    integer offset, composed with `core.compose`, and its displacement
+    interval stays a pair of (numerator, denominator) pairs, so the
+    integer point, the pinch test and the running bracket (kept over
+    denominators d*n) are integer arithmetic.  Maps and Fractions are
+    built only for the returned result.
     """
     _check_positive_int(max_denominator, "max_denominator")
     _check_positive_int(depth, "depth")
     if depth < max_denominator:
         raise ValueError("depth must be at least max_denominator")
     fbar = _as_lift(f)
-    g = fbar
-    lo = None
-    hi = None
+    fxs = fbar.base._xs
+    fys = fbar.base._ys
+    fk = fbar.offset
+    xs, ys, k = fxs, fys, fk
+    lo = hi = None
     for n in range(1, depth + 1):
-        d = displacement_interval(g)
-        p = d.integer_point()
-        if p is not None:
+        # ln/ld + k and hn/hd + k: lowest terms, as the kernel's are
+        (ln, ld), (hn, hd) = core.displacement(xs, ys)
+        ln += k * ld
+        hn += k * hd
+        p = -(-ln // ld)
+        if p * hd <= hn:
             # first hit: no integer appeared at any q < n, so p/n cannot
             # reduce (a reduced denominator would have fired earlier)
+            g = PLLineMap(PLCircleMap._from_grid(xs, ys), k)
             return RationalRotation(Fraction(p, n), _crossing_point(g, p))
-        if d.width == 0:
+        if ln == hn and ld == hd:
             # the n-th iterate is a rigid translation by a non-integer,
-            # so the value is exactly d.lo / n; a witness exists at the
+            # so the value is exactly ln / (ld n); a witness exists at the
             # reduced denominator
-            value = d.lo / n
+            value = Fraction(ln, ld * n)
             g = power(fbar, value.denominator)
             return RationalRotation(value, _crossing_point(g, value.numerator))
-        nlo = d.lo / n
-        nhi = d.hi / n
-        lo = nlo if lo is None or nlo > lo else lo
-        hi = nhi if hi is None or nhi < hi else hi
+        nlo = (ln, ld * n)
+        nhi = (hn, hd * n)
+        if lo is None or core.rcmp(nlo, lo) > 0:
+            lo = nlo
+        if hi is None or core.rcmp(nhi, hi) < 0:
+            hi = nhi
         if n < depth:
-            g = compose(g, fbar)
-    return NonRationalCertificate(max_denominator, DisplacementInterval(lo, hi))
+            xs, ys, carry = core.compose(xs, ys, fxs, fys)
+            k += fk + carry
+    bracket = DisplacementInterval(Fraction(*lo), Fraction(*hi))
+    return NonRationalCertificate(max_denominator, bracket)
 
 
 def is_translation(f) -> bool:

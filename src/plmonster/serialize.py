@@ -110,6 +110,15 @@ def _descriptor_fields(descriptor: Optional[GroupDescriptor]):
     return descriptor.lam, list(descriptor.generators)
 
 
+def _bounded_descriptor(generators, where: str) -> GroupDescriptor:
+    # the generators are integers >= 2 by now, so the only ValueError
+    # left is the descriptor's factoring budget
+    try:
+        return GroupDescriptor(*generators)
+    except ValueError as exc:
+        raise BudgetError("%s: %s" % (where, exc)) from None
+
+
 def document_descriptor(doc: dict) -> Optional[GroupDescriptor]:
     """Reconstruct the descriptor annotation of a map document, if present.
 
@@ -125,7 +134,7 @@ def document_descriptor(doc: dict) -> Optional[GroupDescriptor]:
     for s in slopes:
         if isinstance(s, bool) or not isinstance(s, int) or s < 2:
             raise DocumentError("slope generator %r is not an integer >= 2" % (s,))
-    descriptor = GroupDescriptor(*slopes)
+    descriptor = _bounded_descriptor(slopes, "'slopes'")
     if lam is not None and lam != descriptor.lam:
         raise DocumentError(
             "'lambda' is %r but the slope generators multiply to %d"
@@ -237,7 +246,7 @@ def _descriptor_from_block(block, where: str) -> GroupDescriptor:
             raise DocumentError(
                 "%s: generator %r is not an integer >= 2" % (where, g)
             )
-    descriptor = GroupDescriptor(*generators)
+    descriptor = _bounded_descriptor(generators, where)
     lam = block.get("lambda")
     if lam is not None and lam != descriptor.lam:
         raise DocumentError(

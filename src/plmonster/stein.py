@@ -34,6 +34,13 @@ from .maps import (
 )
 
 
+# Factoring is trial division, so descriptors are bounded: at most
+# MAX_GENERATORS generators of at most MAX_GENERATOR_BITS bits each keeps
+# it to about 2**16 divisions per generator.
+MAX_GENERATORS = 16
+MAX_GENERATOR_BITS = 32
+
+
 def _prime_factors(n: int) -> dict:
     out = {}
     d = 2
@@ -114,15 +121,28 @@ class GroupDescriptor:
         for n in generators:
             if isinstance(n, bool) or not isinstance(n, int) or n < 2:
                 raise ValueError("generators must be integers >= 2")
+        if len(generators) > MAX_GENERATORS:
+            raise ValueError(
+                "%d slope generators exceed the budget of %d"
+                % (len(generators), MAX_GENERATORS)
+            )
+        for n in generators:
+            if n.bit_length() > MAX_GENERATOR_BITS:
+                raise ValueError(
+                    "a slope generator of %d bits exceeds the budget of %d bits"
+                    % (n.bit_length(), MAX_GENERATOR_BITS)
+                )
         self._generators = tuple(generators)
         lam = 1
         for n in generators:
             lam *= n
         self._lam = lam
-        self._primes = tuple(sorted(_prime_factors(lam)))
+        # lam's factors are the generators' factors, so only the bounded
+        # generators are ever factored
+        factors = [_prime_factors(n) for n in generators]
+        self._primes = tuple(sorted(set().union(*factors)))
         self._columns = tuple(
-            tuple(_prime_factors(n).get(p, 0) for p in self._primes)
-            for n in generators
+            tuple(f.get(p, 0) for p in self._primes) for f in factors
         )
 
     @property

@@ -1,10 +1,14 @@
 """Command-line surface: exit codes, documents, determinism."""
 
 import json
+import os
+import subprocess
 import sys
+import time
 
 import pytest
 
+import plmonster
 from plmonster import (
     PLLineMap,
     default_context,
@@ -13,7 +17,10 @@ from plmonster import (
     identity_map,
     relator_word,
 )
+from plmonster import cli
+from plmonster.amalgam import ContextError, SyllableError
 from plmonster.cli import main
+from plmonster.rotation import ZeroBracketError
 from plmonster.stein import STEIN_2_3, irrational_candidate_g0
 
 
@@ -47,6 +54,20 @@ def test_element_g0_document(capsys):
         "breakpoints": ["0", "1/4"],
         "images": ["1/2", "0"],
     }
+
+
+def test_element_g0_bytes_without_a_context(capsys, monkeypatch):
+    def no_context():
+        raise AssertionError("element g0 built an amalgam context")
+
+    monkeypatch.setattr(cli, "default_context", no_context)
+    code, out, err = run(capsys, "element", "g0")
+    assert (code, err) == (0, "")
+    assert out == (
+        '{\n  "format": "plmonster.map/1",\n  "lambda": 6,\n  "slopes": [\n'
+        '    2,\n    3\n  ],\n  "breakpoints": [\n    "0",\n    "1/4"\n  ],\n'
+        '  "images": [\n    "1/2",\n    "0"\n  ]\n}\n'
+    )
 
 
 def test_element_z_and_rotation(capsys, tmp_path):
@@ -263,3 +284,49 @@ def test_output_is_deterministic(capsys, g0_file):
 
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+@pytest.mark.parametrize("error", [ContextError, SyllableError, ZeroBracketError])
+def test_library_value_errors_are_runtime_errors(capsys, monkeypatch, error):
+    def handler(args):
+        raise error("raised by the handler")
+
+    monkeypatch.setattr(cli, "_cmd_element", handler)
+    code, out, err = run(capsys, "element", "z")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": {"kind": "runtime", "message": "raised by the handler"}
+    }
+
+
+def run_child(*argv):
+    """Run the CLI in a child process; a hang fails the test by timeout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(plmonster.__file__))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "plmonster.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=20,
+    )
+    return done.returncode, done.stdout, done.stderr, time.perf_counter() - start
+
+
+def test_hostile_slope_generators_exit_2_fast(tmp_path):
+    # a 19-digit prime: trial division up to its square root would hang
+    hostile = 1000000000000000003
+    doc = json.loads(format_map(PLLineMap(identity_map(), 1)))
+    doc["slopes"] = [hostile]
+    slope_file = tmp_path / "slope.json"
+    slope_file.write_text(json.dumps(doc))
+    for argv, kind in (
+        (("invert", str(slope_file)), "budget"),
+        (("tuple-map", "--slopes", str(hostile), "--from", "0", "--to", "0"), "usage"),
+        (("tuple-map", "--lambda", str(hostile), "--from", "0", "--to", "0"), "usage"),
+    ):
+        code, out, err, seconds = run_child(*argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["kind"] == kind
+        assert seconds < 10

@@ -185,3 +185,35 @@ def big_grids(draw):
 @given(f=big_grids(), g=big_grids())
 def test_kernel_matches_reference_on_big_grids(core, f, g):
     check_kernel(core, f, g)
+
+
+def hitting_grid(rng, g, t0):
+    """An f grid from t0 to t0 + 1 whose images hit g's breakpoints.
+
+    The images are every breakpoint of g's lift inside (t0, t0 + 1),
+    those past 1 included, plus two more points, over random cuts.
+    """
+    window = {b + m for b in fracs(g[0]) for m in (0, 1) if t0 < b + m < t0 + 1}
+    window |= {t0 + F(rng.randint(1, 98), 99) for _ in range(2)}
+    ys = [t0] + sorted(window) + [t0 + 1]
+    cuts = sorted(rng.sample(range(1, 1000), len(ys) - 2))
+    xs, ys = ref_canon([F(0)] + [F(c, 1000) for c in cuts] + [F(1)], ys)
+    return pairs(xs), pairs(ys)
+
+
+def rigid(value):
+    return ((0, 1), (1, 1)), (pair(value), pair(value + 1))
+
+
+@pytest.mark.parametrize("core", KERNELS)
+def test_compose_matches_reference_on_breakpoint_hits(core):
+    rng = random.Random(11)
+    gs = member_grids(STEIN_2_3, 6, seed=5) + member_grids(THOMPSON, 6, seed=6)
+    gs += [rigid(F(0)), rigid(F(1, 3)), rigid(F(3, 4))]
+    for g in gs:
+        # t0 == 0, t0 on each of g's breakpoints, and t0 between them
+        starts = {F(0), F(1, 7)} | {b for b in fracs(g[0])[:-1]}
+        for t0 in sorted(starts):
+            f = hitting_grid(rng, g, t0)
+            check_kernel(core, f, g)
+            check_kernel(core, g, f)

@@ -31,8 +31,9 @@ from plmonster import (
     translation_bracket,
     tuple_map,
 )
-from plmonster.rotation import _candidates
-from plmonster.stein import STEIN_2_3, THOMPSON, torsion_rotation
+from plmonster.maps import DisplacementInterval, displacement_interval
+from plmonster.rotation import _candidates, _crossing_point
+from plmonster.stein import STEIN_2_3, THOMPSON, random_tuple_pair, torsion_rotation
 
 
 def g0bar():
@@ -288,3 +289,81 @@ def test_integer_candidates_match_fraction_formula(a, b_extra, lo, width):
     hi = (fhi.numerator, fhi.denominator)
     # ranges compare as sequences, so two empty ranges are equal
     assert _candidates(a, b, lo, hi) == fraction_candidates(fa, fb, flo, fhi)
+
+
+def reference_rotation_number(f, max_denominator, depth):
+    """The certificate loop on PLLineMaps and Fractions, as a reference.
+
+    Every iterate is a map from `compose`, every bracket a
+    DisplacementInterval of Fractions; `rotation_number` must return equal
+    results from kernel grids and integer pairs.
+    """
+    fbar = f if isinstance(f, PLLineMap) else lift(f, 0)
+    g = fbar
+    lo = hi = None
+    for n in range(1, depth + 1):
+        d = displacement_interval(g)
+        p = d.integer_point()
+        if p is not None:
+            return RationalRotation(F(p, n), _crossing_point(g, p))
+        if d.width == 0:
+            value = d.lo / n
+            g = power(fbar, value.denominator)
+            return RationalRotation(value, _crossing_point(g, value.numerator))
+        lo = d.lo / n if lo is None else max(lo, d.lo / n)
+        hi = d.hi / n if hi is None else min(hi, d.hi / n)
+        if n < depth:
+            g = compose(g, fbar)
+    return NonRationalCertificate(max_denominator, DisplacementInterval(lo, hi))
+
+
+def assert_matches_reference(f, max_denominator, depth):
+    result = rotation_number(f, max_denominator, depth)
+    expected = reference_rotation_number(f, max_denominator, depth)
+    assert result == expected and repr(result) == repr(expected)
+    return result
+
+
+def test_rotation_number_matches_reference_on_conjugated_rationals():
+    rng = random.Random(303)
+    hits = 0
+    for q in range(2, 41):
+        p = rng.choice([p for p in range(1, q) if math.gcd(p, q) == 1])
+        h = tuple_map(*random_tuple_pair(STEIN_2_3, rng, 4, 2)[:2], STEIN_2_3)
+        f = compose(compose(invert(h), rotation_map(F(p, q))), h)
+        k = rng.randint(-2, 2)
+        result = assert_matches_reference(lift(f, k), 40, 45)
+        hits += result.value == F(p, q) + k
+    assert hits == 39
+
+
+def test_rotation_number_matches_reference_on_rigid_translations():
+    # a rigid translation by a non-integer pinches its first bracket
+    for k in range(-2, 3):
+        for value in (F(1, 2), F(2, 7), F(39, 40), F(1, 1000), F(999, 1000)):
+            result = assert_matches_reference(lift(rotation_map(value), k), 10, 10)
+            assert result.value == value + k
+        assert assert_matches_reference(lift(identity_map(), k), 10, 10).value == k
+
+
+def test_rotation_number_matches_reference_at_bracket_ends():
+    # f fixes 0 and moves every other point up, so the integer of the
+    # first bracket is its lower end; the inverse puts it at the upper end
+    f = tuple_map([0, F(1, 4)], [0, F(1, 2)], THOMPSON)
+    for g in (f, invert(f), compose(f, rotation_map(F(1, 2)))):
+        for k in range(-2, 3):
+            assert_matches_reference(lift(g, k), 10, 20)
+
+
+def test_rotation_number_matches_reference_on_g0_lifts():
+    g0 = irrational_candidate_g0()
+    for k in range(-2, 3):
+        for depth in (50, 200):
+            result = assert_matches_reference(lift(g0, k), 50, depth)
+            assert isinstance(result, NonRationalCertificate)
+            assert result.bracket.hi - result.bracket.lo <= F(1, depth)
+    rng = random.Random(7)
+    for k in (-1, 2):
+        h = random_member(THOMPSON, rng)
+        f = compose(compose(invert(h), g0), h)
+        assert isinstance(assert_matches_reference(lift(f, k), 20, 50), NonRationalCertificate)

@@ -1,6 +1,7 @@
 """Stein-Thompson descriptors, membership, and tuple transitivity."""
 
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -26,6 +27,7 @@ from plmonster import (
     tuple_map,
     tuple_map_report,
 )
+from plmonster.serialize import BudgetError, map_from_document, map_to_document
 from plmonster.stein import random_tuple_pair
 
 
@@ -246,3 +248,24 @@ def test_random_member_is_deterministic_member():
     b = random_member(STEIN_2_3, random.Random(7))
     assert a == b
     assert is_member(a, STEIN_2_3).member
+
+
+def test_descriptor_budget_bounds_factoring_time():
+    # the largest accepted descriptor: 16 generators, each a 32-bit prime
+    start = time.perf_counter()
+    d = GroupDescriptor(*[4294967291] * 15, 4294967279)
+    assert time.perf_counter() - start < 1
+    assert d.prime_support == (4294967279, 4294967291)
+    assert d.slope_in_group(F(4294967291, 4294967279))
+    with pytest.raises(ValueError, match="budget"):
+        GroupDescriptor(2**32)
+    with pytest.raises(ValueError, match="budget"):
+        GroupDescriptor(*[2] * 17)
+
+
+def test_document_slope_generators_over_budget_are_budget_errors():
+    doc = map_to_document(irrational_candidate_g0(), STEIN_2_3)
+    doc["slopes"] = [2, 1000000000000000003]
+    doc["lambda"] = None
+    with pytest.raises(BudgetError, match="budget of 32 bits"):
+        map_from_document(doc)
