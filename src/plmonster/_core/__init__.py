@@ -8,14 +8,14 @@ the implementation module.
 from .pure import (
     ONE,
     ZERO,
+    _interp,
     canon_grid,
     compose,
     displacement,
     eval_lift,
     invert,
     rcmp,
-    rdiv,
-    rsub,
+    slopes,
 )
 
 BACKEND = "pure"

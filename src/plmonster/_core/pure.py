@@ -39,14 +39,6 @@ def rat(n, d):
     return (n, d)
 
 
-def rsub(a, b):
-    return rat(a[0] * b[1] - b[0] * a[1], a[1] * b[1])
-
-
-def rdiv(a, b):
-    return rat(a[0] * b[1], a[1] * b[0])
-
-
 def rcmp(a, b):
     t = a[0] * b[1] - b[0] * a[1]
     if t > 0:
@@ -91,6 +83,17 @@ def canon_grid(xs, ys):
         xan, xad = xbn, xbd
         yan, yad = ybn, ybd
     return tuple(kept_x), tuple(kept_y)
+
+
+def slopes(xs, ys):
+    """Slope of every grid segment, in order, each reduced once."""
+    out = []
+    for j in range(1, len(xs)):
+        (xan, xad), (xbn, xbd) = xs[j - 1], xs[j]
+        (yan, yad), (ybn, ybd) = ys[j - 1], ys[j]
+        n = (ybn * yad - yan * ybd) * xbd * xad
+        out.append(rat(n, (xbn * xad - xan * xbd) * ybd * yad))
+    return out
 
 
 def _segment(xs, x):

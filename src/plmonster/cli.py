@@ -40,7 +40,7 @@ from .serialize import (
     format_map,
     format_word,
     fraction_to_str,
-    map_to_document,
+    map_from_document,
     parse_map,
     parse_word,
 )
@@ -84,8 +84,8 @@ def _read_map(path: str):
 
 def _read_map_with_descriptor(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    return parse_map(text), document_descriptor(_load_json(text))
+        doc = _load_json(handle.read())
+    return map_from_document(doc), document_descriptor(doc)
 
 
 def _read_word(path: str):

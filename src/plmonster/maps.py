@@ -15,6 +15,12 @@ same left-to-right order, as do words in the amalgam module.
 Maps are kept in canonical form (no breakpoint whose removal leaves the
 same function), and equality is structural equality of canonical forms,
 which coincides with equality as functions.
+
+Inside, a map is its kernel grid of (numerator, denominator) pairs: the
+constructor turns each input into a pair once and validates and unrolls
+on pairs.  Fractions exist only at the API edge: `as_fraction` for input,
+the breakpoint, image, slope and vertex views, evaluation results, and
+error messages.
 """
 
 from __future__ import annotations
@@ -60,60 +66,55 @@ class PLCircleMap:
     __slots__ = ("_xs", "_ys")
 
     def __init__(self, breakpoints, images):
-        breaks = [as_fraction(b) for b in breakpoints]
-        imgs = [as_fraction(v) for v in images]
+        breaks = [_pair(as_fraction(b)) for b in breakpoints]
+        imgs = [_pair(as_fraction(v)) for v in images]
         if len(breaks) != len(imgs):
             raise ValueError("breakpoints and images must have equal length")
         if not breaks:
             raise ValueError("a map needs at least one breakpoint")
+        # lowest-terms pairs, d > 0: 0 <= n/d < 1 is 0 <= n < d, equality
+        # is tuple equality, and order is cross-multiplication
         for b in breaks:
-            if not 0 <= b < 1:
-                raise ValueError("breakpoint %s outside [0, 1)" % b)
+            if not 0 <= b[0] < b[1]:
+                raise ValueError("breakpoint %s outside [0, 1)" % _frac(b))
         for v in imgs:
-            if not 0 <= v < 1:
-                raise ValueError("image %s outside [0, 1)" % v)
-        for i in range(len(breaks) - 1):
-            if breaks[i + 1] <= breaks[i]:
+            if not 0 <= v[0] < v[1]:
+                raise ValueError("image %s outside [0, 1)" % _frac(v))
+        for (an, ad), (bn, bd) in zip(breaks, breaks[1:]):
+            if bn * ad <= an * bd:
                 raise ValueError("breakpoints must be strictly increasing")
 
-        m = len(breaks)
-        if m == 1:
-            tilde = imgs[:]
-        else:
+        tilde = imgs
+        if len(imgs) > 1:
             descents = []
-            for i in range(m - 1):
-                if imgs[i + 1] == imgs[i]:
+            for i, ((an, ad), (bn, bd)) in enumerate(zip(imgs, imgs[1:])):
+                if an == bn and ad == bd:
                     raise ValueError("images must be distinct")
-                if imgs[i + 1] < imgs[i]:
+                if bn * ad < an * bd:
                     descents.append(i)
-            if len(descents) > 1:
-                raise ValueError("images are not cyclically increasing (winding != 1)")
             if descents:
-                if imgs[0] <= imgs[-1]:
+                (fn, fd), (ln, ld) = imgs[0], imgs[-1]
+                if len(descents) > 1 or fn * ld <= ln * fd:
                     raise ValueError("images are not cyclically increasing (winding != 1)")
-                i = descents[0]
-                tilde = imgs[: i + 1] + [v + 1 for v in imgs[i + 1 :]]
-            else:
-                tilde = imgs[:]
+                i = descents[0] + 1
+                tilde = imgs[:i] + [(n + d, d) for n, d in imgs[i:]]
 
-        one = Fraction(1)
-        if breaks[0] == 0:
-            grid_x = breaks + [one]
-            grid_y = tilde + [tilde[0] + 1]
+        tn, td = tilde[0]
+        if breaks[0] == core.ZERO:
+            grid_x = breaks + [core.ONE]
+            grid_y = tilde + [(tn + td, td)]
         else:
             # value of the unrolled graph at x = 1, inside the closing segment
-            slope = (tilde[0] + 1 - tilde[-1]) / (breaks[0] + 1 - breaks[-1])
-            h1 = tilde[-1] + (1 - breaks[-1]) * slope
-            grid_x = [Fraction(0)] + breaks + [one]
-            grid_y = [h1 - 1] + tilde + [h1]
-        if grid_y[0] < 0:
-            grid_y = [v + 1 for v in grid_y]
+            bn, bd = breaks[0]
+            hn, hd = core._interp(
+                breaks[-1], (bn + bd, bd), tilde[-1], (tn + td, td), core.ONE
+            )
+            grid_x = [core.ZERO] + breaks + [core.ONE]
+            grid_y = [(hn - hd, hd)] + tilde + [(hn, hd)]
+            if hn < hd:
+                grid_y = [(n + d, d) for n, d in grid_y]
 
-        xs, ys = core.canon_grid(
-            [_pair(x) for x in grid_x], [_pair(y) for y in grid_y]
-        )
-        self._xs = xs
-        self._ys = ys
+        self._xs, self._ys = core.canon_grid(grid_x, grid_y)
 
     @classmethod
     def _from_grid(cls, xs, ys) -> "PLCircleMap":
@@ -124,11 +125,8 @@ class PLCircleMap:
 
     def _anchor_is_corner(self) -> bool:
         xs, ys = self._xs, self._ys
-        if len(xs) == 2:
-            return False
-        first = core.rdiv(core.rsub(ys[1], ys[0]), core.rsub(xs[1], xs[0]))
-        last = core.rdiv(core.rsub(ys[-1], ys[-2]), core.rsub(xs[-1], xs[-2]))
-        return first != last
+        first, last = core.slopes(xs[:2], ys[:2]), core.slopes(xs[-2:], ys[-2:])
+        return len(xs) > 2 and first != last
 
     @property
     def breakpoints(self) -> tuple:
@@ -158,15 +156,7 @@ class PLCircleMap:
 
     def segment_slopes(self) -> tuple:
         """Slopes of the grid segments (duplicates possible across x = 0)."""
-        xs, ys = self._xs, self._ys
-        out = []
-        for j in range(len(xs) - 1):
-            s = core.rdiv(core.rsub(ys[j + 1], ys[j]), core.rsub(xs[j + 1], xs[j]))
-            out.append(_frac(s))
-        return tuple(out)
-
-    def num_breakpoints(self) -> int:
-        return len(self.breakpoints)
+        return tuple(_frac(s) for s in core.slopes(self._xs, self._ys))
 
     def is_identity(self) -> bool:
         return self._ys == self._xs
@@ -279,10 +269,6 @@ class DisplacementInterval:
     def __contains__(self, value) -> bool:
         v = as_fraction(value)
         return self.lo <= v <= self.hi
-
-    def contains_float(self, value: float) -> bool:
-        """Containment for a float probe (comparisons stay exact)."""
-        return self.lo <= value <= self.hi
 
     def integer_point(self) -> Optional[int]:
         """The unique integer in [lo, hi], if any (width < 1 ensures unicity)."""

@@ -101,24 +101,25 @@ def translation_bracket(f, n: int = 1) -> DisplacementInterval:
     return DisplacementInterval(d.lo / n, d.hi / n)
 
 
-def _crossing_point(gbar: PLLineMap, p: int) -> Fraction:
-    """Exact x in [0, 1) with gbar(x) == x + p.
+def _crossing_point(xs, ys, k: int, p: int) -> Fraction:
+    """Exact x in [0, 1) with y(x) + k == x + p on the anchored grid.
 
-    Requires p to lie in the displacement interval of gbar; the
-    displacement is affine between graph vertices, so a sign change pins
-    the crossing down by linear interpolation.
+    Requires p to lie in the displacement interval of the lift; the
+    displacement is affine between grid points, so a sign change pins
+    the crossing down by one interpolation of x against it.
     """
-    verts = gbar.graph_vertices()
-    for i in range(len(verts) - 1):
-        x0, y0 = verts[i]
-        x1, y1 = verts[i + 1]
-        d0 = y0 - x0
-        d1 = y1 - x1
-        if d0 == p:
-            return x0
-        if (d0 - p) * (d1 - p) < 0:
-            t = (p - d0) / (d1 - d0)
-            return x0 + t * (x1 - x0)
+    t = p - k
+    # y(x) - x - t at every grid point, unreduced over yd * xd > 0
+    ds = [
+        (yn * xd - xn * yd - t * yd * xd, yd * xd)
+        for (xn, xd), (yn, yd) in zip(xs, ys)
+    ]
+    for i in range(len(ds) - 1):
+        if ds[i][0] == 0:
+            return Fraction(*xs[i])
+        if ds[i][0] * ds[i + 1][0] < 0:
+            x = core._interp(ds[i], ds[i + 1], xs[i], xs[i + 1], core.ZERO)
+            return Fraction(*x)
     raise ValueError("%d is outside the displacement interval" % p)
 
 
@@ -143,7 +144,7 @@ def rational_rotation_test(f, q: int) -> Optional[RationalRotation]:
         # power, so the witness equation matches value.denominator
         g = power(fbar, value.denominator)
         p = value.numerator
-    return RationalRotation(value, _crossing_point(g, p))
+    return RationalRotation(value, _crossing_point(g.base._xs, g.base._ys, g.offset, p))
 
 
 def rotation_number(
@@ -185,15 +186,15 @@ def rotation_number(
         if p * hd <= hn:
             # first hit: no integer appeared at any q < n, so p/n cannot
             # reduce (a reduced denominator would have fired earlier)
-            g = PLLineMap(PLCircleMap._from_grid(xs, ys), k)
-            return RationalRotation(Fraction(p, n), _crossing_point(g, p))
+            return RationalRotation(Fraction(p, n), _crossing_point(xs, ys, k, p))
         if ln == hn and ld == hd:
             # the n-th iterate is a rigid translation by a non-integer,
             # so the value is exactly ln / (ld n); a witness exists at the
             # reduced denominator
             value = Fraction(ln, ld * n)
             g = power(fbar, value.denominator)
-            return RationalRotation(value, _crossing_point(g, value.numerator))
+            witness = _crossing_point(g.base._xs, g.base._ys, g.offset, value.numerator)
+            return RationalRotation(value, witness)
         nlo = (ln, ld * n)
         nhi = (hn, hd * n)
         if lo is None or core.rcmp(nlo, lo) > 0:

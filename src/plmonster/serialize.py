@@ -15,8 +15,10 @@ may have up to MAX_DIGITS decimal digits, far past CPython's default
 conversion limit, so every value the library computes at a practical
 size serializes and parses back.  The limit is raised to MAX_DIGITS only
 while one fraction string or one JSON document is converted, and a value
-beyond it raises BudgetError, a DocumentError.  (CPython before 3.10.7
-has no such limit, and there the budget is not enforced.)
+beyond it raises BudgetError, a DocumentError.  The writer counts the
+digits of every integer it emits, so exactly the values that parse back
+are written on every CPython.  (Before 3.10.7 CPython has no limit, and
+there only the writer enforces the budget.)
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ WORD_FORMAT = "plmonster.word/1"
 MAX_DIGITS = 100_000
 
 _FRACTION_RE = re.compile(r"^-?\d+(/\d+)?$")
+_OVER_BUDGET = "an integer exceeds the budget of %d decimal digits" % MAX_DIGITS
 
 
 class DocumentError(ValueError):
@@ -68,17 +71,24 @@ def _within_budget(convert, value):
     except ValueError:
         # apart from malformed JSON, the only ValueError these conversions
         # raise is the digit limit
-        raise BudgetError(
-            "an integer exceeds the budget of %d decimal digits" % MAX_DIGITS
-        ) from None
+        raise BudgetError(_OVER_BUDGET) from None
     finally:
         sys.set_int_max_str_digits(saved)
 
 
+def _digits(n: int) -> str:
+    # CPython 3.12 and later check their limit against an estimate that
+    # lets a few hundred digits more through, so count them exactly
+    text = str(n)
+    if len(text) - (n < 0) > MAX_DIGITS:
+        raise BudgetError(_OVER_BUDGET)
+    return text
+
+
 def _format_fraction(value: Fraction) -> str:
     if value.denominator == 1:
-        return str(value.numerator)
-    return "%d/%d" % (value.numerator, value.denominator)
+        return _digits(value.numerator)
+    return _digits(value.numerator) + "/" + _digits(value.denominator)
 
 
 def fraction_to_str(value: Fraction) -> str:
@@ -110,13 +120,25 @@ def _descriptor_fields(descriptor: Optional[GroupDescriptor]):
     return descriptor.lam, list(descriptor.generators)
 
 
-def _bounded_descriptor(generators, where: str) -> GroupDescriptor:
-    # the generators are integers >= 2 by now, so the only ValueError
-    # left is the descriptor's factoring budget
+def _checked_descriptor(generators, lam, where: Optional[str], key: str, noun: str):
+    """The descriptor of a generator list (field `key`, items called
+    `noun`) and an optional lambda; errors are prefixed by `where`."""
+    prefix = where + ": " if where else ""
+    if not isinstance(generators, list) or not generators:
+        raise DocumentError("%s%s must be a nonempty list of integers" % (prefix, key))
+    for g in generators:
+        if isinstance(g, bool) or not isinstance(g, int) or g < 2:
+            raise DocumentError("%s%s %r is not an integer >= 2" % (prefix, noun, g))
     try:
-        return GroupDescriptor(*generators)
+        descriptor = GroupDescriptor(*generators)
     except ValueError as exc:
-        raise BudgetError("%s: %s" % (where, exc)) from None
+        raise BudgetError("%s: %s" % (where or key, exc)) from None
+    if lam is not None and lam != descriptor.lam:
+        raise DocumentError(
+            "%s'lambda' is %r but the %ss multiply to %d"
+            % (prefix, lam, noun, descriptor.lam)
+        )
+    return descriptor
 
 
 def document_descriptor(doc: dict) -> Optional[GroupDescriptor]:
@@ -126,21 +148,11 @@ def document_descriptor(doc: dict) -> Optional[GroupDescriptor]:
     ambiguous and yields None.  Inconsistent lambda/slopes pairs fail.
     """
     slopes = doc.get("slopes")
-    lam = doc.get("lambda")
     if slopes is None:
         return None
-    if not isinstance(slopes, list) or not slopes:
-        raise DocumentError("'slopes' must be a nonempty list of integers")
-    for s in slopes:
-        if isinstance(s, bool) or not isinstance(s, int) or s < 2:
-            raise DocumentError("slope generator %r is not an integer >= 2" % (s,))
-    descriptor = _bounded_descriptor(slopes, "'slopes'")
-    if lam is not None and lam != descriptor.lam:
-        raise DocumentError(
-            "'lambda' is %r but the slope generators multiply to %d"
-            % (lam, descriptor.lam)
-        )
-    return descriptor
+    return _checked_descriptor(
+        slopes, doc.get("lambda"), None, "'slopes'", "slope generator"
+    )
 
 
 def map_to_document(
@@ -163,6 +175,7 @@ def map_to_document(
         "images": [fraction_to_str(v) for v in value.images],
     }
     if offset is not None:
+        _within_budget(_digits, offset)  # json.dumps would not count exactly
         doc["offset"] = offset
     return doc
 
@@ -236,24 +249,9 @@ def _descriptor_block(descriptor: GroupDescriptor) -> dict:
 def _descriptor_from_block(block, where: str) -> GroupDescriptor:
     if not isinstance(block, dict):
         raise DocumentError("%s: descriptor block must be an object" % where)
-    generators = block.get("generators")
-    if not isinstance(generators, list) or not generators:
-        raise DocumentError(
-            "%s: 'generators' must be a nonempty list of integers" % where
-        )
-    for g in generators:
-        if isinstance(g, bool) or not isinstance(g, int) or g < 2:
-            raise DocumentError(
-                "%s: generator %r is not an integer >= 2" % (where, g)
-            )
-    descriptor = _bounded_descriptor(generators, where)
-    lam = block.get("lambda")
-    if lam is not None and lam != descriptor.lam:
-        raise DocumentError(
-            "%s: 'lambda' is %r but the generators multiply to %d"
-            % (where, lam, descriptor.lam)
-        )
-    return descriptor
+    return _checked_descriptor(
+        block.get("generators"), block.get("lambda"), where, "'generators'", "generator"
+    )
 
 
 def word_to_document(word: AmalgamWord) -> dict:

@@ -12,6 +12,10 @@ consecutive marked points are equalized by inserting midpoints (halving
 the leftmost largest gap of the arc with fewer points), and the result
 interpolates linearly.  Midpoints stay inside Y and keep gap ratios in P
 exactly when 2 lies in P, which holds for the shipped descriptors.
+
+`is_member` works on the map's kernel grid of (numerator, denominator)
+pairs, one reduced pair per slope; it builds a Fraction only to report a
+violation.  The public descriptor methods convert their input at entry.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import _core as core
 from .maps import (
     PLCircleMap,
     PLLineMap,
@@ -183,10 +188,11 @@ class GroupDescriptor:
     def slope_in_group(self, s: RationalLike) -> bool:
         """s in the multiplicative group generated by n1, ..., nk."""
         sf = as_fraction(s)
-        if sf <= 0:
-            return False
-        num, den = sf.numerator, sf.denominator
-        if self._strip(num) != 1 or self._strip(den) != 1:
+        return self._has_slope(sf.numerator, sf.denominator)
+
+    def _has_slope(self, num: int, den: int) -> bool:
+        # num/den in lowest terms with den > 0
+        if num <= 0 or self._strip(num) != 1 or self._strip(den) != 1:
             return False
         target = []
         for p in self._primes:
@@ -238,19 +244,22 @@ class MembershipReport:
 
 def is_member(f: PLCircleMap, descriptor: GroupDescriptor) -> MembershipReport:
     """Exact membership of a circle map, with per-item violations."""
+    xs, ys = f._xs, f._ys
+    slopes = core.slopes(xs, ys)
+    # the breakpoints: the interior grid points, and the anchor 0 when it
+    # is a corner or the map a rotation
+    first = 0 if len(slopes) == 1 or slopes[0] != slopes[-1] else 1
     violations = []
-    for b, v in zip(f.breakpoints, f.images):
-        if not descriptor.contains_coordinate(b):
-            violations.append(Violation("breakpoint-not-in-Y", b))
-        if not descriptor.contains_coordinate(v):
-            violations.append(Violation("image-not-in-Y", v))
-    seen = set()
-    for s in f.segment_slopes():
-        if s in seen:
-            continue
-        seen.add(s)
-        if not descriptor.slope_in_group(s):
-            violations.append(Violation("slope-not-in-P", s))
+    for j in range(first, len(xs) - 1):
+        if descriptor._strip(xs[j][1]) != 1:
+            violations.append(Violation("breakpoint-not-in-Y", Fraction(*xs[j])))
+        n, d = ys[j]
+        if descriptor._strip(d) != 1:
+            where = Fraction(n - d if n >= d else n, d)
+            violations.append(Violation("image-not-in-Y", where))
+    for n, d in dict.fromkeys(slopes):
+        if not descriptor._has_slope(n, d):
+            violations.append(Violation("slope-not-in-P", Fraction(n, d)))
     return MembershipReport(not violations, tuple(violations))
 
 

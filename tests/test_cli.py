@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, documents, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -17,7 +18,7 @@ from plmonster import (
     identity_map,
     relator_word,
 )
-from plmonster import cli
+from plmonster import cli, serialize
 from plmonster.amalgam import ContextError, SyllableError
 from plmonster.cli import main
 from plmonster.rotation import ZeroBracketError
@@ -97,6 +98,27 @@ def test_compose_invert_power(capsys, g0_file, tmp_path):
     assert doc["lambda"] == 6  # both inputs carried the same group annotation
     code, out, _ = run(capsys, "power", g0_file, "2")
     assert code == 0 and json.loads(out)["lambda"] == 6
+
+
+def test_map_commands_decode_each_document_once(capsys, g0_file, monkeypatch):
+    decoded = []
+    loads = json.loads
+
+    def counting_loads(text, *args, **kwargs):
+        decoded.append(text)
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(serialize.json, "loads", counting_loads)
+    for argv, documents in (
+        (("invert", g0_file), 1),
+        (("power", g0_file, "3"), 1),
+        (("compose", g0_file, g0_file), 2),
+        (("eval", "--map", g0_file, "--point", "1/3"), 1),
+    ):
+        decoded.clear()
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert len(decoded) == documents, argv
 
 
 def test_member_verdict_exit_codes(capsys, g0_file, tmp_path):
@@ -180,6 +202,15 @@ def test_verify_small_suite(capsys):
     lines = out.splitlines()
     assert lines[0].startswith("PASS centrality.center-commutes")
     assert lines[-1] == "result: 1 of 1 checks passed"
+
+
+def test_verify_all_output_is_pinned(capsys):
+    # the same bytes on every supported Python: refactors must keep them
+    code, out, err = run(capsys, "verify", "--suite", "all", "--samples", "40")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "f4479b5c2c5f586e6c6badd1d3f125823762f2d1a0d7c2d95ad5bc410e69cd60"
+    )
 
 
 def test_verify_monster_evidence_contains_disclaimer(capsys):

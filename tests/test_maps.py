@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from plmonster import _core as core
 from plmonster import (
     DisplacementInterval,
     PLCircleMap,
@@ -183,8 +184,8 @@ def test_displacement_interval_queries():
     assert F(2, 3) in d and F(1, 4) not in d
     assert d.integer_point() is None
     assert DisplacementInterval(F(1, 2), F(3, 2)).integer_point() == 1
-    assert d.contains_float(0.6309297535714574)
-    assert not d.contains_float(0.1)
+    assert F(6309297535714574, 10**16) in d
+    assert F(1, 10) not in d
 
 
 def test_redundant_breakpoint_is_dropped():
@@ -207,6 +208,122 @@ def test_constructor_validation():
         PLCircleMap([0, F(1, 4), F(1, 2)], [0, F(3, 4), F(1, 2)])  # not cyclic
     with pytest.raises(TypeError):
         lift(g0(), F(1, 2))  # offsets are integers
+
+
+def reference_circle_grid(breakpoints, images):
+    """The constructor's validation and unrolling on Fractions, as a reference.
+
+    Returns the canonical kernel grid that `PLCircleMap` must build from
+    the same input, or raises the same exception with the same message.
+    """
+    breaks = [as_fraction(b) for b in breakpoints]
+    imgs = [as_fraction(v) for v in images]
+    if len(breaks) != len(imgs):
+        raise ValueError("breakpoints and images must have equal length")
+    if not breaks:
+        raise ValueError("a map needs at least one breakpoint")
+    for b in breaks:
+        if not 0 <= b < 1:
+            raise ValueError("breakpoint %s outside [0, 1)" % b)
+    for v in imgs:
+        if not 0 <= v < 1:
+            raise ValueError("image %s outside [0, 1)" % v)
+    for i in range(len(breaks) - 1):
+        if breaks[i + 1] <= breaks[i]:
+            raise ValueError("breakpoints must be strictly increasing")
+    m = len(breaks)
+    if m == 1:
+        tilde = imgs[:]
+    else:
+        descents = []
+        for i in range(m - 1):
+            if imgs[i + 1] == imgs[i]:
+                raise ValueError("images must be distinct")
+            if imgs[i + 1] < imgs[i]:
+                descents.append(i)
+        if len(descents) > 1:
+            raise ValueError("images are not cyclically increasing (winding != 1)")
+        if descents:
+            if imgs[0] <= imgs[-1]:
+                raise ValueError("images are not cyclically increasing (winding != 1)")
+            i = descents[0]
+            tilde = imgs[: i + 1] + [v + 1 for v in imgs[i + 1 :]]
+        else:
+            tilde = imgs[:]
+    if breaks[0] == 0:
+        grid_x = breaks + [F(1)]
+        grid_y = tilde + [tilde[0] + 1]
+    else:
+        slope = (tilde[0] + 1 - tilde[-1]) / (breaks[0] + 1 - breaks[-1])
+        h1 = tilde[-1] + (1 - breaks[-1]) * slope
+        grid_x = [F(0)] + breaks + [F(1)]
+        grid_y = [h1 - 1] + tilde + [h1]
+    if grid_y[0] < 0:
+        grid_y = [v + 1 for v in grid_y]
+    return core.canon_grid(
+        [(x.numerator, x.denominator) for x in grid_x],
+        [(y.numerator, y.denominator) for y in grid_y],
+    )
+
+
+def _constructor_outcome(build, breakpoints, images):
+    try:
+        return build(breakpoints, images)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def _random_constructor_input(rng):
+    # small denominators make ties common, and now and then a coordinate
+    # falls outside [0, 1), the order is shuffled or the lengths differ,
+    # so every rejection reason occurs
+    den = rng.choice((4, 6, 12, 97, 2**40))
+    m = rng.randint(1, 7)
+
+    def coordinate():
+        return F(rng.randint(-1, den) if rng.random() < 0.05 else rng.randrange(den), den)
+
+    breaks = sorted(coordinate() for _ in range(m))
+    imgs = sorted(coordinate() for _ in range(m))
+    cut = rng.randint(0, m)  # one cyclic descent, as a valid map has
+    imgs = imgs[cut:] + imgs[:cut]
+    for seq in (breaks, imgs):
+        if rng.random() < 0.1:
+            rng.shuffle(seq)
+    if rng.random() < 0.05:
+        imgs.append(F(1, 2))
+    return breaks, imgs
+
+
+def test_constructor_matches_fraction_reference():
+    rng = random.Random(110)
+    rejected = 0
+    for _ in range(4000):
+        breaks, imgs = _random_constructor_input(rng)
+        expected = _constructor_outcome(reference_circle_grid, breaks, imgs)
+        got = _constructor_outcome(PLCircleMap, breaks, imgs)
+        if isinstance(expected[0], type):
+            rejected += 1
+            assert got == expected
+        else:
+            assert (got._xs, got._ys) == expected
+    assert 500 < rejected < 3500
+    # every message the constructor raises, and the inexact-type errors
+    for breaks, imgs in (
+        ([0, F(1, 2)], [0]),
+        ([], []),
+        ([F(-1, 3)], [0]),
+        ([0], [F(5, 4)]),
+        ([F(1, 2), F(1, 2)], [0, F(1, 2)]),
+        ([0, F(1, 2)], [F(1, 3), F(1, 3)]),
+        ([0, F(1, 4), F(1, 2)], [0, F(3, 4), F(1, 2)]),
+        ([0, F(1, 4), F(1, 2)], [F(1, 2), F(3, 4), F(5, 8)]),
+        ([0, F(1, 2)], [0.5, 0]),
+        ([True], [0]),
+    ):
+        expected = _constructor_outcome(reference_circle_grid, breaks, imgs)
+        assert isinstance(expected[0], type)
+        assert _constructor_outcome(PLCircleMap, breaks, imgs) == expected
 
 
 def test_as_fraction_rejects_inexact_types():
@@ -268,7 +385,7 @@ def test_breakpoint_subadditivity():
     for _ in range(30):
         f, g = rng.choice(pool), rng.choice(pool)
         fg = compose(f, g)
-        assert fg.num_breakpoints() <= f.num_breakpoints() + g.num_breakpoints()
+        assert len(fg.breakpoints) <= len(f.breakpoints) + len(g.breakpoints)
 
 
 def test_lift_coherence_on_random_points():

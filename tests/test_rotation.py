@@ -134,7 +134,7 @@ def test_rotation_number_certifies_g0():
     # exact containment of log 2 / log 3 via integer power comparisons
     p_over_q, next_over_q = log_ratio_bounds(2, 3, 10**5)
     assert lo < p_over_q and next_over_q < hi
-    assert result.bracket.contains_float(0.6309297535714574)
+    assert F(6309297535714574, 10**16) in result.bracket
 
 
 def test_rotation_number_parameter_validation():
@@ -291,6 +291,46 @@ def test_integer_candidates_match_fraction_formula(a, b_extra, lo, width):
     assert _candidates(a, b, lo, hi) == fraction_candidates(fa, fb, flo, fhi)
 
 
+def reference_crossing_point(gbar, p):
+    """The witness search on Fraction graph vertices, as a reference."""
+    verts = gbar.graph_vertices()
+    for i in range(len(verts) - 1):
+        x0, y0 = verts[i]
+        x1, y1 = verts[i + 1]
+        d0 = y0 - x0
+        d1 = y1 - x1
+        if d0 == p:
+            return x0
+        if (d0 - p) * (d1 - p) < 0:
+            t = (p - d0) / (d1 - d0)
+            return x0 + t * (x1 - x0)
+    raise ValueError("%d is outside the displacement interval" % p)
+
+
+def crossing_outcome(crossing, *args):
+    try:
+        return crossing(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_crossing_point_matches_reference():
+    rng = random.Random(311)
+    maps = [irrational_candidate_g0(), rotation_map(F(2, 7)), identity_map()]
+    maps += [random_member(STEIN_2_3 if i % 2 else THOMPSON, rng) for i in range(40)]
+    found = 0
+    for f in maps:
+        for n in (1, 2, 3, 5):
+            g = power(lift(f, rng.randint(-2, 2)), n)
+            d = displacement_interval(g)
+            for p in range(math.floor(d.lo) - 1, math.ceil(d.hi) + 2):
+                expected = crossing_outcome(reference_crossing_point, g, p)
+                got = crossing_outcome(_crossing_point, g.base._xs, g.base._ys, g.offset, p)
+                assert got == expected
+                found += not isinstance(expected, str)
+    assert found > 50
+
+
 def reference_rotation_number(f, max_denominator, depth):
     """The certificate loop on PLLineMaps and Fractions, as a reference.
 
@@ -305,11 +345,11 @@ def reference_rotation_number(f, max_denominator, depth):
         d = displacement_interval(g)
         p = d.integer_point()
         if p is not None:
-            return RationalRotation(F(p, n), _crossing_point(g, p))
+            return RationalRotation(F(p, n), reference_crossing_point(g, p))
         if d.width == 0:
             value = d.lo / n
             g = power(fbar, value.denominator)
-            return RationalRotation(value, _crossing_point(g, value.numerator))
+            return RationalRotation(value, reference_crossing_point(g, value.numerator))
         lo = d.lo / n if lo is None else max(lo, d.lo / n)
         hi = d.hi / n if hi is None else min(hi, d.hi / n)
         if n < depth:

@@ -180,6 +180,47 @@ def test_word_document_rejects_bad_context():
         word_from_document(bad)
 
 
+@pytest.mark.parametrize(
+    "descriptor, error, message",
+    [
+        ({"slopes": 5}, DocumentError, "'slopes' must be a nonempty list of integers"),
+        ({"slopes": []}, DocumentError, "'slopes' must be a nonempty list of integers"),
+        ({"slopes": [2, True]}, DocumentError, "slope generator True is not an integer >= 2"),
+        ({"slopes": [2, 3], "lambda": 7}, DocumentError,
+         "'lambda' is 7 but the slope generators multiply to 6"),
+        ({"slopes": [2**40]}, BudgetError,
+         "'slopes': a slope generator of 41 bits exceeds the budget of 32 bits"),
+    ],
+)
+def test_map_descriptor_errors_name_the_field(descriptor, error, message):
+    doc = dict(map_to_document(irrational_candidate_g0()), **descriptor)
+    with pytest.raises(error) as info:
+        map_from_document(doc)
+    assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "block, error, message",
+    [
+        ([2], DocumentError, "context.left: descriptor block must be an object"),
+        ({"generators": "2"}, DocumentError,
+         "context.left: 'generators' must be a nonempty list of integers"),
+        ({"generators": [2, 1]}, DocumentError,
+         "context.left: generator 1 is not an integer >= 2"),
+        ({"generators": [2], "lambda": 6}, DocumentError,
+         "context.left: 'lambda' is 6 but the generators multiply to 2"),
+        ({"generators": list(range(2, 20))}, BudgetError,
+         "context.left: 18 slope generators exceed the budget of 16"),
+    ],
+)
+def test_word_descriptor_errors_name_the_block(block, error, message):
+    doc = word_to_document(relator_word(default_context(), 1))
+    doc["context"]["left"] = block
+    with pytest.raises(error) as info:
+        word_from_document(doc)
+    assert type(info.value) is error and str(info.value) == message
+
+
 def test_word_document_rejects_bad_syllables():
     doc = word_to_document(relator_word(default_context(), 1))
 
@@ -245,6 +286,13 @@ def test_fraction_strings_over_the_digit_budget_fail(digit_limit):
         str_to_fraction(huge)
     with pytest.raises(BudgetError):
         fraction_to_str(F(1, 10**MAX_DIGITS))
+    # exactly at the budget both ways; past it by less than CPython 3.12's
+    # estimate of the digit count lets through, the writer still refuses
+    for value in (F(10**MAX_DIGITS - 1), F(-1, 10**MAX_DIGITS - 1)):
+        assert str_to_fraction(fraction_to_str(value)) == value
+    for value in (F(10 ** (MAX_DIGITS + 400)), F(-1, 10 ** (MAX_DIGITS + 400))):
+        with pytest.raises(BudgetError):
+            fraction_to_str(value)
     doc = map_to_document(irrational_candidate_g0())
     doc["breakpoints"] = ["1/" + huge]
     with pytest.raises(BudgetError, match=r"breakpoints\[0\]"):
@@ -276,8 +324,11 @@ def test_offsets_past_the_default_digit_limit_round_trip(digit_limit):
 def test_offsets_over_the_digit_budget_fail(digit_limit):
     with pytest.raises(BudgetError):
         parse_map(_line_map_text("1" + "0" * MAX_DIGITS))
-    with pytest.raises(BudgetError):
-        format_map(lift(identity_map(), 10**MAX_DIGITS))
+    for offset in (10**MAX_DIGITS, -(10 ** (MAX_DIGITS + 400))):
+        with pytest.raises(BudgetError):
+            format_map(lift(identity_map(), offset))
+    g = lift(identity_map(), -(10**MAX_DIGITS - 1))
+    assert parse_map(format_map(g)) == g
     with pytest.raises(DocumentError) as info:
         parse_map(_line_map_text("1")[:-5])
     assert not isinstance(info.value, BudgetError)

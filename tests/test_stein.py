@@ -28,7 +28,7 @@ from plmonster import (
     tuple_map_report,
 )
 from plmonster.serialize import BudgetError, map_from_document, map_to_document
-from plmonster.stein import random_tuple_pair
+from plmonster.stein import MembershipReport, Violation, random_tuple_pair
 
 
 def test_descriptor_basic_fields():
@@ -132,6 +132,48 @@ def test_member_flag_iff_no_violations():
         f = random_member(d, rng) if i % 3 else rotation_map(F(1, 5))
         report = is_member(f, d)
         assert report.member == (len(report.violations) == 0)
+
+
+def reference_is_member(f, descriptor):
+    """Membership through the Fraction views and public methods, as a reference."""
+    violations = []
+    for b, v in zip(f.breakpoints, f.images):
+        if not descriptor.contains_coordinate(b):
+            violations.append(Violation("breakpoint-not-in-Y", b))
+        if not descriptor.contains_coordinate(v):
+            violations.append(Violation("image-not-in-Y", v))
+    seen = set()
+    for s in f.segment_slopes():
+        if s in seen:
+            continue
+        seen.add(s)
+        if not descriptor.slope_in_group(s):
+            violations.append(Violation("slope-not-in-P", s))
+    return MembershipReport(not violations, tuple(violations))
+
+
+def test_is_member_matches_reference():
+    rng = random.Random(203)
+    descriptors = (THOMPSON, STEIN_2_3, GroupDescriptor(3), GroupDescriptor(2, 5),
+                   GroupDescriptor(4, 6))
+    pools = [random_member(d, rng) for d in (THOMPSON, STEIN_2_3) for _ in range(20)]
+    pools += [rotation_map(F(k, 30)) for k in range(0, 30, 7)]
+    for _ in range(60):
+        # arbitrary rationals: most are non-members of every descriptor
+        den = rng.choice((5, 12, 30, 97, 2**20 * 3))
+        xs = sorted(rng.sample(range(den), rng.randint(1, 4)))
+        ys = sorted(rng.sample(range(den), len(xs)))
+        cut = rng.randrange(len(ys))
+        pools.append(PLCircleMap([F(x, den) for x in xs],
+                                 [F(y, den) for y in ys[cut:] + ys[:cut]]))
+    pools += [compose(rng.choice(pools), rng.choice(pools)) for _ in range(40)]
+    members = 0
+    for f in pools:
+        for d in descriptors:
+            report = is_member(f, d)
+            assert report == reference_is_member(f, d)
+            members += report.member
+    assert 80 < members < len(pools) * len(descriptors) - 200
 
 
 def test_members_are_closed_under_the_group_operations():
