@@ -34,15 +34,9 @@ from .maps import (
     identity_map,
     invert,
     lift,
-    power,
     project,
 )
-from .rotation import (
-    PowerDetector,
-    RationalRotation,
-    ZeroBracketError,
-    rotation_number,
-)
+from .rotation import PowerDetector, RationalRotation, rotation_number
 from .stein import (
     GroupDescriptor,
     STEIN_2_3,
@@ -56,7 +50,6 @@ from .stein import (
 # the context constructor certifies the edge map against these bounds
 EDGE_MAX_DENOMINATOR = 50
 EDGE_ROTATION_DEPTH = 200
-EDGE_ZERO_EXCLUSION_DEPTH = 64
 
 
 class ContextError(ValueError):
@@ -91,21 +84,49 @@ class Syllable:
     element: object
 
 
-class AmalgamContext:
-    """The two factor groups and the edge identification z = edge.
+class FactorOps:
+    """Operations Britton reduction needs from a concrete amalgam.
 
-    Construction validates three gates: the edge map's underlying circle
-    map must belong to the right factor's group; its translation number
-    must not be rational with denominator up to EDGE_ROTATION_DEPTH
-    (`rotation_number` tests every iterate up to that depth, so the gate
-    is stricter than the EDGE_MAX_DENOMINATOR its certificate states);
-    and its translation bracket must exclude zero within
-    EDGE_ZERO_EXCLUSION_DEPTH iterates so power detection terminates.
-    The defaults glue Thompson's circle group to the (2,3) Stein group
-    along the two-slope map with irrational rotation number.
+    `edge_coefficient` must return the exponent k when the element equals
+    the k-th power of that factor's edge generator and None otherwise;
+    soundness of the word problem rests on it having no false answers in
+    either direction.
     """
 
-    __slots__ = ("_left", "_right", "_edge", "_detector", "_edge_powers")
+    __slots__ = ()
+
+    def compose(self, factor: Factor, a, b):
+        raise NotImplementedError
+
+    def is_identity(self, factor: Factor, a) -> bool:
+        raise NotImplementedError
+
+    def edge_coefficient(self, factor: Factor, a) -> Optional[int]:
+        raise NotImplementedError
+
+    def edge_element(self, factor: Factor, k: int):
+        raise NotImplementedError
+
+
+class AmalgamContext(FactorOps):
+    """Two factor groups glued along z = edge, with Britton's operations.
+
+    Construction validates two gates: the edge map's underlying circle
+    map must belong to the right factor's group, and its translation
+    number must not be rational with denominator up to
+    EDGE_ROTATION_DEPTH (`rotation_number` tests every iterate up to that
+    depth, so the gate is stricter than the EDGE_MAX_DENOMINATOR its
+    certificate states).  The second gate also makes power detection
+    conclusive: at the first iterate it rejects every edge whose
+    displacement interval holds an integer or is pinched, so an accepted
+    edge's first bracket excludes 0, and the `PowerDetector` built on it
+    reads that same bracket and never needs to refine it to exclude 0.
+    Edge membership and edge powers on the right both go through that
+    one detector.  The defaults glue Thompson's circle group to the (2,3)
+    Stein group along the two-slope map with irrational rotation number.
+    """
+
+    __slots__ = ("_left", "_right", "_edge", "_detector")
 
     def __init__(
         self,
@@ -134,20 +155,10 @@ class AmalgamContext:
                 "subgroup must be separated from all small rationals for "
                 "power detection to stay conclusive" % rot.value
             )
-        try:
-            detector = PowerDetector(
-                edge, zero_exclusion_depth=EDGE_ZERO_EXCLUSION_DEPTH
-            )
-        except ZeroBracketError as exc:
-            raise ContextError(
-                "edge map's translation bracket cannot be separated from "
-                "zero within depth %d" % EDGE_ZERO_EXCLUSION_DEPTH
-            ) from exc
         self._left = left
         self._right = right
         self._edge = edge
-        self._detector = detector
-        self._edge_powers = {0: PLLineMap(identity_map(), 0), 1: edge}
+        self._detector = PowerDetector(edge)
 
     @property
     def left_descriptor(self) -> GroupDescriptor:
@@ -161,19 +172,26 @@ class AmalgamContext:
     def edge(self) -> PLLineMap:
         return self._edge
 
-    @property
-    def detector(self) -> PowerDetector:
-        return self._detector
-
     def descriptor(self, factor: Factor) -> GroupDescriptor:
         return self._left if factor is Factor.G1 else self._right
 
-    def edge_power(self, k: int) -> PLLineMap:
-        cached = self._edge_powers.get(k)
-        if cached is None:
-            cached = power(self._edge, k)
-            self._edge_powers[k] = cached
-        return cached
+    def compose(self, factor, a, b):
+        return compose(a, b)
+
+    def is_identity(self, factor, a):
+        return a.is_identity()
+
+    def edge_coefficient(self, factor, a):
+        if factor is Factor.G1:
+            # left edge subgroup: integer translations z**k, the lifts of
+            # the identity circle map, with k their offset
+            return a.offset if a.base.is_identity() else None
+        return self._detector.detect(a)
+
+    def edge_element(self, factor, k):
+        if factor is Factor.G1:
+            return PLLineMap(identity_map(), k)
+        return self._detector.power(k)
 
     def __eq__(self, other):
         if not isinstance(other, AmalgamContext):
@@ -199,28 +217,6 @@ class AmalgamContext:
 def default_context() -> AmalgamContext:
     """The shipped context: Thompson and (2,3) Stein glued along g0's lift."""
     return AmalgamContext()
-
-
-class FactorOps:
-    """Operations Britton reduction needs from a concrete amalgam.
-
-    `edge_coefficient` must return the exponent k when the element equals
-    the k-th power of that factor's edge generator and None otherwise;
-    soundness of the word problem rests on it having no false answers in
-    either direction.
-    """
-
-    def compose(self, factor: Factor, a, b):
-        raise NotImplementedError
-
-    def is_identity(self, factor: Factor, a) -> bool:
-        raise NotImplementedError
-
-    def edge_coefficient(self, factor: Factor, a) -> Optional[int]:
-        raise NotImplementedError
-
-    def edge_element(self, factor: Factor, k: int):
-        raise NotImplementedError
 
 
 def britton_reduce(ops: FactorOps, syllables) -> tuple:
@@ -277,33 +273,6 @@ def britton_reduce(ops: FactorOps, syllables) -> tuple:
         pending.append(Syllable(other, ops.edge_element(other, k)))
         del stack[i:]
         checked = i
-
-
-class _PLFactorOps(FactorOps):
-    """The PL amalgam: both factors act by line maps, edge z = edge map."""
-
-    __slots__ = ("_ctx",)
-
-    def __init__(self, ctx: AmalgamContext):
-        self._ctx = ctx
-
-    def compose(self, factor, a, b):
-        return compose(a, b)
-
-    def is_identity(self, factor, a):
-        return a.is_identity()
-
-    def edge_coefficient(self, factor, a):
-        if factor is Factor.G1:
-            # left edge subgroup: integer translations z**k, the lifts of
-            # the identity circle map, with k their offset
-            return a.offset if a.base.is_identity() else None
-        return self._ctx.detector.detect(a)
-
-    def edge_element(self, factor, k):
-        if factor is Factor.G1:
-            return PLLineMap(identity_map(), k)
-        return self._ctx.edge_power(k)
 
 
 class AmalgamWord:
@@ -380,7 +349,7 @@ class AmalgamWord:
         return len(self._syllables)
 
     def reduce(self) -> "AmalgamWord":
-        reduced = britton_reduce(_PLFactorOps(self._context), self._syllables)
+        reduced = britton_reduce(self._context, self._syllables)
         return AmalgamWord._reduced(self._context, reduced)
 
     def is_trivial(self) -> bool:
@@ -455,7 +424,7 @@ def relator_word(context: AmalgamContext, k: int = 1) -> AmalgamWord:
         context,
         [
             Syllable(Factor.G1, PLLineMap(identity_map(), k)),
-            Syllable(Factor.G2, power(context.edge, -k)),
+            Syllable(Factor.G2, context.edge_element(Factor.G2, -k)),
         ],
     )
 
@@ -480,11 +449,7 @@ def random_word(context: AmalgamContext, length: int, seed: int) -> AmalgamWord:
         desc = context.descriptor(factor)
         style = rng.randrange(6)
         if style == 0:
-            k = rng.choice((-2, -1, 1, 2))
-            if factor is Factor.G1:
-                element = PLLineMap(identity_map(), k)
-            else:
-                element = context.edge_power(k)
+            element = context.edge_element(factor, rng.choice((-2, -1, 1, 2)))
         elif style == 1:
             q = desc.lam ** rng.randint(1, 2)
             element = lift(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -59,6 +60,13 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a negative rational, or a comma list of rationals starting with
+        # one, is a flag value and not an option (subparsers inherit this)
+        rational = r"(\d+|\d*\.\d+)(/\d+)?"
+        self._negative_number_matcher = re.compile(r"^-%s(,\s*-?%s)*$" % (rational, rational))
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -231,14 +239,17 @@ def _cmd_rot(args) -> int:
     else:
         assert isinstance(result, NonRationalCertificate)
         lo, hi = result.bracket.lo, result.bracket.hi
+        try:
+            ends = "[%.10f, %.10f] " % (float(lo), float(hi))
+        except OverflowError:  # a lift with a huge offset: exact ends only
+            ends = ""
         doc = {
             "format": "plmonster.rotation/1",
             "kind": "nonrational-certified",
             "max_denominator": result.max_denominator,
             "bracket": [fraction_to_str(lo), fraction_to_str(hi)],
-            "summary": "no rational with denominator <= %d; bracket "
-            "[%.10f, %.10f] of width %.3e"
-            % (result.max_denominator, float(lo), float(hi), float(hi - lo)),
+            "summary": "no rational with denominator <= %d; bracket %sof width %.3e"
+            % (result.max_denominator, ends, float(hi - lo)),
         }
     _write(json.dumps(doc, indent=2) + "\n", args.out)
     return 0

@@ -34,10 +34,16 @@ from .maps import (
     PLLineMap,
     compose,
     displacement_interval,
-    invert,
     lift,
     power,
 )
+
+
+# PowerDetector's budgets and the bound of its power cache
+ZERO_EXCLUSION_DEPTH = 64
+CANDIDATE_LIMIT = 32
+REFINE_LIMIT = 4096
+POWER_CACHE_LIMIT = 64
 
 
 class ZeroBracketError(ValueError):
@@ -97,8 +103,8 @@ def translation_bracket(f, n: int = 1) -> DisplacementInterval:
     lifted with offset 0.
     """
     _check_positive_int(n, "n")
-    d = displacement_interval(power(_as_lift(f), n))
-    return DisplacementInterval(d.lo / n, d.hi / n)
+    lo, hi = _bracket(power(_as_lift(f), n), n)
+    return DisplacementInterval(Fraction(*lo), Fraction(*hi))
 
 
 def _crossing_point(xs, ys, k: int, p: int) -> Fraction:
@@ -134,17 +140,16 @@ def rational_rotation_test(f, q: int) -> Optional[RationalRotation]:
     """
     _check_positive_int(q, "q")
     fbar = _as_lift(f)
-    g = power(fbar, q)
-    p = displacement_interval(g).integer_point()
-    if p is None:
-        return None
-    value = Fraction(p, q)
-    if value.denominator != q:
-        # reduce to lowest terms and recompute the witness at the reduced
-        # power, so the witness equation matches value.denominator
-        g = power(fbar, value.denominator)
-        p = value.numerator
-    return RationalRotation(value, _crossing_point(g.base._xs, g.base._ys, g.offset, p))
+    p = displacement_interval(power(fbar, q)).integer_point()
+    return None if p is None else _rational(fbar, Fraction(p, q))
+
+
+def _rational(fbar: PLLineMap, value: Fraction) -> RationalRotation:
+    """The translation number p/q = value, witnessed at fbar**q (lowest terms)."""
+    g = power(fbar, value.denominator)
+    return RationalRotation(
+        value, _crossing_point(g.base._xs, g.base._ys, g.offset, value.numerator)
+    )
 
 
 def rotation_number(
@@ -176,7 +181,6 @@ def rotation_number(
     fys = fbar.base._ys
     fk = fbar.offset
     xs, ys, k = fxs, fys, fk
-    lo = hi = None
     for n in range(1, depth + 1):
         # ln/ld + k and hn/hd + k: lowest terms, as the kernel's are
         (ln, ld), (hn, hd) = core.displacement(xs, ys)
@@ -191,16 +195,10 @@ def rotation_number(
             # the n-th iterate is a rigid translation by a non-integer,
             # so the value is exactly ln / (ld n); a witness exists at the
             # reduced denominator
-            value = Fraction(ln, ld * n)
-            g = power(fbar, value.denominator)
-            witness = _crossing_point(g.base._xs, g.base._ys, g.offset, value.numerator)
-            return RationalRotation(value, witness)
+            return _rational(fbar, Fraction(ln, ld * n))
         nlo = (ln, ld * n)
         nhi = (hn, hd * n)
-        if lo is None or core.rcmp(nlo, lo) > 0:
-            lo = nlo
-        if hi is None or core.rcmp(nhi, hi) < 0:
-            hi = nhi
+        lo, hi = (nlo, nhi) if n == 1 else _meet(lo, hi, nlo, nhi)
         if n < depth:
             xs, ys, carry = core.compose(xs, ys, fxs, fys)
             k += fk + carry
@@ -253,6 +251,15 @@ def _bracket(fbar: PLLineMap, n: int) -> tuple:
     return (ln + k * ld, ld * n), (hn + k * hd, hd * n)
 
 
+def _meet(lo, hi, nlo, nhi) -> tuple:
+    """Intersection of the brackets [lo, hi] and [nlo, nhi] of kernel pairs."""
+    if core.rcmp(nlo, lo) > 0:
+        lo = nlo
+    if core.rcmp(nhi, hi) < 0:
+        hi = nhi
+    return lo, hi
+
+
 def _candidates(a, b, lo, hi) -> tuple:
     """Exponents k != 0 for which k times [a, b] meets [lo, hi].
 
@@ -289,69 +296,53 @@ class _BracketRefiner:
     def refine(self) -> None:
         self.power_map = compose(self.power_map, self.power_map)
         self.n *= 2
-        lo, hi = _bracket(self.power_map, self.n)
-        if core.rcmp(lo, self.lo) > 0:
-            self.lo = lo
-        if core.rcmp(hi, self.hi) < 0:
-            self.hi = hi
+        self.lo, self.hi = _meet(self.lo, self.hi, *_bracket(self.power_map, self.n))
 
 
 class PowerDetector:
     """Decides whether maps are integer powers of a fixed line map.
 
-    The base map must have translation number separated from zero;
-    construction refines its bracket by repeated squaring and raises
-    ZeroBracketError if zero survives ``zero_exclusion_depth`` iterates.
-    ``detect`` brackets the candidate's translation number, keeps the
-    finitely many exponents k for which k times the base bracket meets
-    it, and confirms each survivor by exact structural equality, so both
-    positive and negative answers are exact.
+    The base map must have translation number separated from zero: its
+    bracket is refined by repeated squaring, and ZeroBracketError is
+    raised if zero survives ZERO_EXCLUSION_DEPTH iterates.  ``detect``
+    brackets the candidate's translation number, keeps the finitely many
+    exponents k for which k times the base bracket meets it (refining
+    both brackets while more than CANDIDATE_LIMIT survive, up to
+    REFINE_LIMIT iterates), and confirms each survivor by exact
+    structural equality, so both positive and negative answers are exact.
+    A negative base is handled through its inverse, whose bracket is the
+    negated base bracket at every iterate.  ``power`` is the one cache of
+    base powers, shared by detection and the amalgam's edge elements; it
+    keeps base**k for |k| <= POWER_CACHE_LIMIT only.
     """
 
-    def __init__(
-        self,
-        base: PLLineMap,
-        zero_exclusion_depth: int = 64,
-        candidate_limit: int = 32,
-        refine_limit: int = 4096,
-    ):
+    def __init__(self, base: PLLineMap):
         if not isinstance(base, PLLineMap):
             raise TypeError("base must be a line map")
-        _check_positive_int(zero_exclusion_depth, "zero_exclusion_depth")
-        _check_positive_int(candidate_limit, "candidate_limit")
-        _check_positive_int(refine_limit, "refine_limit")
-        self._base = base
-        self._candidate_limit = candidate_limit
-        self._refine_limit = refine_limit
-        probe = _BracketRefiner(base)
-        while probe.lo[0] <= 0 <= probe.hi[0]:
-            if probe.n >= zero_exclusion_depth:
+        ref = _BracketRefiner(base)
+        while ref.lo[0] <= 0 <= ref.hi[0]:
+            if ref.n >= ZERO_EXCLUSION_DEPTH:
                 raise ZeroBracketError(
                     "translation number bracket still contains 0 after "
-                    "%d iterates" % probe.n
+                    "%d iterates" % ref.n
                 )
-            probe.refine()
-        if probe.hi[0] < 0:
-            self._sign = -1
-            self._norm_base = invert(base)
-            self._ref = _BracketRefiner(self._norm_base)
-            while self._ref.lo[0] <= 0:
-                self._ref.refine()
-        else:
-            self._sign = 1
-            self._norm_base = base
-            self._ref = probe
+            ref.refine()
+        self._base = base
+        self._ref = ref
+        self._sign = 1 if ref.lo[0] > 0 else -1
         self._powers = {}
 
     @property
     def base(self) -> PLLineMap:
         return self._base
 
-    def _power(self, k: int) -> PLLineMap:
+    def power(self, k: int) -> PLLineMap:
+        """base**k, cached for |k| <= POWER_CACHE_LIMIT."""
         cached = self._powers.get(k)
         if cached is None:
-            cached = power(self._norm_base, k)
-            self._powers[k] = cached
+            cached = power(self._base, k)
+            if abs(k) <= POWER_CACHE_LIMIT:
+                self._powers[k] = cached
         return cached
 
     def detect(self, candidate: PLLineMap) -> Optional[int]:
@@ -363,10 +354,14 @@ class PowerDetector:
         ref = self._ref
         wref = _BracketRefiner(candidate)
         while True:
-            positive, negative = _candidates(ref.lo, ref.hi, wref.lo, wref.hi)
-            if len(positive) + len(negative) <= self._candidate_limit:
+            a, b = ref.lo, ref.hi
+            if self._sign < 0:
+                # the inverse's bracket: the base bracket negated
+                a, b = (-b[0], b[1]), (-a[0], a[1])
+            positive, negative = _candidates(a, b, wref.lo, wref.hi)
+            if len(positive) + len(negative) <= CANDIDATE_LIMIT:
                 break
-            if wref.n >= self._refine_limit:
+            if wref.n >= REFINE_LIMIT:
                 raise ValueError(
                     "cannot isolate candidate exponents within the "
                     "refinement limit"
@@ -374,11 +369,11 @@ class PowerDetector:
             wref.refine()
             ref.refine()
         for k in sorted((*positive, *negative), key=abs):
-            if self._power(k) == candidate:
+            if self.power(self._sign * k) == candidate:
                 return self._sign * k
         return None
 
 
-def is_power_of(candidate: PLLineMap, base: PLLineMap, **limits) -> Optional[int]:
+def is_power_of(candidate: PLLineMap, base: PLLineMap) -> Optional[int]:
     """Exponent k with candidate == base**k, or None; see PowerDetector."""
-    return PowerDetector(base, **limits).detect(candidate)
+    return PowerDetector(base).detect(candidate)

@@ -29,7 +29,7 @@ from plmonster import (
     word_from_syllables,
     words_equal,
 )
-from plmonster.amalgam import FiniteAmalgamInstance, _PLFactorOps, britton_reduce
+from plmonster.amalgam import FiniteAmalgamInstance, britton_reduce
 from plmonster.stein import STEIN_2_3, THOMPSON
 from plmonster.verify import perturb_word, planted_trivial_word
 
@@ -164,6 +164,30 @@ def test_perturbed_words_are_nontrivial():
     for _ in range(15):
         w = perturb_word(planted_trivial_word(c, rng), rng)
         assert not w.is_trivial()
+
+
+def test_context_with_a_negative_edge():
+    # the edge g0 - 1 has negative translation number, so edge tests and
+    # edge elements on the right go through its inverse's bracket
+    c = AmalgamContext(THOMPSON, STEIN_2_3, lift(irrational_candidate_g0(), -1))
+    for k in range(-3, 4):
+        assert relator_word(c, k).is_trivial()
+    rng = random.Random(403)
+    for _ in range(20):
+        w = planted_trivial_word(c, rng, max_syllables=16)
+        assert w.reduce().syllables == ()
+        assert perturb_word(w, rng).reduce().syllables != ()
+
+
+def test_context_supplies_the_reduction_operations():
+    c = ctx()
+    assert not hasattr(c, "__dict__")
+    assert c.edge_element(Factor.G1, -2) == zline(-2)
+    for k in range(-3, 4):
+        assert c.edge_element(Factor.G2, k) == power(c.edge, k)
+        assert c.edge_coefficient(Factor.G2, power(c.edge, k)) == k
+        assert c.edge_coefficient(Factor.G1, zline(k)) == k
+    assert c.edge_coefficient(Factor.G2, zline(1)) is None
 
 
 def test_multiply_and_inverse_cancel():
@@ -349,7 +373,7 @@ def pl_syllable_lists():
 
 
 def test_britton_reduce_matches_reference_on_pl_words():
-    ops = _PLFactorOps(ctx())
+    ops = ctx()
     count = trivial = 0
     for sylls in pl_syllable_lists():
         expected = reference_britton_reduce(ops, sylls)

@@ -16,6 +16,7 @@ from plmonster import (
     format_map,
     format_word,
     identity_map,
+    lift,
     relator_word,
 )
 from plmonster import cli, serialize
@@ -164,6 +165,49 @@ def test_rot_certifies_g0(capsys, g0_file):
     assert doc["kind"] == "nonrational-certified"
     assert doc["max_denominator"] == 50
     assert "no rational with denominator <= 50" in doc["summary"]
+
+
+def test_rot_bracket_past_float_range(capsys, tmp_path):
+    # the exact bracket moves with the offset; its ends no longer fit a
+    # float, so the summary leaves the decimal ends out
+    offset = 10**400
+    path = tmp_path / "big.json"
+    path.write_text(format_map(lift(irrational_candidate_g0(), offset)))
+    base = tmp_path / "g0.json"
+    base.write_text(format_map(lift(irrational_candidate_g0(), 0)))
+    flags = ("--max-denominator", "5", "--depth", "5")
+    code, out, err = run(capsys, "rot", "--map", str(path), *flags)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    _, base_out, _ = run(capsys, "rot", "--map", str(base), *flags)
+    base_doc = json.loads(base_out)
+    assert doc["bracket"] == [
+        serialize.fraction_to_str(serialize.str_to_fraction(end) + offset)
+        for end in base_doc["bracket"]
+    ]
+    assert doc["summary"] == "no rational with denominator <= 5; bracket of width %s" % (
+        base_doc["summary"].rsplit(" ", 1)[1]
+    )
+    assert base_doc["summary"].startswith("no rational with denominator <= 5; bracket [0.")
+
+
+def test_negative_rationals_are_values(capsys, tmp_path):
+    z = tmp_path / "z.json"
+    run(capsys, "element", "z", "-o", str(z))
+    assert run(capsys, "eval", "--map", str(z), "--point", "-9/4") == (0, "-5/4\n", "")
+    spaced = run(capsys, "element", "rotation", "--angle", "-1/3")
+    assert spaced[0] == 0 and spaced == run(capsys, "element", "rotation", "--angle=-1/3")
+    code, _, err = run(
+        capsys, "tuple-map", "--from", "-1/2,1/4", "--to", "0,1/2", "--lambda", "2"
+    )
+    assert code == 2
+    assert json.loads(err)["error"] == {
+        "kind": "runtime",
+        "message": "tuple entries live in [0, 1); got -1/2",
+    }
+    # a word that only starts with a minus sign is still an option
+    code, _, err = run(capsys, "eval", "--map", str(z), "--point", "-x")
+    assert code == 2 and json.loads(err)["error"]["kind"] == "usage"
 
 
 def test_word_trivial_verdicts(capsys, relator_file, tmp_path):

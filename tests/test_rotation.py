@@ -31,6 +31,7 @@ from plmonster import (
     translation_bracket,
     tuple_map,
 )
+from plmonster import rotation
 from plmonster.maps import DisplacementInterval, displacement_interval
 from plmonster.rotation import _candidates, _crossing_point
 from plmonster.stein import STEIN_2_3, THOMPSON, random_tuple_pair, torsion_rotation
@@ -250,12 +251,42 @@ def test_detector_rejects_edge_powers_times_stein_members():
                 assert detector.detect(compose(h, power(g0bar(), k))) is None
 
 
-def test_detector_refines_past_the_candidate_limit():
+def test_detector_refines_past_the_candidate_limit(monkeypatch):
     # a limit of one exponent forces the refinement loop on every power
-    detector = PowerDetector(g0bar(), candidate_limit=1)
+    monkeypatch.setattr(rotation, "CANDIDATE_LIMIT", 1)
+    detector = PowerDetector(g0bar())
     for k in (-17, -2, 3, 29):
         assert detector.detect(power(g0bar(), k)) == k
     assert detector.detect(z()) is None
+
+
+def test_detector_on_negative_bases():
+    # a base with negative translation number is detected through the
+    # negated bracket
+    members = [
+        lift(torsion_rotation(STEIN_2_3, 1, 2), 0),
+        lift(tuple_map([0, F(1, 4)], [0, F(1, 2)], STEIN_2_3), 1),
+        lift(tuple_map([0, F(1, 3), F(1, 2)], [0, F(1, 6), F(2, 3)], STEIN_2_3), -1),
+    ]
+    for offset in (-3, -2, -1):
+        base = lift(irrational_candidate_g0(), offset)
+        detector = PowerDetector(base)
+        for j in range(-30, 31):
+            assert detector.detect(power(base, j)) == j
+        for h in members:
+            for j in (-9, -1, 0, 2, 13):
+                assert detector.detect(compose(power(base, j), h)) is None
+                assert detector.detect(compose(h, power(base, j))) is None
+
+
+def test_power_cache_is_bounded():
+    detector = PowerDetector(g0bar())
+    for k in range(100, 201):
+        assert detector.detect(power(g0bar(), k)) == k
+    assert all(abs(k) <= rotation.POWER_CACHE_LIMIT for k in detector._powers)
+    for k in (-3, 150):
+        assert detector.power(k) == power(g0bar(), k)
+    assert -3 in detector._powers and 150 not in detector._powers
 
 
 def fraction_candidates(a, b, lo, hi):
