@@ -12,6 +12,8 @@ center on one side and a designated map on the other.
 kernel in `plmonster._core`.
 """
 
+from types import ModuleType as _ModuleType
+
 from ._core import BACKEND
 from .amalgam import (
     AmalgamContext,
@@ -97,76 +99,7 @@ from .verify import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmalgamContext",
-    "AmalgamWord",
-    "BACKEND",
-    "BudgetError",
-    "CheckResult",
-    "ContextError",
-    "DisplacementInterval",
-    "DocumentError",
-    "Factor",
-    "FiniteOracleReport",
-    "GroupDescriptor",
-    "MONSTER_DISCLAIMER",
-    "MembershipReport",
-    "MonsterEvidenceReport",
-    "NonRationalCertificate",
-    "PLCircleMap",
-    "PLLineMap",
-    "PowerDetector",
-    "RationalRotation",
-    "STEIN_2_3",
-    "Syllable",
-    "SyllableError",
-    "THOMPSON",
-    "TupleMapReport",
-    "Violation",
-    "ZeroBracketError",
-    "as_fraction",
-    "center_generator_z",
-    "compose",
-    "default_context",
-    "displacement_interval",
-    "evaluate_circle",
-    "evaluate_line",
-    "finite_oracle_check",
-    "format_map",
-    "format_word",
-    "fraction_to_str",
-    "identity_map",
-    "invert",
-    "irrational_candidate_g0",
-    "is_member",
-    "is_power_of",
-    "is_translation",
-    "lift",
-    "log_ratio_bounds",
-    "map_from_document",
-    "map_to_document",
-    "monster_evidence_report",
-    "parse_map",
-    "parse_word",
-    "perturb_word",
-    "planted_trivial_word",
-    "power",
-    "project",
-    "random_member",
-    "random_word",
-    "rational_rotation_test",
-    "relator_word",
-    "rotation_map",
-    "rotation_number",
-    "run_suite",
-    "str_to_fraction",
-    "torsion_rotation",
-    "translation_bracket",
-    "tuple_map",
-    "tuple_map_report",
-    "word_from_document",
-    "word_from_syllables",
-    "word_to_document",
-    "words_equal",
-    "__version__",
-]
+# the import block above is the one list of public names
+__all__ = sorted(
+    k for k, v in globals().items() if k[0] != "_" and not isinstance(v, _ModuleType)
+) + ["__version__"]

@@ -37,11 +37,10 @@ from .serialize import (
     BudgetError,
     DocumentError,
     _load_json,
-    document_descriptor,
+    _map_and_descriptor,
     format_map,
     format_word,
     fraction_to_str,
-    map_from_document,
     parse_map,
     parse_word,
 )
@@ -92,8 +91,7 @@ def _read_map(path: str):
 
 def _read_map_with_descriptor(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        doc = _load_json(handle.read())
-    return map_from_document(doc), document_descriptor(doc)
+        return _map_and_descriptor(_load_json(handle.read()))
 
 
 def _read_word(path: str):

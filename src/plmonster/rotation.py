@@ -33,7 +33,6 @@ from .maps import (
     PLCircleMap,
     PLLineMap,
     compose,
-    displacement_interval,
     lift,
     power,
 )
@@ -140,8 +139,14 @@ def rational_rotation_test(f, q: int) -> Optional[RationalRotation]:
     """
     _check_positive_int(q, "q")
     fbar = _as_lift(f)
-    p = displacement_interval(power(fbar, q)).integer_point()
-    return None if p is None else _rational(fbar, Fraction(p, q))
+    g = power(fbar, q)
+    (ln, ld), (hn, hd) = _bracket(g, 1)
+    p = -(-ln // ld)
+    if p * hd > hn:
+        return None
+    if math.gcd(p, q) > 1:
+        return _rational(fbar, Fraction(p, q))
+    return RationalRotation(Fraction(p, q), _crossing_point(g.base._xs, g.base._ys, g.offset, p))
 
 
 def _rational(fbar: PLLineMap, value: Fraction) -> RationalRotation:

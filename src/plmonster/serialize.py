@@ -195,6 +195,11 @@ def _fraction_list(doc: dict, key: str):
 
 def map_from_document(doc: dict) -> Union[PLCircleMap, PLLineMap]:
     """Inverse of map_to_document; validates every invariant."""
+    return _map_and_descriptor(doc)[0]
+
+
+def _map_and_descriptor(doc: dict):
+    """map_from_document's map and the document_descriptor it validated."""
     if not isinstance(doc, dict):
         raise DocumentError("map document must be a JSON object")
     fmt = doc.get("format")
@@ -204,17 +209,17 @@ def map_from_document(doc: dict) -> Union[PLCircleMap, PLLineMap]:
         )
     breaks = _fraction_list(doc, "breakpoints")
     images = _fraction_list(doc, "images")
-    document_descriptor(doc)  # validated for consistency even if unused
+    descriptor = document_descriptor(doc)
     try:
         base = PLCircleMap(breaks, images)
     except ValueError as exc:
         raise DocumentError("invalid map data: %s" % exc) from None
     offset = doc.get("offset")
     if offset is None:
-        return base
+        return base, descriptor
     if isinstance(offset, bool) or not isinstance(offset, int):
         raise DocumentError("'offset' must be an integer")
-    return lift(base, offset)
+    return lift(base, offset), descriptor
 
 
 def _dump_json(doc: dict) -> str:

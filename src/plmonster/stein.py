@@ -13,6 +13,9 @@ the leftmost largest gap of the arc with fewer points), and the result
 interpolates linearly.  Midpoints stay inside Y and keep gap ratios in P
 exactly when 2 lies in P, which holds for the shipped descriptors.
 
+Each descriptor builds an echelon basis of its slope lattice once, and a
+slope query reduces its prime exponent vector against it in one pass.
+
 `is_member` works on the map's kernel grid of (numerator, denominator)
 pairs, one reduced pair per slope; it builds a Fraction only to report a
 violation.  The public descriptor methods convert their input at entry.
@@ -59,66 +62,34 @@ def _prime_factors(n: int) -> dict:
     return out
 
 
-def _solve_exponents(columns, target):
-    """Integer solution e with sum_j e[j] * columns[j] == target, or None.
+def _lattice_basis(factors, primes):
+    """(prime index, pivot) pairs of an echelon basis of the exponent lattice.
 
-    Column-style Hermite reduction with a tracked transform; dimensions are
-    tiny (primes of lam by generator count).
+    Per prime, in order, the unused exponent vectors are Euclid-reduced until
+    at most one is nonzero there: the pivot, zero on every earlier prime.
     """
-    m = len(target)
-    k = len(columns)
-    work = [list(c) for c in columns]
-    u = [[1 if i == j else 0 for i in range(k)] for j in range(k)]
-    col = 0
-    pivot = {}
-    for row in range(m):
-        if col >= k:
-            continue
-        while True:
-            best = -1
-            for j in range(col, k):
-                v = work[j][row]
-                if v != 0 and (best < 0 or abs(v) < abs(work[best][row])):
-                    best = j
-            if best < 0:
-                break
-            work[col], work[best] = work[best], work[col]
-            u[col], u[best] = u[best], u[col]
-            p = work[col][row]
-            cleared = True
-            for j in range(col + 1, k):
-                v = work[j][row]
-                if v:
-                    q = v // p
-                    work[j] = [a - q * b for a, b in zip(work[j], work[col])]
-                    u[j] = [a - q * b for a, b in zip(u[j], u[col])]
-                    if work[j][row] != 0:
-                        cleared = False
-            if cleared:
-                pivot[row] = col
-                col += 1
-                break
-    y = [0] * k
-    residual = list(target)
-    for row in range(m):
-        j = pivot.get(row)
-        if j is None:
-            if residual[row] != 0:
-                return None
-            continue
-        p = work[j][row]
-        if residual[row] % p:
-            return None
-        c = residual[row] // p
-        y[j] = c
-        residual = [residual[i] - c * work[j][i] for i in range(m)]
-    return [sum(y[j] * u[j][i] for j in range(k)) for i in range(k)]
+    rest = [[f.get(p, 0) for p in primes] for f in factors]
+    basis = []
+    for i in range(len(primes)):
+        live = [v for v in rest if v[i]]
+        rest = [v for v in rest if not v[i]]
+        while len(live) > 1:
+            live.sort(key=lambda v: abs(v[i]))
+            pivot = live[0]
+            reduced = [pivot]
+            for v in live[1:]:
+                c = v[i] // pivot[i]
+                v = [a - c * b for a, b in zip(v, pivot)]
+                (reduced if v[i] else rest).append(v)
+            live = reduced
+        basis += [(i, tuple(v)) for v in live]  # the pivot, if the prime has one
+    return tuple(basis)
 
 
 class GroupDescriptor:
     """Generators n1, ..., nk of a Stein-Thompson circle group."""
 
-    __slots__ = ("_generators", "_lam", "_primes", "_columns")
+    __slots__ = ("_generators", "_lam", "_primes", "_basis")
 
     def __init__(self, *generators: int):
         if not generators:
@@ -146,9 +117,7 @@ class GroupDescriptor:
         # generators are ever factored
         factors = [_prime_factors(n) for n in generators]
         self._primes = tuple(sorted(set().union(*factors)))
-        self._columns = tuple(
-            tuple(f.get(p, 0) for p in self._primes) for f in factors
-        )
+        self._basis = _lattice_basis(factors, self._primes)
 
     @property
     def generators(self) -> tuple:
@@ -192,21 +161,24 @@ class GroupDescriptor:
 
     def _has_slope(self, num: int, den: int) -> bool:
         # num/den in lowest terms with den > 0
-        if num <= 0 or self._strip(num) != 1 or self._strip(den) != 1:
+        if num <= 0:
             return False
-        target = []
+        exps = []
         for p in self._primes:
             e = 0
-            n = num
-            while n % p == 0:
+            while num % p == 0:
                 e += 1
-                n //= p
-            n = den
-            while n % p == 0:
+                num //= p
+            while den % p == 0:
                 e -= 1
-                n //= p
-            target.append(e)
-        return _solve_exponents(self._columns, target) is not None
+                den //= p
+            exps.append(e)
+        if num != 1 or den != 1:
+            return False
+        for i, pivot in self._basis:
+            c = exps[i] // pivot[i]
+            exps = [a - c * b for a, b in zip(exps, pivot)]
+        return not any(exps)
 
     def __eq__(self, other):
         if not isinstance(other, GroupDescriptor):

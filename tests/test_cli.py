@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import types
 
 import pytest
 
@@ -23,7 +24,7 @@ from plmonster import cli, serialize
 from plmonster.amalgam import ContextError, SyllableError
 from plmonster.cli import main
 from plmonster.rotation import ZeroBracketError
-from plmonster.stein import STEIN_2_3, irrational_candidate_g0
+from plmonster.stein import STEIN_2_3, GroupDescriptor, irrational_candidate_g0
 
 
 def run(capsys, *argv):
@@ -102,14 +103,21 @@ def test_compose_invert_power(capsys, g0_file, tmp_path):
 
 
 def test_map_commands_decode_each_document_once(capsys, g0_file, monkeypatch):
+    # each document is parsed once and its 'slopes' descriptor built once
     decoded = []
     loads = json.loads
+    build = GroupDescriptor.__init__
 
     def counting_loads(text, *args, **kwargs):
         decoded.append(text)
         return loads(text, *args, **kwargs)
 
+    def counting_build(self, *generators):
+        built.append(generators)
+        build(self, *generators)
+
     monkeypatch.setattr(serialize.json, "loads", counting_loads)
+    monkeypatch.setattr(GroupDescriptor, "__init__", counting_build)
     for argv, documents in (
         (("invert", g0_file), 1),
         (("power", g0_file, "3"), 1),
@@ -117,9 +125,11 @@ def test_map_commands_decode_each_document_once(capsys, g0_file, monkeypatch):
         (("eval", "--map", g0_file, "--point", "1/3"), 1),
     ):
         decoded.clear()
+        built = []
         code, _, err = run(capsys, *argv)
         assert (code, err) == (0, "")
         assert len(decoded) == documents, argv
+        assert built == [(2, 3)] * documents, argv
 
 
 def test_member_verdict_exit_codes(capsys, g0_file, tmp_path):
@@ -372,6 +382,13 @@ def test_library_value_errors_are_runtime_errors(capsys, monkeypatch, error):
     assert json.loads(err) == {
         "error": {"kind": "runtime", "message": "raised by the handler"}
     }
+
+
+def test_package_exports_resolve_once_and_are_not_modules():
+    names = plmonster.__all__
+    assert len(set(names)) == len(names) and names[-1] == "__version__"
+    for name in names:
+        assert not isinstance(getattr(plmonster, name), types.ModuleType), name
 
 
 def run_child(*argv):

@@ -85,6 +85,23 @@ def test_rational_rotation_test_g0_has_no_denominator_one():
     assert rational_rotation_test(irrational_candidate_g0(), 1) is None
 
 
+def test_rational_rotation_test_reuses_the_iterate_unless_p_over_q_reduces(monkeypatch):
+    calls = []
+    power_of = rotation.power
+
+    def counting_power(f, n):
+        calls.append(n)
+        return power_of(f, n)
+
+    monkeypatch.setattr(rotation, "power", counting_power)
+    half = rotation_map(F(1, 2))
+    for q, expected in ((2, [2]), (4, [4, 2]), (3, [3])):
+        calls.clear()
+        result = rational_rotation_test(half, q)
+        assert calls == expected, q
+        assert (None if result is None else result.value) == (None if q == 3 else F(1, 2))
+
+
 def test_rational_rotation_test_identity():
     result = rational_rotation_test(identity_map(), 1)
     assert result is not None

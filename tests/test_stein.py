@@ -1,8 +1,10 @@
 """Stein-Thompson descriptors, membership, and tuple transitivity."""
 
+import math
 import random
 import time
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -71,17 +73,13 @@ def test_slope_membership_in_shipped_descriptors():
         assert not THOMPSON.slope_in_group(s)
 
 
-def _brute_slope_in_group(value, generators, bound=7):
-    # exhaustive exponent search, the independent oracle for the solver
-    from itertools import product
-
-    for exps in product(range(-bound, bound + 1), repeat=len(generators)):
-        acc = F(1)
-        for g, e in zip(generators, exps):
-            acc *= F(g) ** e
-        if acc == value:
-            return True
-    return False
+def _brute_slope_group(generators, bound=7):
+    # every product of generator powers with exponents in -bound..bound:
+    # the exhaustive, independent oracle for the lattice reduction
+    return {
+        math.prod(F(g) ** e for g, e in zip(generators, exps))
+        for exps in product(range(-bound, bound + 1), repeat=len(generators))
+    }
 
 
 def test_slope_solver_matches_brute_force_on_dependent_generators():
@@ -89,12 +87,30 @@ def test_slope_solver_matches_brute_force_on_dependent_generators():
     # group is all powers of 2; 6 and 10 interact on the prime 2
     d48 = GroupDescriptor(4, 8)
     d610 = GroupDescriptor(6, 10)
+    g48 = _brute_slope_group((4, 8))
+    g610 = _brute_slope_group((6, 10))
     cases = [F(2), F(4), F(1, 2), F(3), F(6), F(4, 1), F(60), F(90), F(5, 3), F(9, 25)]
     for v in cases:
-        assert d48.slope_in_group(v) == _brute_slope_in_group(v, (4, 8))
-        assert d610.slope_in_group(v) == _brute_slope_in_group(v, (6, 10))
+        assert d48.slope_in_group(v) == (v in g48)
+        assert d610.slope_in_group(v) == (v in g610)
     assert d610.slope_in_group(F(60))  # 6 * 10
     assert not d610.slope_in_group(F(4))  # needs exponent sum 2 on prime 2 alone
+    # dependent sets: bound 7 covers every member whose prime exponents
+    # lie in -3..3, so random slopes of that size get exact verdicts
+    rng = random.Random(808)
+    members = 0
+    for gens in ((4, 6), (6, 10, 15), (12, 18), (45, 75), (2, 4, 8), (9, 6, 4)):
+        d = GroupDescriptor(*gens)
+        group = _brute_slope_group(gens)
+        for exps in product(range(-4, 5), repeat=len(gens)):
+            assert d.slope_in_group(math.prod(F(g) ** e for g, e in zip(gens, exps)))
+        primes = d.prime_support + (7,)
+        for _ in range(150):
+            v = math.prod(F(q) ** rng.randint(-3, 3) for q in primes)
+            v = rng.choice((v, -v))
+            assert d.slope_in_group(v) == (v in group), (gens, v)
+            members += v in group
+    assert 20 < members < 200
 
 
 def test_g0_is_member_of_stein_2_3():
