@@ -23,9 +23,8 @@ from __future__ import annotations
 import enum
 import itertools
 import random
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .maps import (
     PLCircleMap,
@@ -71,17 +70,47 @@ class Factor(str, enum.Enum):
         return Factor.G2 if self is Factor.G1 else Factor.G1
 
 
-@dataclass(frozen=True, slots=True)
 class Syllable:
     """One letter of an amalgam word: a factor tag and a factor element.
 
     For the PL amalgam the element is a PLLineMap; the finite validation
     instance stores small integers instead.  The reduction engine only
     touches elements through its operations interface.
+
+    Immutable.  Britton reduction reads both fields of every syllable and
+    builds one per merge, so the fields are slots, which read faster than
+    a NamedTuple's, and are set through the slots' own setters.
     """
 
-    factor: Factor
-    element: object
+    __slots__ = ("factor", "element")
+
+    def __init__(self, factor: Factor, element: object):
+        _set_factor(self, factor)
+        _set_element(self, element)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.factor == other.factor and self.element == other.element
+
+    def __hash__(self):
+        return hash((self.factor, self.element))
+
+    def __repr__(self):
+        return "Syllable(factor=%r, element=%r)" % (self.factor, self.element)
+
+    def __reduce__(self):
+        return Syllable, (self.factor, self.element)
+
+
+_set_factor = Syllable.factor.__set__
+_set_element = Syllable.element.__set__
 
 
 class FactorOps:
@@ -217,6 +246,13 @@ class AmalgamContext(FactorOps):
 def default_context() -> AmalgamContext:
     """The shipped context: Thompson and (2,3) Stein glued along g0's lift."""
     return AmalgamContext()
+
+
+def _context_for(left, right, edge) -> AmalgamContext:
+    """`default_context()` when the parts are its own, else a new context."""
+    if (left, right, edge) == (THOMPSON, STEIN_2_3, lift(irrational_candidate_g0(), 0)):
+        return default_context()
+    return AmalgamContext(left, right, edge)
 
 
 def britton_reduce(ops: FactorOps, syllables) -> tuple:
@@ -549,8 +585,7 @@ class FiniteAmalgamInstance(FactorOps):
         return acc == _MAT_ID
 
 
-@dataclass(frozen=True)
-class FiniteOracleReport:
+class FiniteOracleReport(NamedTuple):
     """Outcome of the exhaustive engine-versus-matrix comparison."""
 
     words_checked: int

@@ -19,7 +19,6 @@ import re
 import sys
 from fractions import Fraction
 
-from .amalgam import default_context, random_word
 from .maps import (
     PLCircleMap,
     PLLineMap,
@@ -32,7 +31,6 @@ from .maps import (
     power,
     rotation_map,
 )
-from .rotation import NonRationalCertificate, RationalRotation, rotation_number
 from .serialize import (
     BudgetError,
     DocumentError,
@@ -51,7 +49,9 @@ from .stein import (
     is_member,
     tuple_map_report,
 )
-from .verify import SUITES, run_suite
+
+# amalgam, rotation and verify are imported by the handlers that use them,
+# so a command loads only what it runs
 
 
 class _UsageError(Exception):
@@ -59,12 +59,22 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # adds the parser's arguments when it first parses; the verify
+    # subcommand sets it, so only that command imports the suite registry
+    populate = None
+
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # a negative rational, or a comma list of rationals starting with
         # one, is a flag value and not an option (subparsers inherit this)
         rational = r"(\d+|\d*\.\d+)(/\d+)?"
         self._negative_number_matcher = re.compile(r"^-%s(,\s*-?%s)*$" % (rational, rational))
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.populate is not None:
+            populate, self.populate = self.populate, None
+            populate(self)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         raise _UsageError(message)
@@ -222,6 +232,8 @@ def _cmd_tuple_map(args) -> int:
 
 
 def _cmd_rot(args) -> int:
+    from .rotation import NonRationalCertificate, RationalRotation, rotation_number
+
     value = _read_map(args.map)
     result = rotation_number(value, args.max_denominator, args.depth)
     if isinstance(result, RationalRotation):
@@ -283,12 +295,16 @@ def _cmd_word_project(args) -> int:
 
 
 def _cmd_word_random(args) -> int:
+    from .amalgam import default_context, random_word
+
     word = random_word(default_context(), args.length, args.seed)
     _write(format_word(word), args.out)
     return 0
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_suite
+
     lines = []
     all_passed = True
     for suite, check in run_suite(args.suite, args.samples, args.seed):
@@ -320,6 +336,16 @@ def _add_descriptor_flags(parser) -> None:
         default=None,
         help="grid base; with --slopes it must equal their product",
     )
+
+
+def _add_verify_args(parser) -> None:
+    from .verify import SUITES
+
+    parser.add_argument("--suite", required=True, choices=tuple(SUITES) + ("all",))
+    parser.add_argument(
+        "--samples", type=int, default=1000, help="sample budget per suite"
+    )
+    parser.add_argument("--seed", type=int, default=42, help="sampling seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -453,9 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "verify", help="run property suites (exit 0 iff every check passes)"
     )
-    p.add_argument("--suite", required=True, choices=tuple(SUITES) + ("all",))
-    p.add_argument("--samples", type=int, default=1000, help="sample budget per suite")
-    p.add_argument("--seed", type=int, default=42, help="sampling seed")
+    p.populate = _add_verify_args
     p.set_defaults(handler=_cmd_verify)
 
     return parser

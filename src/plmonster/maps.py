@@ -26,9 +26,8 @@ error messages.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from . import _core as core
 
@@ -255,8 +254,7 @@ class PLLineMap:
         return "PLLineMap(base=%r, offset=%d)" % (self._base, self._offset)
 
 
-@dataclass(frozen=True, slots=True)
-class DisplacementInterval:
+class DisplacementInterval(NamedTuple):
     """Exact range [lo, hi] of fbar(x) - x; its width is always < 1."""
 
     lo: Fraction

@@ -23,9 +23,8 @@ of multiplicatively defined maps are matched against their brackets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from . import _core as core
 from .maps import (
@@ -49,8 +48,7 @@ class ZeroBracketError(ValueError):
     """Raised when iteration cannot separate a translation number from zero."""
 
 
-@dataclass(frozen=True, slots=True)
-class RationalRotation:
+class RationalRotation(NamedTuple):
     """Exact rational translation number with a periodic witness.
 
     ``value`` is in lowest terms, and ``witness`` is a point in [0, 1)
@@ -67,8 +65,7 @@ class RationalRotation:
         return self.value % 1
 
 
-@dataclass(frozen=True, slots=True)
-class NonRationalCertificate:
+class NonRationalCertificate(NamedTuple):
     """Certificate that no rational with small denominator is the value.
 
     For every q up to ``max_denominator`` the q-th iterate's displacement

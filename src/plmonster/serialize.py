@@ -28,11 +28,13 @@ import re
 import sys
 from fractions import Fraction
 from functools import partial
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
-from .amalgam import AmalgamContext, AmalgamWord, ContextError, Factor, SyllableError
 from .maps import PLCircleMap, PLLineMap, lift
 from .stein import GroupDescriptor
+
+if TYPE_CHECKING:
+    from .amalgam import AmalgamWord
 
 MAP_FORMAT = "plmonster.map/1"
 WORD_FORMAT = "plmonster.word/1"
@@ -280,7 +282,14 @@ def word_to_document(word: AmalgamWord) -> dict:
 
 
 def word_from_document(doc: dict) -> AmalgamWord:
-    """Inverse of word_to_document; re-runs all context and syllable gates."""
+    """Inverse of word_to_document; re-runs all context and syllable gates.
+
+    A document whose context is the default one gets `default_context()`,
+    which passed the same gates, instead of a context of its own.
+    """
+    # map documents never need the amalgam, so only words import it
+    from .amalgam import AmalgamWord, ContextError, Factor, SyllableError, _context_for
+
     if not isinstance(doc, dict):
         raise DocumentError("word document must be a JSON object")
     fmt = doc.get("format")
@@ -300,7 +309,7 @@ def word_from_document(doc: dict) -> AmalgamWord:
     if not isinstance(edge, PLLineMap):
         raise DocumentError("context.edge: must be a line map (offset required)")
     try:
-        context = AmalgamContext(left, right, edge)
+        context = _context_for(left, right, edge)
     except ContextError as exc:
         raise DocumentError("invalid context: %s" % exc) from None
     sylls = doc.get("syllables")

@@ -24,9 +24,8 @@ violation.  The public descriptor methods convert their input at entry.
 from __future__ import annotations
 
 import heapq
-
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import _core as core
 from .maps import (
@@ -199,14 +198,12 @@ THOMPSON = GroupDescriptor(2)
 STEIN_2_3 = GroupDescriptor(2, 3)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str  # breakpoint-not-in-Y | image-not-in-Y | slope-not-in-P
     where: Fraction
 
 
-@dataclass(frozen=True)
-class MembershipReport:
+class MembershipReport(NamedTuple):
     member: bool
     violations: tuple
 
@@ -251,8 +248,7 @@ def _cyclic_rotation_to_increasing(values) -> int:
     return descents[0] + 1
 
 
-@dataclass(frozen=True)
-class TupleMapReport:
+class TupleMapReport(NamedTuple):
     map: PLCircleMap
     refinement_depth: int
 

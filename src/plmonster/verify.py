@@ -15,8 +15,8 @@ all actions of the group and is not machine-verified.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .amalgam import (
     AmalgamContext,
@@ -67,8 +67,7 @@ MONSTER_DISCLAIMER = (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One property check: a stable name, a verdict, and a detail line."""
 
     name: str
@@ -347,8 +346,7 @@ def run_amalgam_oracle(samples: int = 1000, seed: int = 42):
     return results
 
 
-@dataclass(frozen=True)
-class MonsterEvidenceReport:
+class MonsterEvidenceReport(NamedTuple):
     """Sections of the evidence report plus the fixed disclaimer."""
 
     sections: tuple
@@ -477,20 +475,3 @@ def run_suite(name: str, samples: int = 1000, seed: int = 42):
         )
     return [(name, r) for r in SUITES[name](samples, seed)]
 
-
-__all__ = [
-    "CheckResult",
-    "MONSTER_DISCLAIMER",
-    "MonsterEvidenceReport",
-    "SUITES",
-    "monster_evidence_report",
-    "perturb_word",
-    "planted_trivial_word",
-    "run_amalgam_oracle",
-    "run_arith",
-    "run_centrality",
-    "run_monster_evidence",
-    "run_rot_invariance",
-    "run_suite",
-    "run_tuple",
-]

@@ -20,7 +20,7 @@ from plmonster import (
     lift,
     relator_word,
 )
-from plmonster import cli, serialize
+from plmonster import amalgam, cli, serialize
 from plmonster.amalgam import ContextError, SyllableError
 from plmonster.cli import main
 from plmonster.rotation import ZeroBracketError
@@ -63,7 +63,7 @@ def test_element_g0_bytes_without_a_context(capsys, monkeypatch):
     def no_context():
         raise AssertionError("element g0 built an amalgam context")
 
-    monkeypatch.setattr(cli, "default_context", no_context)
+    monkeypatch.setattr(amalgam, "default_context", no_context)
     code, out, err = run(capsys, "element", "g0")
     assert (code, err) == (0, "")
     assert out == (
@@ -241,6 +241,45 @@ def test_word_pipeline(capsys, tmp_path):
     assert code == 0 and json.loads(out)["syllables"] == []
 
 
+def test_word_multiply_builds_one_default_context(
+    capsys, relator_file, tmp_path, monkeypatch
+):
+    built = []
+    build = amalgam.AmalgamContext.__init__
+
+    def counting_build(self, *args, **kwargs):
+        built.append(args)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(amalgam.AmalgamContext, "__init__", counting_build)
+    amalgam.default_context.cache_clear()
+    code, out, err = run(capsys, "word", "multiply", relator_file, relator_file)
+    assert (code, err, len(built)) == (0, "", 1)
+    assert json.loads(out)["syllables"] == []
+    # documents on another context build their own, one each
+    with open(relator_file, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    doc["context"]["edge"]["offset"] = 1
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(doc))
+    built.clear()
+    code, out, err = run(capsys, "word", "multiply", str(other), str(other))
+    assert (code, err, len(built)) == (0, "", 2)
+    assert json.loads(out)["context"] == doc["context"]
+    doc["context"]["edge"]["offset"] = 0
+    doc["context"]["edge"]["breakpoints"] = ["0"]
+    doc["context"]["edge"]["images"] = ["1/2"]
+    other.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "word", "trivial", str(other))
+    assert (code, out) == (2, "")
+    assert err == (
+        '{\n  "error": {\n    "kind": "parse",\n    "message": "invalid context: '
+        "edge map has rational translation number 1/2; the edge subgroup must be "
+        "separated from all small rationals for power detection to stay "
+        'conclusive"\n  }\n}\n'
+    )
+
+
 def test_word_project(capsys, relator_file):
     code, out, _ = run(capsys, "word", "project", relator_file)
     doc = json.loads(out)
@@ -404,6 +443,70 @@ def run_child(*argv):
         timeout=20,
     )
     return done.returncode, done.stdout, done.stderr, time.perf_counter() - start
+
+
+# the modules a fresh child loads for one cli.main call (or, with no
+# arguments, for a bare import of the package) beyond interpreter start-up
+LOADED_BY = """
+import json, sys
+before = set(sys.modules)
+if sys.argv[1:]:
+    from plmonster.cli import main
+    main(sys.argv[1:])
+else:
+    import plmonster
+sys.stdout.write("\\n" + json.dumps(sorted(set(sys.modules) - before)) + "\\n")
+"""
+
+
+def loaded_by(tmp_path, *argv):
+    (tmp_path / "g0.json").write_text(format_map(irrational_candidate_g0(), STEIN_2_3))
+    (tmp_path / "w.json").write_text(format_word(relator_word(default_context(), 1)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(plmonster.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", LOADED_BY, *argv],
+        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+NO_VERIFY = {"plmonster.verify", "dataclasses"}
+MAP_ONLY = NO_VERIFY | {"plmonster.amalgam", "plmonster.rotation"}
+IMPORT_SETS = [
+    # (command, modules it must not load, modules it must load)
+    ("element g0", MAP_ONLY, {"plmonster.serialize"}),
+    ("tuple-map --from 0,1/2 --to 0,1/3 --slopes 2,3", MAP_ONLY, {"plmonster.stein"}),
+    ("member --map g0.json --slopes 2,3", MAP_ONLY, {"plmonster.stein"}),
+    ("power g0.json 2", MAP_ONLY, {"plmonster.maps"}),
+    ("invert g0.json", MAP_ONLY, {"plmonster.maps"}),
+    ("compose g0.json g0.json", MAP_ONLY, {"plmonster.maps"}),
+    ("eval --map g0.json --point 1/8", MAP_ONLY, {"plmonster.maps"}),
+    ("rot --map g0.json", NO_VERIFY | {"plmonster.amalgam"}, {"plmonster.rotation"}),
+    ("word random --length 3", NO_VERIFY, {"plmonster.amalgam"}),
+    ("word reduce w.json", NO_VERIFY, {"plmonster.amalgam"}),
+    ("word trivial w.json", NO_VERIFY, {"plmonster.amalgam"}),
+    ("word multiply w.json w.json", NO_VERIFY, {"plmonster.amalgam"}),
+    ("word invert w.json", NO_VERIFY, {"plmonster.amalgam"}),
+    ("word project w.json", NO_VERIFY, {"plmonster.amalgam"}),
+    ("verify --help", {"dataclasses"}, {"plmonster.verify"}),
+]
+
+
+@pytest.mark.parametrize(
+    "command, absent, present", IMPORT_SETS, ids=[case[0] for case in IMPORT_SETS]
+)
+def test_a_command_loads_only_what_it_runs(tmp_path, command, absent, present):
+    loaded = loaded_by(tmp_path, *command.split())
+    assert not loaded & absent
+    assert loaded >= present
+
+
+def test_a_bare_import_loads_no_submodule(tmp_path):
+    loaded = loaded_by(tmp_path)
+    assert "plmonster" in loaded
+    assert not [m for m in loaded if m.startswith("plmonster.")]
 
 
 def test_hostile_slope_generators_exit_2_fast(tmp_path):
