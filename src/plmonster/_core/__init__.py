@@ -9,6 +9,7 @@ from .pure import (
     ONE,
     ZERO,
     _interp,
+    anchor_is_straight,
     canon_grid,
     compose,
     displacement,

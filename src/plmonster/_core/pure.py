@@ -10,8 +10,13 @@ pairs of Python ints.  Grid invariants:
 Every pair is kept in lowest terms with a positive denominator, so equal
 rationals are identical tuples and grid equality is plain tuple equality.
 The circle map is x -> y(x) mod 1; the lift with integer offset k is
-x -> y(x) + k.  Grids returned by this module are canonical: no interior
-point sits on the segment spanned by its neighbours.
+x -> y(x) + k.  A grid is canonical when no interior point sits on the
+segment spanned by its neighbours.
+
+Grids are canonical by construction: `compose` and `invert` take
+canonical grids and emit canonical ones in the same walk, testing only
+the few vertices that can be straight, with no second pass.
+`canon_grid` is for grids that come from outside (the map constructor).
 
 The grid operations reduce each coordinate they emit once: intermediate
 differences, products and slopes stay unreduced integers, compared by
@@ -129,6 +134,22 @@ def eval_lift(xs, ys, x):
     return _interp(xs[j], xs[j + 1], ys[j], ys[j + 1], x)
 
 
+def _slope(xa, xb, ya, yb):
+    # unreduced slope (n, d) of the segment from (xa, ya) to (xb, yb), d > 0
+    xan, xad = xa
+    xbn, xbd = xb
+    yan, yad = ya
+    ybn, ybd = yb
+    return (ybn * yad - yan * ybd) * xbd * xad, (xbn * xad - xan * xbd) * ybd * yad
+
+
+def anchor_is_straight(xs, ys):
+    """True when the first and the last segment share a slope (as one does)."""
+    n1, d1 = _slope(xs[0], xs[1], ys[0], ys[1])
+    n2, d2 = _slope(xs[-2], xs[-1], ys[-2], ys[-1])
+    return n1 * d2 == n2 * d1
+
+
 def compose(fxs, fys, gxs, gys):
     """Grid and integer carry of "apply f, then g".
 
@@ -142,6 +163,13 @@ def compose(fxs, fys, gxs, gys):
     an f segment emits a vertex; each f breakpoint takes g~ from the
     stream point it lands on, or interpolates between the two window
     points around it.  The work is linear in the sizes of the two grids.
+
+    The inputs must be canonical, and then so is the output, with no
+    second pass: an interior corner of f, or one of g strictly inside an
+    f segment, is a corner of the composite.  So the stream leaves out
+    g's anchor when g is straight there, and the only vertices tested
+    are f breakpoints landing exactly on a corner of g, where the two
+    slope changes may cancel.
     """
     t0 = fys[0]
     tn, td = t0
@@ -157,9 +185,10 @@ def compose(fxs, fys, gxs, gys):
         y0 = _interp(gxs[i - 1], gxs[i], gys[i - 1], gys[i], t0)
         below = i
 
-    # the window [t0, t0 + 1]: its ends, and g's breakpoints strictly
-    # inside it in increasing order (unit shifts keep lowest terms)
-    top = sg if tn == 0 else sg + 1
+    # the window [t0, t0 + 1]: its ends, and g's corners strictly inside
+    # it in increasing order (unit shifts keep lowest terms); g's anchor
+    # at 1 is inside when t0 > 0, and a corner unless g is straight there
+    top = sg if tn == 0 or anchor_is_straight(gxs, gys) else sg + 1
     win_t = [t0]
     win_t.extend(gxs[i:top])
     win_t.extend([(n + d, d) for n, d in gxs[1:below]])
@@ -171,6 +200,7 @@ def compose(fxs, fys, gxs, gys):
 
     out_x = [fxs[0]]
     out_y = [y0]
+    landed = []
     k = 1
     sf = len(fxs) - 1
     for j in range(sf):
@@ -186,7 +216,10 @@ def compose(fxs, fys, gxs, gys):
         if j + 1 < sf:
             out_x.append(fxs[j + 1])
             if win_t[k] == tj1:
-                out_y.append(win_v[k])  # lands exactly on a breakpoint of g
+                # lands exactly on a corner of g: both factors break, so
+                # the vertex is tested once its right neighbour is out
+                landed.append(len(out_y))
+                out_y.append(win_v[k])
                 k += 1
             else:
                 out_y.append(_interp(win_t[k - 1], win_t[k], win_v[k - 1], win_v[k], tj1))
@@ -194,11 +227,22 @@ def compose(fxs, fys, gxs, gys):
             out_x.append(fxs[sf])
             out_y.append(win_v[k])
 
+    # a landed vertex goes when its neighbours are collinear with it;
+    # the emitted points hold every corner, so raw neighbours will do
+    for m in reversed(landed):
+        (x0n, x0d), (x1n, x1d), (x2n, x2d) = out_x[m - 1 : m + 2]
+        (y0n, y0d), (y1n, y1d), (y2n, y2d) = out_y[m - 1 : m + 2]
+        # (y1 - y0)(x2 - x1) == (y2 - y1)(x1 - x0), common x1d y1d dropped
+        if (y1n * y0d - y0n * y1d) * (x2n * x1d - x1n * x2d) * x0d * y2d == (
+            y2n * y1d - y1n * y2d
+        ) * (x1n * x0d - x0n * x1d) * y0d * x2d:
+            del out_x[m]
+            del out_y[m]
+
     carry = rfloor(y0)
     if carry:
-        out_y = [(n - carry * d, d) for n, d in out_y]
-    xs, ys = canon_grid(out_x, out_y)
-    return xs, ys, carry
+        return tuple(out_x), tuple([(n - carry * d, d) for n, d in out_y]), carry
+    return tuple(out_x), tuple(out_y), carry
 
 
 def invert(xs, ys):
@@ -207,11 +251,15 @@ def invert(xs, ys):
     The anchored lift L of the inverse satisfies L = (anchored inverse
     grid) + carry, with carry = 0 when y(0) = 0 and -1 otherwise; a lift
     with offset j inverts to offset carry - j.
+
+    The input must be canonical, and then so is the output, with no
+    second pass: swapping the axes keeps every corner a corner, and when
+    y(0) = 0 the swapped grid is the answer.  Otherwise the input's
+    anchor becomes an interior vertex, kept only if it is a corner.
     """
     s = len(xs) - 1
     if ys[0] == ZERO:
-        ixs, iys = canon_grid(ys, xs)
-        return ixs, iys, 0
+        return ys, xs, 0
 
     # rightmost a with ys[a] < 1
     lo = 0
@@ -232,7 +280,9 @@ def invert(xs, ys):
 
     out_x = [ZERO]
     out_y = [xc]
-    for j in range(start, s + 1):
+    # j = s is the input's anchor, shifted: (ys[0], 1)
+    end = s if anchor_is_straight(xs, ys) else s + 1
+    for j in range(start, end):
         n, d = ys[j]
         out_x.append((n - d, d))
         out_y.append(xs[j])
@@ -242,23 +292,44 @@ def invert(xs, ys):
         out_y.append((n + d, d))
     out_x.append(ONE)
     out_y.append((xc[0] + xc[1], xc[1]))
-    ixs, iys = canon_grid(out_x, out_y)
-    return ixs, iys, -1
+    return tuple(out_x), tuple(out_y), -1
+
+
+def _minus(y, x):
+    # y - x in lowest terms.  With g = gcd(xd, yd), xd = g a and yd = g b,
+    # the numerator yn a - xn b is prime to a and to b, so only a factor
+    # of g can cancel (Knuth, TAOCP vol. 2, 4.5.1)
+    xn, xd = x
+    yn, yd = y
+    g = gcd(xd, yd)
+    if g == 1:
+        return (yn * xd - xn * yd, xd * yd)
+    b = yd // g
+    n = yn * (xd // g) - xn * b
+    h = gcd(n, g)
+    if h > 1:
+        return (n // h, xd // h * b)
+    return (n, xd * b)
 
 
 def displacement(xs, ys):
-    """Exact min and max of y(x) - x over [0, 1] (attained at grid points)."""
+    """Exact min and max of y(x) - x over [0, 1] (attained at grid points).
+
+    Both come back in lowest terms, each reduced once through the gcd of
+    its two denominators.
+    """
     xn, xd = xs[0]
     yn, yd = ys[0]
     lo_n = hi_n = yn * xd - xn * yd
     lo_d = hi_d = yd * xd
+    lo = hi = 0
     for j in range(1, len(xs) - 1):
         xn, xd = xs[j]
         yn, yd = ys[j]
         n = yn * xd - xn * yd
         d = yd * xd
         if n * lo_d < lo_n * d:
-            lo_n, lo_d = n, d
+            lo_n, lo_d, lo = n, d, j
         elif n * hi_d > hi_n * d:
-            hi_n, hi_d = n, d
-    return rat(lo_n, lo_d), rat(hi_n, hi_d)
+            hi_n, hi_d, hi = n, d, j
+    return _minus(ys[lo], xs[lo]), _minus(ys[hi], xs[hi])

@@ -249,9 +249,18 @@ def default_context() -> AmalgamContext:
 
 
 def _context_for(left, right, edge) -> AmalgamContext:
-    """`default_context()` when the parts are its own, else a new context."""
+    """`default_context()` when the parts are its own, else another context.
+
+    The last other context is kept, so that the documents of one word
+    operation share a context and its gates run once.
+    """
     if (left, right, edge) == (THOMPSON, STEIN_2_3, lift(irrational_candidate_g0(), 0)):
         return default_context()
+    return _other_context(left, right, edge)
+
+
+@lru_cache(maxsize=1)
+def _other_context(left, right, edge) -> AmalgamContext:
     return AmalgamContext(left, right, edge)
 
 

@@ -32,6 +32,8 @@ from .maps import (
     rotation_map,
 )
 from .serialize import (
+    MAX_EXPONENT,
+    MAX_ROTATION_DEPTH,
     BudgetError,
     DocumentError,
     _load_json,
@@ -199,6 +201,12 @@ def _cmd_invert(args) -> int:
 
 def _cmd_power(args) -> int:
     value, descriptor = _read_map_with_descriptor(args.map)
+    base = value.base if isinstance(value, PLLineMap) else value
+    if abs(args.exponent) > MAX_EXPONENT and len(base.segment_slopes()) > 1:
+        raise _UsageError(
+            "exponent beyond the budget of %d for a map that is not a rigid rotation"
+            % MAX_EXPONENT
+        )
     _write(format_map(power(value, args.exponent), descriptor), args.out)
     return 0
 
@@ -234,6 +242,9 @@ def _cmd_tuple_map(args) -> int:
 def _cmd_rot(args) -> int:
     from .rotation import NonRationalCertificate, RationalRotation, rotation_number
 
+    for flag, given in (("--max-denominator", args.max_denominator), ("--depth", args.depth)):
+        if given > MAX_ROTATION_DEPTH:
+            raise _UsageError("%s beyond the budget of %d" % (flag, MAX_ROTATION_DEPTH))
     value = _read_map(args.map)
     result = rotation_number(value, args.max_denominator, args.depth)
     if isinstance(result, RationalRotation):
@@ -389,7 +400,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("power", help="raise a map to an integer power")
     p.add_argument("map", help="map document file")
-    p.add_argument("exponent", type=int, help="any integer, negatives allowed")
+    p.add_argument(
+        "exponent",
+        type=int,
+        help="any integer, negatives allowed; at most %d in absolute value unless "
+        "the map is a rigid rotation" % MAX_EXPONENT,
+    )
     _add_out(p)
     p.set_defaults(handler=_cmd_power)
 
@@ -424,13 +440,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-denominator",
         type=int,
         default=50,
-        help="certify against all rationals with denominator up to this (default 50)",
+        help="certify against all rationals with denominator up to this "
+        "(default 50, at most %d)" % MAX_ROTATION_DEPTH,
     )
     p.add_argument(
         "--depth",
         type=int,
         default=200,
-        help="maximum iterate examined (default 200)",
+        help="maximum iterate examined (default 200, at most %d)" % MAX_ROTATION_DEPTH,
     )
     _add_out(p)
     p.set_defaults(handler=_cmd_rot)

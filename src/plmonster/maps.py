@@ -122,11 +122,6 @@ class PLCircleMap:
         self._ys = ys
         return self
 
-    def _anchor_is_corner(self) -> bool:
-        xs, ys = self._xs, self._ys
-        first, last = core.slopes(xs[:2], ys[:2]), core.slopes(xs[-2:], ys[-2:])
-        return len(xs) > 2 and first != last
-
     @property
     def breakpoints(self) -> tuple:
         """Canonical breakpoints: genuine corners, or (0,) for a rotation."""
@@ -134,7 +129,7 @@ class PLCircleMap:
         if len(xs) == 2:
             return (Fraction(0),)
         pts = []
-        if self._anchor_is_corner():
+        if not core.anchor_is_straight(xs, self._ys):
             pts.append(Fraction(0))
         pts.extend(_frac(x) for x in xs[1:-1])
         return tuple(pts)
@@ -146,7 +141,7 @@ class PLCircleMap:
         if len(xs) == 2:
             return (_frac(ys[0]),)
         vals = []
-        if self._anchor_is_corner():
+        if not core.anchor_is_straight(xs, ys):
             vals.append(_frac(ys[0]))
         for y in ys[1:-1]:
             f = _frac(y)

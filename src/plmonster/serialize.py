@@ -19,6 +19,9 @@ beyond it raises BudgetError, a DocumentError.  The writer counts the
 digits of every integer it emits, so exactly the values that parse back
 are written on every CPython.  (Before 3.10.7 CPython has no limit, and
 there only the writer enforces the budget.)
+
+The command line's budgets on computed sizes sit beside it: MAX_EXPONENT
+bounds `power` and MAX_ROTATION_DEPTH bounds `rot`.
 """
 
 from __future__ import annotations
@@ -41,6 +44,14 @@ WORD_FORMAT = "plmonster.word/1"
 
 # decimal digits allowed in one integer of a fraction string or document
 MAX_DIGITS = 100_000
+# largest |exponent| of `power` on a map that is not a rigid rotation:
+# the integers of g0**n have about 0.3 n digits, so g0**50000 has about
+# 15,000 (a rigid rotation's power grows with the exponent's digits only)
+MAX_EXPONENT = 50_000
+# largest `rot --depth`, and so `--max-denominator`: g0's certificate
+# takes about 0.1 s at depth 1600 and 3 s at 6400 (its brackets gain about
+# one bit per iterate, so the cost grows faster than the depth)
+MAX_ROTATION_DEPTH = 5_000
 
 _FRACTION_RE = re.compile(r"^-?\d+(/\d+)?$")
 _OVER_BUDGET = "an integer exceeds the budget of %d decimal digits" % MAX_DIGITS
@@ -78,6 +89,18 @@ def _within_budget(convert, value):
         sys.set_int_max_str_digits(saved)
 
 
+def _shown(value) -> str:
+    """repr(value) for an error message about a document value.
+
+    An integer past CPython's conversion limit, alone or inside a list,
+    has no repr there; the message names it instead of failing.
+    """
+    try:
+        return repr(value)
+    except ValueError:
+        return "a value too large to show"
+
+
 def _digits(n: int) -> str:
     # CPython 3.12 and later check their limit against an estimate that
     # lets a few hundred digits more through, so count them exactly
@@ -102,7 +125,7 @@ def str_to_fraction(text: str) -> Fraction:
     """Parse a canonical fraction string; anything non-canonical fails."""
     if not isinstance(text, str) or not _FRACTION_RE.match(text):
         raise DocumentError(
-            "expected a fraction string like '3' or '-1/4', got %r" % (text,)
+            "expected a fraction string like '3' or '-1/4', got %s" % _shown(text)
         )
     try:
         value = _within_budget(Fraction, text)
@@ -130,15 +153,15 @@ def _checked_descriptor(generators, lam, where: Optional[str], key: str, noun: s
         raise DocumentError("%s%s must be a nonempty list of integers" % (prefix, key))
     for g in generators:
         if isinstance(g, bool) or not isinstance(g, int) or g < 2:
-            raise DocumentError("%s%s %r is not an integer >= 2" % (prefix, noun, g))
+            raise DocumentError("%s%s %s is not an integer >= 2" % (prefix, noun, _shown(g)))
     try:
         descriptor = GroupDescriptor(*generators)
     except ValueError as exc:
         raise BudgetError("%s: %s" % (where or key, exc)) from None
     if lam is not None and lam != descriptor.lam:
         raise DocumentError(
-            "%s'lambda' is %r but the %ss multiply to %d"
-            % (prefix, lam, noun, descriptor.lam)
+            "%s'lambda' is %s but the %ss multiply to %d"
+            % (prefix, _shown(lam), noun, descriptor.lam)
         )
     return descriptor
 
@@ -207,7 +230,7 @@ def _map_and_descriptor(doc: dict):
     fmt = doc.get("format")
     if fmt != MAP_FORMAT:
         raise DocumentError(
-            "unsupported map format %r (expected %r)" % (fmt, MAP_FORMAT)
+            "unsupported map format %s (expected %r)" % (_shown(fmt), MAP_FORMAT)
         )
     breaks = _fraction_list(doc, "breakpoints")
     images = _fraction_list(doc, "images")
@@ -285,7 +308,9 @@ def word_from_document(doc: dict) -> AmalgamWord:
     """Inverse of word_to_document; re-runs all context and syllable gates.
 
     A document whose context is the default one gets `default_context()`,
-    which passed the same gates, instead of a context of its own.
+    which passed the same gates, instead of a context of its own; one on
+    another context shares the last such context built, so the documents
+    of one command pass the gates once.
     """
     # map documents never need the amalgam, so only words import it
     from .amalgam import AmalgamWord, ContextError, Factor, SyllableError, _context_for
@@ -295,7 +320,7 @@ def word_from_document(doc: dict) -> AmalgamWord:
     fmt = doc.get("format")
     if fmt != WORD_FORMAT:
         raise DocumentError(
-            "unsupported word format %r (expected %r)" % (fmt, WORD_FORMAT)
+            "unsupported word format %s (expected %r)" % (_shown(fmt), WORD_FORMAT)
         )
     ctx_block = doc.get("context")
     if not isinstance(ctx_block, dict):
@@ -322,7 +347,7 @@ def word_from_document(doc: dict) -> AmalgamWord:
         factor = entry.get("factor")
         if factor not in (Factor.G1.value, Factor.G2.value):
             raise DocumentError(
-                "syllable %d: factor must be 'G1' or 'G2', got %r" % (i, factor)
+                "syllable %d: factor must be 'G1' or 'G2', got %s" % (i, _shown(factor))
             )
         element_doc = entry.get("element")
         if not isinstance(element_doc, dict):

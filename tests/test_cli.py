@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import types
+from fractions import Fraction
 
 import pytest
 
@@ -19,6 +20,7 @@ from plmonster import (
     identity_map,
     lift,
     relator_word,
+    rotation_map,
 )
 from plmonster import amalgam, cli, serialize
 from plmonster.amalgam import ContextError, SyllableError
@@ -256,15 +258,16 @@ def test_word_multiply_builds_one_default_context(
     code, out, err = run(capsys, "word", "multiply", relator_file, relator_file)
     assert (code, err, len(built)) == (0, "", 1)
     assert json.loads(out)["syllables"] == []
-    # documents on another context build their own, one each
+    # two documents on another context share one build
     with open(relator_file, encoding="utf-8") as handle:
         doc = json.load(handle)
     doc["context"]["edge"]["offset"] = 1
     other = tmp_path / "other.json"
     other.write_text(json.dumps(doc))
     built.clear()
+    amalgam._other_context.cache_clear()
     code, out, err = run(capsys, "word", "multiply", str(other), str(other))
-    assert (code, err, len(built)) == (0, "", 2)
+    assert (code, err, len(built)) == (0, "", 1)
     assert json.loads(out)["context"] == doc["context"]
     doc["context"]["edge"]["offset"] = 0
     doc["context"]["edge"]["breakpoints"] = ["0"]
@@ -331,6 +334,36 @@ def test_parse_errors_exit_2(capsys, tmp_path):
     bad.write_text('{"format": "plmonster.map/1"}')
     code, _, err = run(capsys, "eval", "--map", str(bad), "--point", "0")
     assert code == 2 and json.loads(err)["error"]["kind"] == "parse"
+
+
+def test_power_and_rot_budgets_exit_2_before_computing(capsys, g0_file, tmp_path, monkeypatch):
+    from plmonster import rotation
+
+    def refuse(*args):
+        raise AssertionError("an over-budget computation started")
+
+    monkeypatch.setattr(cli, "power", refuse)
+    monkeypatch.setattr(rotation, "rotation_number", refuse)
+    over = str(serialize.MAX_EXPONENT + 1)
+    for argv in (
+        ("power", g0_file, over),
+        ("power", g0_file, "-" + over),
+        ("power", g0_file, "1000000000000"),
+        ("rot", "--map", g0_file, "--depth", str(serialize.MAX_ROTATION_DEPTH + 1)),
+        ("rot", "--map", g0_file, "--depth", "10000000"),
+        ("rot", "--map", g0_file, "--max-denominator", "10000000"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["kind"] == "usage" and "budget" in error["message"]
+    # a rigid rotation's power grows with the exponent's digits only
+    monkeypatch.undo()
+    rigid = tmp_path / "rigid.json"
+    rigid.write_text(format_map(PLLineMap(rotation_map(Fraction(1, 3)), 2)))
+    code, out, err = run(capsys, "power", str(rigid), "1000000000000")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["offset"] == 2333333333333
 
 
 def test_power_past_the_default_digit_limit(capsys, g0_file, tmp_path):

@@ -17,7 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plmonster._core import pure
-from plmonster.stein import STEIN_2_3, THOMPSON, irrational_candidate_g0, random_member
+from plmonster.maps import compose, invert, rotation_map
+from plmonster.stein import (
+    STEIN_2_3,
+    THOMPSON,
+    irrational_candidate_g0,
+    random_member,
+    tuple_map,
+)
 
 # the kernel goes in as a parameter so that the test ids name it
 KERNELS = [pytest.param(pure, id="pure")]
@@ -217,3 +224,70 @@ def test_compose_matches_reference_on_breakpoint_hits(core):
             f = hitting_grid(rng, g, t0)
             check_kernel(core, f, g)
             check_kernel(core, g, f)
+
+
+def conjugate_of_g0(rng, descriptor, depth, length):
+    """h^-1 g0 h for a tuple map h of `length` points on the lam^-depth grid."""
+    n = descriptor.lam**depth
+    xs = sorted(rng.sample(range(n), length))
+    ys = sorted(rng.sample(range(n), length))
+    shift = rng.randrange(length)
+    h = tuple_map(
+        [F(k, n) for k in xs[shift:] + xs[:shift]],
+        [F(k, n) for k in ys[shift:] + ys[:shift]],
+        descriptor,
+    )
+    c = compose(compose(invert(h), irrational_candidate_g0()), h)
+    return c._xs, c._ys
+
+
+def dropped_landings(f, g, xs):
+    """Corners of f landing on a corner of g that the composite grid xs lacks."""
+    corners = set(fracs(g[0]))
+    kept = set(fracs(xs))
+    return sum(
+        1
+        for x, y in zip(fracs(f[0])[1:-1], fracs(f[1])[1:-1])
+        if y - floor(y) in corners and x not in kept
+    )
+
+
+@pytest.mark.parametrize("core", KERNELS)
+@pytest.mark.parametrize(
+    "descriptor, depth, length",
+    [(THOMPSON, 3, 3), (STEIN_2_3, 2, 2)],
+    ids=["thompson", "stein23"],
+)
+def test_kernel_matches_reference_on_conjugate_iterates(core, descriptor, depth, length):
+    # the g0 conjugates whose rotation numbers get certified: along their
+    # iterates, corners of f^n land exactly on corners of f and the two
+    # slope changes cancel
+    g = f = conjugate_of_g0(random.Random(depth), descriptor, depth, length)
+    dropped = 0
+    for _ in range(60):
+        check_kernel(core, f, g)
+        xs, ys, _ = core.compose(f[0], f[1], g[0], g[1])
+        dropped += dropped_landings(f, g, xs)
+        f = xs, ys
+    assert dropped > 0
+
+
+@pytest.mark.parametrize("core", KERNELS)
+def test_kernel_matches_reference_on_straight_anchors_and_fixed_zero(core):
+    rng = random.Random(13)
+    ms = []
+    for d in (THOMPSON, STEIN_2_3):
+        members = (random_member(d, rng, max_len=6, max_depth=3) for _ in range(100))
+        ms += [m for m in members if len(m._xs) > 2][:8]
+    # x -> m(x + 1/7) - 1/7 is straight at 0, as m has no corner at 1/7
+    a = rotation_map(F(1, 7))
+    straight = [compose(compose(a, m), invert(a)) for m in ms]
+    # m, then the rotation by -m(0), fixes 0
+    fixed = [compose(m, rotation_map(-F(*m._ys[0]))) for m in ms]
+    assert all(pure.anchor_is_straight(c._xs, c._ys) for c in straight)
+    assert all(c._ys[0] == (0, 1) for c in fixed)
+    gs = [(c._xs, c._ys) for c in straight]
+    for f in gs + [(c._xs, c._ys) for c in fixed + ms]:
+        # check_kernel also inverts f
+        for g in gs[::4]:
+            check_kernel(core, f, g)
