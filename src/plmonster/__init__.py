@@ -8,8 +8,8 @@ tuple transitivity for Stein-Thompson circle groups, and the word
 problem in an amalgamated product of two lifted groups glued along the
 center on one side and a designated map on the other.
 
-`BACKEND` names the arithmetic kernel: always "pure", the pure-Python
-kernel in `plmonster._core`.
+`BACKEND` names the arithmetic kernel: always "pure", for the one
+pure-Python kernel module, `plmonster._core`.
 
 The package is lazy (PEP 562): ``import plmonster`` loads no submodule,
 and ``plmonster.NAME`` imports NAME's home submodule on first use.  The

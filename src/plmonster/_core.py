@@ -23,10 +23,14 @@ differences, products and slopes stay unreduced integers, compared by
 cross-multiplication.  Adding an integer to a lowest-terms pair keeps it
 in lowest terms, so the unit and carry shifts take no gcd at all.
 
-This is the only kernel; `plmonster._core` re-exports it.
+This module is the only kernel: the map, rotation and stein layers call
+it as ``plmonster._core``.
 """
 
 from math import gcd
+
+# the kernel's name, public as plmonster.BACKEND
+BACKEND = "pure"
 
 ZERO = (0, 1)
 ONE = (1, 1)
@@ -148,6 +152,15 @@ def anchor_is_straight(xs, ys):
     n1, d1 = _slope(xs[0], xs[1], ys[0], ys[1])
     n2, d2 = _slope(xs[-2], xs[-1], ys[-2], ys[-1])
     return n1 * d2 == n2 * d1
+
+
+def first_breakpoint(xs, ys):
+    """Index in the grid of the map's first canonical breakpoint.
+
+    The canonical breakpoints are the interior grid points, and the
+    anchor 0 when it is a corner or the map is a rotation (one segment).
+    """
+    return 0 if len(xs) == 2 or not anchor_is_straight(xs, ys) else 1
 
 
 def compose(fxs, fys, gxs, gys):

@@ -9,13 +9,14 @@ exactly decidable on both sides (rigid integer translations on the left,
 power detection on the right), so Britton-style reduction solves the
 word problem with no numerical error.
 
-The reduction engine is written against a minimal operations interface
-and is shared verbatim by a finite validation instance: two cyclic
-groups of orders 4 and 6 glued along their order-two subgroups, which is
-isomorphic to the group of determinant-one integer 2x2 matrices
-generated by S = [[0,-1],[1,0]] and R = [[0,-1],[1,1]].  The matrix
-product gives a triviality oracle wholly independent of the reduction
-code, and `finite_oracle_check` compares the two on every short word.
+The reduction engine calls four operations of the concrete amalgam
+(see `britton_reduce`) and is shared verbatim by a finite validation
+instance: two cyclic groups of orders 4 and 6 glued along their
+order-two subgroups, which is isomorphic to the group of
+determinant-one integer 2x2 matrices generated by S = [[0,-1],[1,0]]
+and R = [[0,-1],[1,1]].  The matrix product gives a triviality oracle
+wholly independent of the reduction code, and `finite_oracle_check`
+compares the two on every short word.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ class Syllable:
 
     For the PL amalgam the element is a PLLineMap; the finite validation
     instance stores small integers instead.  The reduction engine only
-    touches elements through its operations interface.
+    touches elements through the amalgam's operations.
 
     Immutable.  Britton reduction reads both fields of every syllable and
     builds one per merge, so the fields are slots, which read faster than
@@ -113,31 +114,7 @@ _set_factor = Syllable.factor.__set__
 _set_element = Syllable.element.__set__
 
 
-class FactorOps:
-    """Operations Britton reduction needs from a concrete amalgam.
-
-    `edge_coefficient` must return the exponent k when the element equals
-    the k-th power of that factor's edge generator and None otherwise;
-    soundness of the word problem rests on it having no false answers in
-    either direction.
-    """
-
-    __slots__ = ()
-
-    def compose(self, factor: Factor, a, b):
-        raise NotImplementedError
-
-    def is_identity(self, factor: Factor, a) -> bool:
-        raise NotImplementedError
-
-    def edge_coefficient(self, factor: Factor, a) -> Optional[int]:
-        raise NotImplementedError
-
-    def edge_element(self, factor: Factor, k: int):
-        raise NotImplementedError
-
-
-class AmalgamContext(FactorOps):
+class AmalgamContext:
     """Two factor groups glued along z = edge, with Britton's operations.
 
     Construction validates two gates: the edge map's underlying circle
@@ -264,8 +241,17 @@ def _other_context(left, right, edge) -> AmalgamContext:
     return AmalgamContext(left, right, edge)
 
 
-def britton_reduce(ops: FactorOps, syllables) -> tuple:
+def britton_reduce(ops, syllables) -> tuple:
     """Reduce a syllable sequence to Britton-reduced form.
+
+    ``ops`` is the concrete amalgam, an `AmalgamContext` or a
+    `FiniteAmalgamInstance`.  Reduction touches elements only through its
+    methods ``compose(factor, a, b)``, ``is_identity(factor, a)``,
+    ``edge_coefficient(factor, a)`` and ``edge_element(factor, k)``.
+    `edge_coefficient` must return the exponent k when the element equals
+    the k-th power of that factor's edge generator, and None otherwise;
+    soundness of the word problem rests on it having no false answers in
+    either direction.
 
     Free reduction is one pass over a stack: each pending syllable is
     dropped if it is the identity, merged into the top of the stack if
@@ -528,7 +514,7 @@ def _mat_mul(a, b):
     )
 
 
-class FiniteAmalgamInstance(FactorOps):
+class FiniteAmalgamInstance:
     """Cyclic groups of orders 4 and 6 glued along their 2-element centers.
 
     Left elements are exponents mod 4 of a generator s, right elements

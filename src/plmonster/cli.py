@@ -14,6 +14,7 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import re
 import sys
@@ -32,8 +33,10 @@ from .maps import (
     rotation_map,
 )
 from .serialize import (
+    MAX_DOCUMENT_BYTES,
     MAX_EXPONENT,
     MAX_ROTATION_DEPTH,
+    MAX_WORD_LENGTH,
     BudgetError,
     DocumentError,
     _load_json,
@@ -96,19 +99,24 @@ def _write(text: str, out_path) -> None:
             handle.write(text)
 
 
-def _read_map(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_map(handle.read())
+def _read(path: str, parse):
+    """parse(text) for the document file at path.
+
+    At most MAX_DOCUMENT_BYTES + 1 bytes are read, and a longer file is
+    refused.  The bytes are decoded as a text-mode read would: UTF-8 with
+    universal newlines.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read(MAX_DOCUMENT_BYTES + 1)
+    if len(data) > MAX_DOCUMENT_BYTES:
+        raise BudgetError(
+            "%s is over the budget of %d bytes for a document" % (path, MAX_DOCUMENT_BYTES)
+        )
+    return parse(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
 
 
-def _read_map_with_descriptor(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        return _map_and_descriptor(_load_json(handle.read()))
-
-
-def _read_word(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_word(handle.read())
+def _parse_map_with_descriptor(text: str):
+    return _map_and_descriptor(_load_json(text))
 
 
 def _parse_fraction_arg(text: str, flag: str) -> Fraction:
@@ -168,7 +176,7 @@ def _cmd_element(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    value = _read_map(args.map)
+    value = _read(args.map, parse_map)
     point = _parse_fraction_arg(args.point, "--point")
     if isinstance(value, PLLineMap):
         image = evaluate_line(value, point)
@@ -183,8 +191,8 @@ def _combined_descriptor(da, db):
 
 
 def _cmd_compose(args) -> int:
-    first, da = _read_map_with_descriptor(args.first)
-    second, db = _read_map_with_descriptor(args.second)
+    first, da = _read(args.first, _parse_map_with_descriptor)
+    second, db = _read(args.second, _parse_map_with_descriptor)
     if isinstance(first, PLLineMap) != isinstance(second, PLLineMap):
         raise _UsageError(
             "cannot compose a circle map with a line map; lift or project first"
@@ -194,25 +202,27 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_invert(args) -> int:
-    value, descriptor = _read_map_with_descriptor(args.map)
+    value, descriptor = _read(args.map, _parse_map_with_descriptor)
     _write(format_map(invert(value), descriptor), args.out)
     return 0
 
 
 def _cmd_power(args) -> int:
-    value, descriptor = _read_map_with_descriptor(args.map)
-    base = value.base if isinstance(value, PLLineMap) else value
-    if abs(args.exponent) > MAX_EXPONENT and len(base.segment_slopes()) > 1:
-        raise _UsageError(
-            "exponent beyond the budget of %d for a map that is not a rigid rotation"
-            % MAX_EXPONENT
-        )
+    value, descriptor = _read(args.map, _parse_map_with_descriptor)
+    if abs(args.exponent) > MAX_EXPONENT:
+        from .rotation import is_translation
+
+        if not is_translation(value):
+            raise _UsageError(
+                "exponent beyond the budget of %d for a map that is not a rigid rotation"
+                % MAX_EXPONENT
+            )
     _write(format_map(power(value, args.exponent), descriptor), args.out)
     return 0
 
 
 def _cmd_member(args) -> int:
-    value = _read_map(args.map)
+    value = _read(args.map, parse_map)
     descriptor = _descriptor_from_args(args)
     base = value.base if isinstance(value, PLLineMap) else value
     report = is_member(base, descriptor)
@@ -245,7 +255,7 @@ def _cmd_rot(args) -> int:
     for flag, given in (("--max-denominator", args.max_denominator), ("--depth", args.depth)):
         if given > MAX_ROTATION_DEPTH:
             raise _UsageError("%s beyond the budget of %d" % (flag, MAX_ROTATION_DEPTH))
-    value = _read_map(args.map)
+    value = _read(args.map, parse_map)
     result = rotation_number(value, args.max_denominator, args.depth)
     if isinstance(result, RationalRotation):
         doc = {
@@ -277,29 +287,29 @@ def _cmd_rot(args) -> int:
 
 
 def _cmd_word_reduce(args) -> int:
-    _write(format_word(_read_word(args.word).reduce()), args.out)
+    _write(format_word(_read(args.word, parse_word).reduce()), args.out)
     return 0
 
 
 def _cmd_word_trivial(args) -> int:
-    trivial = _read_word(args.word).is_trivial()
+    trivial = _read(args.word, parse_word).is_trivial()
     sys.stdout.write("trivial\n" if trivial else "nontrivial\n")
     return 0 if trivial else 1
 
 
 def _cmd_word_multiply(args) -> int:
-    product = _read_word(args.first).multiply(_read_word(args.second))
+    product = _read(args.first, parse_word).multiply(_read(args.second, parse_word))
     _write(format_word(product), args.out)
     return 0
 
 
 def _cmd_word_invert(args) -> int:
-    _write(format_word(_read_word(args.word).invert_word()), args.out)
+    _write(format_word(_read(args.word, parse_word).invert_word()), args.out)
     return 0
 
 
 def _cmd_word_project(args) -> int:
-    word = _read_word(args.word)
+    word = _read(args.word, parse_word)
     projected = word.project_to_g1()
     _write(format_map(projected, word.context.left_descriptor), args.out)
     return 0
@@ -308,6 +318,8 @@ def _cmd_word_project(args) -> int:
 def _cmd_word_random(args) -> int:
     from .amalgam import default_context, random_word
 
+    if args.length > MAX_WORD_LENGTH:
+        raise _UsageError("--length beyond the budget of %d" % MAX_WORD_LENGTH)
     word = random_word(default_context(), args.length, args.seed)
     _write(format_word(word), args.out)
     return 0
@@ -488,7 +500,12 @@ def build_parser() -> argparse.ArgumentParser:
     w = wordsub.add_parser(
         "random", help="emit a deterministic pseudorandom word in the default context"
     )
-    w.add_argument("--length", type=int, default=4, help="syllable count (default 4)")
+    w.add_argument(
+        "--length",
+        type=int,
+        default=4,
+        help="syllable count (default 4, at most %d)" % MAX_WORD_LENGTH,
+    )
     w.add_argument("--seed", type=int, default=42, help="generator seed (default 42)")
     _add_out(w)
     w.set_defaults(handler=_cmd_word_random)

@@ -126,24 +126,14 @@ class PLCircleMap:
     def breakpoints(self) -> tuple:
         """Canonical breakpoints: genuine corners, or (0,) for a rotation."""
         xs = self._xs
-        if len(xs) == 2:
-            return (Fraction(0),)
-        pts = []
-        if not core.anchor_is_straight(xs, self._ys):
-            pts.append(Fraction(0))
-        pts.extend(_frac(x) for x in xs[1:-1])
-        return tuple(pts)
+        return tuple(_frac(x) for x in xs[core.first_breakpoint(xs, self._ys) : -1])
 
     @property
     def images(self) -> tuple:
         """Circle images of the canonical breakpoints."""
-        xs, ys = self._xs, self._ys
-        if len(xs) == 2:
-            return (_frac(ys[0]),)
+        ys = self._ys
         vals = []
-        if not core.anchor_is_straight(xs, ys):
-            vals.append(_frac(ys[0]))
-        for y in ys[1:-1]:
+        for y in ys[core.first_breakpoint(self._xs, ys) : -1]:
             f = _frac(y)
             vals.append(f - 1 if f >= 1 else f)
         return tuple(vals)

@@ -20,8 +20,9 @@ digits of every integer it emits, so exactly the values that parse back
 are written on every CPython.  (Before 3.10.7 CPython has no limit, and
 there only the writer enforces the budget.)
 
-The command line's budgets on computed sizes sit beside it: MAX_EXPONENT
-bounds `power` and MAX_ROTATION_DEPTH bounds `rot`.
+The command line's budgets sit beside it: MAX_DOCUMENT_BYTES bounds the
+document files it reads, MAX_EXPONENT bounds `power`, MAX_ROTATION_DEPTH
+bounds `rot`, and MAX_WORD_LENGTH bounds `word random`.
 """
 
 from __future__ import annotations
@@ -52,6 +53,14 @@ MAX_EXPONENT = 50_000
 # takes about 0.1 s at depth 1600 and 3 s at 6400 (its brackets gain about
 # one bit per iterate, so the cost grows faster than the depth)
 MAX_ROTATION_DEPTH = 5_000
+# bytes in one document file the command line reads: room for twenty
+# fractions at MAX_DIGITS, and more than a hundred times the 36,271 bytes
+# of `power g0.json 30000`
+MAX_DOCUMENT_BYTES = 4 * 2**20
+# largest `word random --length`: its syllables take about 315 bytes each
+# and none seen took more than 563, so a word this long (at most about
+# 2.8 MB) parses back under MAX_DOCUMENT_BYTES
+MAX_WORD_LENGTH = 5_000
 
 _FRACTION_RE = re.compile(r"^-?\d+(/\d+)?$")
 _OVER_BUDGET = "an integer exceeds the budget of %d decimal digits" % MAX_DIGITS
@@ -267,6 +276,9 @@ def _load_json(text: str) -> dict:
         return _within_budget(json.loads, text)
     except json.JSONDecodeError as exc:
         raise DocumentError("invalid JSON: %s" % exc) from None
+    except RecursionError:
+        # the decoder recurses once per nested array or object
+        raise DocumentError("invalid JSON: arrays or objects nested too deeply") from None
 
 
 def _descriptor_block(descriptor: GroupDescriptor) -> dict:

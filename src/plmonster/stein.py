@@ -214,19 +214,15 @@ class MembershipReport(NamedTuple):
 def is_member(f: PLCircleMap, descriptor: GroupDescriptor) -> MembershipReport:
     """Exact membership of a circle map, with per-item violations."""
     xs, ys = f._xs, f._ys
-    slopes = core.slopes(xs, ys)
-    # the breakpoints: the interior grid points, and the anchor 0 when it
-    # is a corner or the map a rotation
-    first = 0 if len(slopes) == 1 or slopes[0] != slopes[-1] else 1
     violations = []
-    for j in range(first, len(xs) - 1):
+    for j in range(core.first_breakpoint(xs, ys), len(xs) - 1):
         if descriptor._strip(xs[j][1]) != 1:
             violations.append(Violation("breakpoint-not-in-Y", Fraction(*xs[j])))
         n, d = ys[j]
         if descriptor._strip(d) != 1:
             where = Fraction(n - d if n >= d else n, d)
             violations.append(Violation("image-not-in-Y", where))
-    for n, d in dict.fromkeys(slopes):
+    for n, d in dict.fromkeys(core.slopes(xs, ys)):
         if not descriptor._has_slope(n, d):
             violations.append(Violation("slope-not-in-P", Fraction(n, d)))
     return MembershipReport(not violations, tuple(violations))

@@ -334,6 +334,12 @@ def test_parse_errors_exit_2(capsys, tmp_path):
     bad.write_text('{"format": "plmonster.map/1"}')
     code, _, err = run(capsys, "eval", "--map", str(bad), "--point", "0")
     assert code == 2 and json.loads(err)["error"]["kind"] == "parse"
+    # nesting past the interpreter's recursion limit is a parse error too,
+    # not a crash with exit 1, which `word trivial` reads as "nontrivial"
+    bad.write_text("[" * 100_000 + "]" * 100_000)
+    for argv in (("eval", "--map", str(bad), "--point", "0"), ("word", "trivial", str(bad))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and json.loads(err)["error"]["kind"] == "parse"
 
 
 def test_power_and_rot_budgets_exit_2_before_computing(capsys, g0_file, tmp_path, monkeypatch):
@@ -374,6 +380,41 @@ def test_power_past_the_default_digit_limit(capsys, g0_file, tmp_path):
     big.write_text(out)
     code, out, err = run(capsys, "eval", "--map", str(big), "--point", "0")
     assert code == 0 and err == ""
+
+
+def test_document_and_word_length_budgets_exit_2_before_parsing(
+    capsys, g0_file, tmp_path, monkeypatch
+):
+    def padded(name, size):
+        # g0's document and then blanks, which JSON ignores, up to size bytes
+        text = open(g0_file, encoding="utf-8").read()
+        path = tmp_path / name
+        path.write_text(text + " " * (size - len(text)))
+        return str(path)
+
+    big = padded("big.json", serialize.MAX_DOCUMENT_BYTES + 1)
+    at_budget = padded("at.json", serialize.MAX_DOCUMENT_BYTES)
+
+    def refuse(*args):
+        raise AssertionError("an over-budget input was parsed or built")
+
+    for name in ("parse_map", "parse_word", "_parse_map_with_descriptor"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(amalgam, "random_word", refuse)
+    for argv, kind in (
+        (("eval", "--map", big, "--point", "1/3"), "budget"),
+        (("invert", big), "budget"),
+        (("compose", big, big), "budget"),
+        (("word", "trivial", big), "budget"),
+        (("word", "multiply", big, big), "budget"),
+        (("word", "random", "--length", str(serialize.MAX_WORD_LENGTH + 1)), "usage"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        error = json.loads(err)["error"]
+        assert error["kind"] == kind and "budget" in error["message"], argv
+    monkeypatch.undo()
+    assert run(capsys, "eval", "--map", at_budget, "--point", "1/8") == (0, "3/4\n", "")
 
 
 @pytest.mark.skipif(

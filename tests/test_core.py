@@ -5,7 +5,7 @@ lifts with `Fraction`, finds the corners of composites and inverses by
 solving for preimages of breakpoints, and keeps exactly the points where
 the slope changes.  Each kernel output must equal it tuple for tuple,
 which also pins lowest terms and positive denominators, and must satisfy
-the grid invariants of `plmonster._core.pure`.
+the grid invariants of `plmonster._core`.
 """
 
 import random
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plmonster._core import pure
+from plmonster import _core
 from plmonster.maps import compose, invert, rotation_map
 from plmonster.stein import (
     STEIN_2_3,
@@ -25,10 +25,6 @@ from plmonster.stein import (
     random_member,
     tuple_map,
 )
-
-# the kernel goes in as a parameter so that the test ids name it
-KERNELS = [pytest.param(pure, id="pure")]
-
 
 def fracs(pairs):
     return [F(n, d) for n, d in pairs]
@@ -111,28 +107,28 @@ def assert_canonical(xs, ys):
     assert ref_canon(fx, fy) == (fx, fy)
 
 
-def check_kernel(core, f, g):
+def check_kernel(f, g):
     fx, fy = f
     gx, gy = g
-    assert core.canon_grid(fx, fy) == (fx, fy)
+    assert _core.canon_grid(fx, fy) == (fx, fy)
 
-    xs, ys, carry = core.compose(fx, fy, gx, gy)
+    xs, ys, carry = _core.compose(fx, fy, gx, gy)
     assert_canonical(xs, ys)
     rx, ry, rc = ref_compose((fracs(fx), fracs(fy)), (fracs(gx), fracs(gy)))
     assert (xs, ys, carry) == (pairs(rx), pairs(ry), rc)
 
-    xs, ys, carry = core.invert(fx, fy)
+    xs, ys, carry = _core.invert(fx, fy)
     assert_canonical(xs, ys)
     rx, ry, rc = ref_invert((fracs(fx), fracs(fy)))
     assert (xs, ys, carry) == (pairs(rx), pairs(ry), rc)
 
-    lo, hi = core.displacement(fx, fy)
+    lo, hi = _core.displacement(fx, fy)
     d = [y - x for x, y in zip(fracs(fx), fracs(fy))]
     assert (lo, hi) == (pair(min(d)), pair(max(d)))
 
     for x in fracs(fx + gx + gy[:-1]):
         x -= floor(x)
-        assert core.eval_lift(fx, fy, pair(x)) == pair(lift_at(fracs(fx), fracs(fy), x))
+        assert _core.eval_lift(fx, fy, pair(x)) == pair(lift_at(fracs(fx), fracs(fy), x))
 
 
 def member_grids(descriptor, count, seed):
@@ -141,27 +137,24 @@ def member_grids(descriptor, count, seed):
     return [(f._xs, f._ys) for f in maps]
 
 
-@pytest.mark.parametrize("core", KERNELS)
 @pytest.mark.parametrize("descriptor", [THOMPSON, STEIN_2_3], ids=["thompson", "stein23"])
-def test_kernel_matches_reference_on_member_grids(core, descriptor):
+def test_kernel_matches_reference_on_member_grids(descriptor):
     grids = member_grids(descriptor, 24, seed=descriptor.lam)
     for f in grids:
         for g in grids[:6]:
-            check_kernel(core, f, g)
+            check_kernel(f, g)
 
 
-@pytest.mark.parametrize("core", KERNELS)
-def test_kernel_matches_reference_on_g0_iterates(core):
+def test_kernel_matches_reference_on_g0_iterates():
     g0 = irrational_candidate_g0()
     g = f = (g0._xs, g0._ys)
     for _ in range(60):
-        check_kernel(core, f, g)
-        f = core.compose(f[0], f[1], g[0], g[1])[:2]
+        check_kernel(f, g)
+        f = _core.compose(f[0], f[1], g[0], g[1])[:2]
     assert max(abs(v).bit_length() for v in sum(f[0] + f[1], ())) > 60
 
 
-@pytest.mark.parametrize("core", KERNELS)
-def test_canon_grid_drops_exactly_the_collinear_points(core):
+def test_canon_grid_drops_exactly_the_collinear_points():
     rng = random.Random(7)
     for f in member_grids(STEIN_2_3, 30, seed=9):
         fx, fy = fracs(f[0]), fracs(f[1])
@@ -170,7 +163,7 @@ def test_canon_grid_drops_exactly_the_collinear_points(core):
             t = F(rng.randint(1, 9), rng.choice([10, 7, 1 << 40]))
             fx.insert(j + 1, fx[j] + t * (fx[j + 1] - fx[j]))
             fy.insert(j + 1, fy[j] + t * (fy[j + 1] - fy[j]))
-        assert core.canon_grid(pairs(fx), pairs(fy)) == f
+        assert _core.canon_grid(pairs(fx), pairs(fy)) == f
 
 
 @st.composite
@@ -187,11 +180,10 @@ def big_grids(draw):
     return pairs(xs), pairs(ys)
 
 
-@pytest.mark.parametrize("core", KERNELS)
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(f=big_grids(), g=big_grids())
-def test_kernel_matches_reference_on_big_grids(core, f, g):
-    check_kernel(core, f, g)
+def test_kernel_matches_reference_on_big_grids(f, g):
+    check_kernel(f, g)
 
 
 def hitting_grid(rng, g, t0):
@@ -212,8 +204,7 @@ def rigid(value):
     return ((0, 1), (1, 1)), (pair(value), pair(value + 1))
 
 
-@pytest.mark.parametrize("core", KERNELS)
-def test_compose_matches_reference_on_breakpoint_hits(core):
+def test_compose_matches_reference_on_breakpoint_hits():
     rng = random.Random(11)
     gs = member_grids(STEIN_2_3, 6, seed=5) + member_grids(THOMPSON, 6, seed=6)
     gs += [rigid(F(0)), rigid(F(1, 3)), rigid(F(3, 4))]
@@ -222,8 +213,8 @@ def test_compose_matches_reference_on_breakpoint_hits(core):
         starts = {F(0), F(1, 7)} | {b for b in fracs(g[0])[:-1]}
         for t0 in sorted(starts):
             f = hitting_grid(rng, g, t0)
-            check_kernel(core, f, g)
-            check_kernel(core, g, f)
+            check_kernel(f, g)
+            check_kernel(g, f)
 
 
 def conjugate_of_g0(rng, descriptor, depth, length):
@@ -252,28 +243,26 @@ def dropped_landings(f, g, xs):
     )
 
 
-@pytest.mark.parametrize("core", KERNELS)
 @pytest.mark.parametrize(
     "descriptor, depth, length",
     [(THOMPSON, 3, 3), (STEIN_2_3, 2, 2)],
     ids=["thompson", "stein23"],
 )
-def test_kernel_matches_reference_on_conjugate_iterates(core, descriptor, depth, length):
+def test_kernel_matches_reference_on_conjugate_iterates(descriptor, depth, length):
     # the g0 conjugates whose rotation numbers get certified: along their
     # iterates, corners of f^n land exactly on corners of f and the two
     # slope changes cancel
     g = f = conjugate_of_g0(random.Random(depth), descriptor, depth, length)
     dropped = 0
     for _ in range(60):
-        check_kernel(core, f, g)
-        xs, ys, _ = core.compose(f[0], f[1], g[0], g[1])
+        check_kernel(f, g)
+        xs, ys, _ = _core.compose(f[0], f[1], g[0], g[1])
         dropped += dropped_landings(f, g, xs)
         f = xs, ys
     assert dropped > 0
 
 
-@pytest.mark.parametrize("core", KERNELS)
-def test_kernel_matches_reference_on_straight_anchors_and_fixed_zero(core):
+def test_kernel_matches_reference_on_straight_anchors_and_fixed_zero():
     rng = random.Random(13)
     ms = []
     for d in (THOMPSON, STEIN_2_3):
@@ -284,10 +273,10 @@ def test_kernel_matches_reference_on_straight_anchors_and_fixed_zero(core):
     straight = [compose(compose(a, m), invert(a)) for m in ms]
     # m, then the rotation by -m(0), fixes 0
     fixed = [compose(m, rotation_map(-F(*m._ys[0]))) for m in ms]
-    assert all(pure.anchor_is_straight(c._xs, c._ys) for c in straight)
+    assert all(_core.anchor_is_straight(c._xs, c._ys) for c in straight)
     assert all(c._ys[0] == (0, 1) for c in fixed)
     gs = [(c._xs, c._ys) for c in straight]
     for f in gs + [(c._xs, c._ys) for c in fixed + ms]:
         # check_kernel also inverts f
         for g in gs[::4]:
-            check_kernel(core, f, g)
+            check_kernel(f, g)

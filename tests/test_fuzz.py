@@ -5,7 +5,9 @@ place in it: a value is replaced by another JSON value, a key or list
 entry is deleted, or one is added.  The parsers must raise nothing but
 DocumentError (BudgetError is one), and `cli.main` on the mutated file
 must exit 0, 1 or 2, writing to standard error nothing or exactly one
-JSON error object.  Examples are derandomized, as everywhere in tier 1.
+JSON error object.  The command line also gets files cut short, and
+files padded with blanks to a size at the document budget, one byte
+either side of it.  Examples are derandomized, as everywhere in tier 1.
 """
 
 import contextlib
@@ -34,6 +36,7 @@ from plmonster import (
 )
 from plmonster.cli import main
 from plmonster.serialize import (
+    MAX_DOCUMENT_BYTES,
     DocumentError,
     _dump_json,
     map_from_document,
@@ -149,13 +152,15 @@ def run_on_file(argv, text):
     return code, err.getvalue()
 
 
-def check_exit(code, err):
+def check_exit(code, err, over_budget):
     assert code in (0, 1, 2)
     # an error is exactly one JSON object on stderr, and only errors write there
     assert bool(err) == (code == 2)
     if err:
         error = json.loads(err)["error"]
         assert sorted(error) == ["kind", "message"]
+    if over_budget:
+        assert code == 2 and error["kind"] == "budget"
 
 
 MAP_COMMANDS = [
@@ -175,22 +180,29 @@ WORD_COMMANDS = [
 
 
 def document_text(draw, docs):
+    # JSON text is ASCII, so its length is its size in bytes
     text = _dump_json(draw(mutated(docs)))
-    # sometimes a document cut short, as a failed write leaves it
-    if draw(st.booleans()):
-        return text
-    return text[: draw(st.integers(0, len(text)))]
+    change = draw(st.sampled_from(["none", "cut", "pad"]))
+    if change == "cut":
+        # a document cut short, as a failed write leaves it
+        return text[: draw(st.integers(0, len(text)))]
+    if change == "pad":
+        size = draw(st.integers(MAX_DOCUMENT_BYTES - 1, MAX_DOCUMENT_BYTES + 1))
+        return text + " " * (size - len(text))
+    return text
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_cli_on_mutated_map_documents_exits_cleanly(data):
     argv = data.draw(st.sampled_from(MAP_COMMANDS))
-    check_exit(*run_on_file(argv, document_text(data.draw, MAP_DOCS)))
+    text = document_text(data.draw, MAP_DOCS)
+    check_exit(*run_on_file(argv, text), len(text) > MAX_DOCUMENT_BYTES)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_cli_on_mutated_word_documents_exits_cleanly(data):
     argv = data.draw(st.sampled_from(WORD_COMMANDS))
-    check_exit(*run_on_file(argv, document_text(data.draw, WORD_DOCS)))
+    text = document_text(data.draw, WORD_DOCS)
+    check_exit(*run_on_file(argv, text), len(text) > MAX_DOCUMENT_BYTES)

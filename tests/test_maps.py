@@ -95,6 +95,35 @@ def test_compose_is_left_to_right():
     assert evaluate_circle(f, F(1, 8)) == F(1, 4)
 
 
+def test_operators_are_their_functions_and_mixed_types_raise():
+    f, g = g0(), rotation_map(F(1, 3))
+    assert f(F(1, 8)) == evaluate_circle(f, F(1, 8))
+    assert f * g == compose(f, g)
+    assert f**-3 == power(f, -3)
+    assert ~f == invert(f)
+    fbar, gbar = g0bar(), lift(g, -1)
+    assert fbar(F(-9, 4)) == evaluate_line(fbar, F(-9, 4))
+    assert fbar * gbar == compose(fbar, gbar)
+    assert fbar**5 == power(fbar, 5)
+    assert ~fbar == invert(fbar)
+    for a, b in ((f, fbar), (fbar, f)):
+        with pytest.raises(TypeError):
+            a * b
+        with pytest.raises(TypeError):
+            compose(a, b)
+    for other in (F(1, 2), 3, None):
+        with pytest.raises(TypeError):
+            compose(f, other)
+        with pytest.raises(TypeError):
+            invert(other)
+        with pytest.raises(TypeError):
+            power(other, 2)
+    for n in (F(2), 2.0, True, "2"):
+        for h in (f, fbar):
+            with pytest.raises(TypeError):
+                h**n
+
+
 def test_invert_identity():
     assert invert(identity_map()) == identity_map()
 
