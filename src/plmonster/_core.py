@@ -18,6 +18,11 @@ canonical grids and emit canonical ones in the same walk, testing only
 the few vertices that can be straight, with no second pass.
 `canon_grid` is for grids that come from outside (the map constructor).
 
+`compose` reads its second grid in place: the window [t0, t0 + 1] it
+walks is an index running over g's corners from t0 up to 1 and then,
+shifted by one as each is read, from 0 up to t0, so a call builds no
+window list and no shifted copy of g.
+
 The grid operations reduce each coordinate they emit once: intermediate
 differences, products and slopes stay unreduced integers, compared by
 cross-multiplication.  Adding an integer to a lowest-terms pair keeps it
@@ -170,12 +175,14 @@ def compose(fxs, fys, gxs, gys):
     of the composite circle map and carry = floor(g~(f~(0))) records how the
     anchored lifts stack (0 or 1); lift offsets add it on top of their own.
 
-    One merge walk, with no search: g's breakpoints pulled into the
-    window [t0, t0 + 1], t0 = f~(0), form a sorted stream, and f's images
-    increase through the same window.  Each stream point strictly inside
-    an f segment emits a vertex; each f breakpoint takes g~ from the
-    stream point it lands on, or interpolates between the two window
-    points around it.  The work is linear in the sizes of the two grids.
+    One merge walk, with no search: g's corners inside the window
+    (t0, t0 + 1), t0 = f~(0), form a sorted stream, read in place from
+    g's grid and shifted by one past 1, and the window end closes it;
+    f's images increase through the same window.  Each f breakpoint
+    below a stream point takes g~ from the g segment that point closes;
+    the stream point then lands on an f breakpoint, or emits a vertex
+    pulled back through the f segment around it.  The work is linear in
+    the sizes of the two grids, and no window or shifted grid is built.
 
     The inputs must be canonical, and then so is the output, with no
     second pass: an interior corner of f, or one of g strictly inside an
@@ -198,53 +205,106 @@ def compose(fxs, fys, gxs, gys):
         y0 = _interp(gxs[i - 1], gxs[i], gys[i - 1], gys[i], t0)
         below = i
 
-    # the window [t0, t0 + 1]: its ends, and g's corners strictly inside
-    # it in increasing order (unit shifts keep lowest terms); g's anchor
-    # at 1 is inside when t0 > 0, and a corner unless g is straight there
+    # the stream index q runs over gxs[i:top] and then, as q - wrap and
+    # shifted by one, over gxs[1:below] (unit shifts keep lowest terms);
+    # from stop on it reads the window end.  g's anchor at 1 is inside
+    # the window when t0 > 0, and a corner unless g is straight there
     top = sg if tn == 0 or anchor_is_straight(gxs, gys) else sg + 1
-    win_t = [t0]
-    win_t.extend(gxs[i:top])
-    win_t.extend([(n + d, d) for n, d in gxs[1:below]])
-    win_t.append((tn + td, td))
-    win_v = [y0]
-    win_v.extend(gys[i:top])
-    win_v.extend([(n + d, d) for n, d in gys[1:below]])
-    win_v.append((y0[0] + y0[1], y0[1]))
+    wrap = top - 1
+    stop = top + below - 1
 
     out_x = [fxs[0]]
     out_y = [y0]
     landed = []
-    k = 1
     sf = len(fxs) - 1
-    for j in range(sf):
-        tj = fys[j]
-        tj1 = fys[j + 1]
-        bn, bd = tj1
-        # f's images stay below t0 + 1 until the last one, which equals
-        # it, so the window end stops this scan
-        while win_t[k][0] * bd < bn * win_t[k][1]:
-            out_x.append(_interp(tj, tj1, fxs[j], fxs[j + 1], win_t[k]))
-            out_y.append(win_v[k])
-            k += 1
-        if j + 1 < sf:
-            out_x.append(fxs[j + 1])
-            if win_t[k] == tj1:
-                # lands exactly on a corner of g: both factors break, so
-                # the vertex is tested once its right neighbour is out
-                landed.append(len(out_y))
-                out_y.append(win_v[k])
-                k += 1
-            else:
-                out_y.append(_interp(win_t[k - 1], win_t[k], win_v[k - 1], win_v[k], tj1))
+    j = 1  # the next f breakpoint, with image (bn, bd)
+    bn, bd = fys[1]
+    seg = 0  # the f segment whose pull-back constants are held
+    # the current stream point c = (cn, cd) has g~(c) = v; the one before
+    # it is a = (an, ad), with g~(a) = u
+    an, ad = t0
+    u = y0
+    q = i
+    while True:
+        if q < top:
+            cn, cd = gxs[q]
+            v = gys[q]
+        elif q < stop:
+            cn, cd = gxs[q - wrap]
+            cn += cd
+            vn, vd = gys[q - wrap]
+            v = (vn + vd, vd)
         else:
-            out_x.append(fxs[sf])
-            out_y.append(win_v[k])
+            cn, cd = tn + td, td
+            v = (y0[0] + y0[1], y0[1])
+        q += 1
+
+        s = bn * cd - cn * bd
+        if s < 0:
+            # f breakpoints below the stream point: g~ on the g segment
+            # from (a, u) to (c, v), its differences taken once.  f's
+            # last image is t0 + 1, at or above every stream point, so
+            # this stops by j = sf
+            un, ud = u
+            vn, vd = v
+            g1 = vd * (cn * ad - an * cd)
+            g2 = (vn * ud - un * vd) * cd
+            h1 = un * g1 - an * g2
+            h2 = ad * g2
+            h3 = ud * g1
+            while True:
+                out_x.append(fxs[j])
+                n = bd * h1 + bn * h2
+                d = bd * h3
+                g = gcd(n, d)
+                out_y.append((n // g, d // g) if g > 1 else (n, d))
+                j += 1
+                bn, bd = fys[j]
+                s = bn * cd - cn * bd
+                if s >= 0:
+                    break
+        if s == 0:
+            if j == sf:
+                break  # the window end, on f's last image
+            # lands exactly on a corner of g: both factors break, so the
+            # vertex is tested once its right neighbour is out
+            out_x.append(fxs[j])
+            landed.append(len(out_y))
+            out_y.append(v)
+            j += 1
+            bn, bd = fys[j]
+        else:
+            # strictly inside f's segment j - 1: pull the point back,
+            # with the segment's differences taken once
+            if seg != j:
+                seg = j
+                pn, pd = fxs[j - 1]
+                rn, rd = fxs[j]
+                sn, sd = fys[j - 1]
+                e1 = rd * (bn * sd - sn * bd)
+                e2 = (rn * pd - pn * rd) * bd
+                e3 = pn * e1 - sn * e2
+                e4 = sd * e2
+                e5 = pd * e1
+            n = cd * e3 + cn * e4
+            d = cd * e5
+            g = gcd(n, d)
+            out_x.append((n // g, d // g) if g > 1 else (n, d))
+            out_y.append(v)
+        an, ad = cn, cd
+        u = v
+    out_x.append(fxs[sf])
+    out_y.append(v)
 
     # a landed vertex goes when its neighbours are collinear with it;
     # the emitted points hold every corner, so raw neighbours will do
     for m in reversed(landed):
-        (x0n, x0d), (x1n, x1d), (x2n, x2d) = out_x[m - 1 : m + 2]
-        (y0n, y0d), (y1n, y1d), (y2n, y2d) = out_y[m - 1 : m + 2]
+        x0n, x0d = out_x[m - 1]
+        x1n, x1d = out_x[m]
+        x2n, x2d = out_x[m + 1]
+        y0n, y0d = out_y[m - 1]
+        y1n, y1d = out_y[m]
+        y2n, y2d = out_y[m + 1]
         # (y1 - y0)(x2 - x1) == (y2 - y1)(x1 - x0), common x1d y1d dropped
         if (y1n * y0d - y0n * y1d) * (x2n * x1d - x1n * x2d) * x0d * y2d == (
             y2n * y1d - y1n * y2d

@@ -15,6 +15,11 @@ exactly when 2 lies in P, which holds for the shipped descriptors.
 
 Each descriptor builds an echelon basis of its slope lattice once, and a
 slope query reduces its prime exponent vector against it in one pass.
+When the basis has a pivot of 1 or -1 on every prime, as for T_2 and
+T_{2,3}, the lattice is everything and a slope is a member when its
+numerator and denominator both divide a power of lam.  That test, which
+also decides whether a coordinate lies in Y, is one modular power and no
+trial division.
 
 `is_member` works on the map's kernel grid of (numerator, denominator)
 pairs, one reduced pair per slope; it builds a Fraction only to report a
@@ -88,7 +93,7 @@ def _lattice_basis(factors, primes):
 class GroupDescriptor:
     """Generators n1, ..., nk of a Stein-Thompson circle group."""
 
-    __slots__ = ("_generators", "_lam", "_primes", "_basis")
+    __slots__ = ("_generators", "_lam", "_primes", "_basis", "_all_slopes")
 
     def __init__(self, *generators: int):
         if not generators:
@@ -117,6 +122,10 @@ class GroupDescriptor:
         factors = [_prime_factors(n) for n in generators]
         self._primes = tuple(sorted(set().union(*factors)))
         self._basis = _lattice_basis(factors, self._primes)
+        # a pivot of 1 or -1 on every prime: every product of them is a slope
+        self._all_slopes = len(self._basis) == len(self._primes) and all(
+            abs(pivot[i]) == 1 for i, pivot in self._basis
+        )
 
     @property
     def generators(self) -> tuple:
@@ -131,20 +140,19 @@ class GroupDescriptor:
     def prime_support(self) -> tuple:
         return self._primes
 
-    def _strip(self, n: int) -> int:
-        for p in self._primes:
-            while n % p == 0:
-                n //= p
-        return n
+    def _divides_power(self, n: int) -> bool:
+        # n > 0 divides some power of lam exactly when it divides
+        # lam**n.bit_length(), as every prime exponent of n is below that
+        return not pow(self._lam, n.bit_length(), n)
 
     def contains_coordinate(self, x: RationalLike) -> bool:
         """x in Z[1/lam] (as a circle coordinate, any representative)."""
-        return self._strip(as_fraction(x).denominator) == 1
+        return self._divides_power(as_fraction(x).denominator)
 
     def coordinate_depth(self, x: RationalLike) -> int:
         """Least q with x a multiple of lam**-q (x must lie in Y)."""
         den = as_fraction(x).denominator
-        if self._strip(den) != 1:
+        if not self._divides_power(den):
             raise ValueError("%s is not a Z[1/%d] point" % (x, self._lam))
         q = 0
         power = 1
@@ -162,6 +170,8 @@ class GroupDescriptor:
         # num/den in lowest terms with den > 0
         if num <= 0:
             return False
+        if self._all_slopes:
+            return self._divides_power(num) and self._divides_power(den)
         exps = []
         for p in self._primes:
             e = 0
@@ -216,10 +226,10 @@ def is_member(f: PLCircleMap, descriptor: GroupDescriptor) -> MembershipReport:
     xs, ys = f._xs, f._ys
     violations = []
     for j in range(core.first_breakpoint(xs, ys), len(xs) - 1):
-        if descriptor._strip(xs[j][1]) != 1:
+        if not descriptor._divides_power(xs[j][1]):
             violations.append(Violation("breakpoint-not-in-Y", Fraction(*xs[j])))
         n, d = ys[j]
-        if descriptor._strip(d) != 1:
+        if not descriptor._divides_power(d):
             where = Fraction(n - d if n >= d else n, d)
             violations.append(Violation("image-not-in-Y", where))
     for n, d in dict.fromkeys(core.slopes(xs, ys)):

@@ -8,6 +8,7 @@ import sys
 import time
 import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -387,7 +388,7 @@ def test_document_and_word_length_budgets_exit_2_before_parsing(
 ):
     def padded(name, size):
         # g0's document and then blanks, which JSON ignores, up to size bytes
-        text = open(g0_file, encoding="utf-8").read()
+        text = Path(g0_file).read_text(encoding="utf-8")
         path = tmp_path / name
         path.write_text(text + " " * (size - len(text)))
         return str(path)

@@ -280,3 +280,50 @@ def test_kernel_matches_reference_on_straight_anchors_and_fixed_zero():
         # check_kernel also inverts f
         for g in gs[::4]:
             check_kernel(f, g)
+
+
+
+def shifted_to(grid, t0):
+    """The grid followed by the rotation that moves its f~(0) to t0 in [0, 1)."""
+    r = t0 - F(*grid[1][0])
+    return grid[0], pairs(y + r for y in fracs(grid[1]))
+
+
+def test_compose_matches_reference_on_window_shapes():
+    # compose reads g's corners in place, from g's segment around t0 up to
+    # 1 and then shifted past 1; these windows put the start of that walk
+    # at each end of g's grid
+    rng = random.Random(17)
+    ms = [
+        random_member(d, rng, max_len=6, max_depth=3)
+        for d in (THOMPSON, STEIN_2_3)
+        for _ in range(20)
+    ]
+    grids = [(m._xs, m._ys) for m in ms]
+    cornered = [g for g in grids if not _core.anchor_is_straight(*g)][:6]
+    # x -> m(x + 1/7) - 1/7 is straight at 0, as m has no corner at 1/7
+    a = rotation_map(F(1, 7))
+    conjugates = (compose(compose(a, m), invert(a)) for m in ms)
+    straight = [(c._xs, c._ys) for c in conjugates if len(c._xs) > 2][:6]
+    # one interior corner (the anchor is then a corner too), as g0 has
+    one_corner = [
+        (((0, 1), pair(c), (1, 1)), pairs([y, y + w, y + 1]))
+        for c, y, w in [
+            (F(1, 4), F(1, 2), F(1, 2)),
+            (F(2, 3), F(0), F(1, 9)),
+            (F(5, 7), F(3, 8), F(7, 8)),
+        ]
+    ]
+    fs = member_grids(STEIN_2_3, 4, seed=23) + member_grids(THOMPSON, 4, seed=24)
+    assert all(_core.anchor_is_straight(*g) for g in straight)
+    for g in cornered + straight + one_corner:
+        gx = fracs(g[0])
+        last = gx[-2]
+        # inside g's last segment, where every stream point but g's anchor
+        # comes from the shifted part, and on g's last interior corner
+        starts = [last + (1 - last) * F(k, 5) for k in (1, 4)] + [last]
+        if g in straight:
+            starts += [F(1, 3), gx[1]]  # t0 > 0 with g straight at 1
+        for t0 in starts:
+            for f in [hitting_grid(rng, g, t0)] + [shifted_to(m, t0) for m in fs]:
+                check_kernel(f, g)

@@ -7,6 +7,8 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plmonster import (
     GroupDescriptor,
@@ -190,6 +192,124 @@ def test_is_member_matches_reference():
             assert report == reference_is_member(f, d)
             members += report.member
     assert 80 < members < len(pools) * len(descriptors) - 200
+
+
+def _strip(n, primes):
+    for p in primes:
+        while n % p == 0:
+            n //= p
+    return n
+
+
+def trial_division_coordinate(descriptor, x):
+    """x in Z[1/lam]: its denominator is 1 once the primes of lam are divided out."""
+    return _strip(F(x).denominator, descriptor.prime_support) == 1
+
+
+def trial_division_slope(descriptor, s):
+    """s in P: the exponent vector of s reduces to zero against the lattice basis."""
+    s = F(s)
+    if s <= 0:
+        return False
+    num, den = s.numerator, s.denominator
+    exps = []
+    for p in descriptor.prime_support:
+        e = 0
+        while num % p == 0:
+            e += 1
+            num //= p
+        while den % p == 0:
+            e -= 1
+            den //= p
+        exps.append(e)
+    if num != 1 or den != 1:
+        return False
+    for i, pivot in descriptor._basis:
+        c = exps[i] // pivot[i]
+        exps = [a - c * b for a, b in zip(exps, pivot)]
+    return not any(exps)
+
+
+def trial_division_member(f, descriptor):
+    violations = []
+    for b, v in zip(f.breakpoints, f.images):
+        if not trial_division_coordinate(descriptor, b):
+            violations.append(Violation("breakpoint-not-in-Y", b))
+        if not trial_division_coordinate(descriptor, v):
+            violations.append(Violation("image-not-in-Y", v))
+    for s in dict.fromkeys(f.segment_slopes()):
+        if not trial_division_slope(descriptor, s):
+            violations.append(Violation("slope-not-in-P", s))
+    return MembershipReport(not violations, tuple(violations))
+
+
+# (2) and (2, 3) have a pivot of 1 on every prime, as does (2, 6) after a
+# reduction step; the others generate a proper sublattice
+MEMBERSHIP_DESCRIPTORS = [
+    GroupDescriptor(*g) for g in ((2,), (2, 3), (4,), (6,), (2, 9), (4, 6), (2, 6))
+]
+
+
+@st.composite
+def smooth_rationals(draw):
+    """Signed rationals over the primes 2, 3, 5 and 7, mostly built from 2 and 3."""
+    num = draw(st.sampled_from((1, 1, 1, 5, 7, 25, 35)))
+    value = F(num, draw(st.sampled_from((1, 1, 1, 5, 7))))
+    for p in (2, 3):
+        value *= F(p) ** draw(st.integers(-40, 40))
+    return draw(st.sampled_from((1, 1, 1, -1))) * value
+
+
+@st.composite
+def rational_maps(draw):
+    """Circle maps whose points and slopes are drawn from a few denominators."""
+    den = draw(st.sampled_from((2, 4, 6, 9, 12, 36, 10, 2**30 * 3**5, 7 * 2**5)))
+    count = draw(st.integers(1, min(5, den)))
+    points = st.sets(st.integers(0, den - 1), min_size=count, max_size=count)
+    xs = sorted(draw(points))
+    ys = sorted(draw(points))
+    cut = draw(st.integers(0, count - 1))
+    ys = ys[cut:] + ys[:cut]
+    return PLCircleMap([F(x, den) for x in xs], [F(y, den) for y in ys])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(value=smooth_rationals(), f=rational_maps())
+def test_membership_matches_trial_division(value, f):
+    for d in MEMBERSHIP_DESCRIPTORS:
+        assert d.slope_in_group(value) == trial_division_slope(d, value), (d, value)
+        x = value % 1
+        assert d.contains_coordinate(x) == trial_division_coordinate(d, x), (d, x)
+        if trial_division_coordinate(d, x):
+            q = d.coordinate_depth(x)
+            assert (x * d.lam**q).denominator == 1
+            assert q == 0 or (x * d.lam ** (q - 1)).denominator > 1
+        else:
+            with pytest.raises(ValueError):
+                d.coordinate_depth(x)
+        assert is_member(f, d) == trial_division_member(f, d), (d, f)
+
+
+def test_membership_rejects_slopes_and_denominators_outside_the_group():
+    slope_3 = PLCircleMap([0, F(1, 4)], [0, F(3, 4)])  # slopes 3 and 1/3
+    assert [(v.kind, v.where) for v in is_member(slope_3, THOMPSON).violations] == [
+        ("slope-not-in-P", F(3)),
+        ("slope-not-in-P", F(1, 3)),
+    ]
+    assert is_member(slope_3, GroupDescriptor(2, 3)).member
+    assert not THOMPSON.slope_in_group(3)
+    fifth = rotation_map(F(2, 5))
+    for d in MEMBERSHIP_DESCRIPTORS:
+        assert not d.contains_coordinate(F(1, 5))
+        assert not is_member(fifth, d).member
+    slope_2 = PLCircleMap([0, F(1, 4), F(1, 2)], [0, F(1, 2), F(3, 4)])  # 2, 1, 1/2
+    d4 = GroupDescriptor(4)
+    assert d4.contains_coordinate(F(3, 4)) and not d4.slope_in_group(2)
+    assert [(v.kind, v.where) for v in is_member(slope_2, d4).violations] == [
+        ("slope-not-in-P", F(2)),
+        ("slope-not-in-P", F(1, 2)),
+    ]
+    assert is_member(slope_2, THOMPSON).member
 
 
 def test_members_are_closed_under_the_group_operations():
