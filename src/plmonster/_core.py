@@ -62,10 +62,6 @@ def rcmp(a, b):
     return 0
 
 
-def rfloor(a):
-    return a[0] // a[1]
-
-
 def canon_grid(xs, ys):
     """Drop interior grid points whose neighbours are collinear with them.
 
@@ -312,7 +308,7 @@ def compose(fxs, fys, gxs, gys):
             del out_x[m]
             del out_y[m]
 
-    carry = rfloor(y0)
+    carry = y0[0] // y0[1]
     if carry:
         return tuple(out_x), tuple([(n - carry * d, d) for n, d in out_y]), carry
     return tuple(out_x), tuple(out_y), carry
@@ -334,22 +330,16 @@ def invert(xs, ys):
     if ys[0] == ZERO:
         return ys, xs, 0
 
-    # rightmost a with ys[a] < 1
-    lo = 0
-    hi = s
-    while hi - lo > 1:
-        mid = (lo + hi) >> 1
-        if rcmp(ys[mid], ONE) < 0:
-            lo = mid
-        else:
-            hi = mid
-    a = lo
-    if ys[hi] == ONE:
-        xc = xs[hi]
-        start = hi + 1
+    # the graph crosses 1 on segment c, ys[c] <= 1 < ys[c + 1], since
+    # 0 < ys[0] < 1 < ys[s]; a is the last grid point below 1
+    c = _segment(ys, ONE)
+    if ys[c] == ONE:
+        xc = xs[c]
+        a = c - 1
     else:
-        xc = _interp(ys[a], ys[hi], xs[a], xs[hi], ONE)
-        start = hi
+        xc = _interp(ys[c], ys[c + 1], xs[c], xs[c + 1], ONE)
+        a = c
+    start = c + 1
 
     out_x = [ZERO]
     out_y = [xc]

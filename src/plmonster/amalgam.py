@@ -36,7 +36,12 @@ from .maps import (
     lift,
     project,
 )
-from .rotation import PowerDetector, RationalRotation, rotation_number
+from .rotation import (
+    NonRationalCertificate,
+    PowerDetector,
+    RationalRotation,
+    rotation_number,
+)
 from .stein import (
     GroupDescriptor,
     STEIN_2_3,
@@ -128,11 +133,13 @@ class AmalgamContext:
     edge's first bracket excludes 0, and the `PowerDetector` built on it
     reads that same bracket and never needs to refine it to exclude 0.
     Edge membership and edge powers on the right both go through that
-    one detector.  The defaults glue Thompson's circle group to the (2,3)
-    Stein group along the two-slope map with irrational rotation number.
+    one detector.  The second gate's `NonRationalCertificate` is kept as
+    the read-only `edge_certificate`, which the monster-evidence report
+    shows.  The defaults glue Thompson's circle group to the (2,3) Stein
+    group along the two-slope map with irrational rotation number.
     """
 
-    __slots__ = ("_left", "_right", "_edge", "_detector")
+    __slots__ = ("_left", "_right", "_edge", "_certificate", "_detector")
 
     def __init__(
         self,
@@ -164,6 +171,7 @@ class AmalgamContext:
         self._left = left
         self._right = right
         self._edge = edge
+        self._certificate = rot
         self._detector = PowerDetector(edge)
 
     @property
@@ -177,6 +185,11 @@ class AmalgamContext:
     @property
     def edge(self) -> PLLineMap:
         return self._edge
+
+    @property
+    def edge_certificate(self) -> NonRationalCertificate:
+        """The edge gate's nonrationality certificate, kept from construction."""
+        return self._certificate
 
     def descriptor(self, factor: Factor) -> GroupDescriptor:
         return self._left if factor is Factor.G1 else self._right
@@ -454,7 +467,7 @@ def relator_word(context: AmalgamContext, k: int = 1) -> AmalgamWord:
     return AmalgamWord(
         context,
         [
-            Syllable(Factor.G1, PLLineMap(identity_map(), k)),
+            Syllable(Factor.G1, context.edge_element(Factor.G1, k)),
             Syllable(Factor.G2, context.edge_element(Factor.G2, -k)),
         ],
     )
@@ -528,14 +541,14 @@ class FiniteAmalgamInstance:
     `britton_reduce` as the PL amalgam.
     """
 
-    LETTERS = ("S", "S-", "R", "R-")
-
-    _MATRICES = {
-        "S": ((0, -1), (1, 0)),
-        "S-": ((0, 1), (-1, 0)),
-        "R": ((0, -1), (1, 1)),
-        "R-": ((1, 1), (-1, 0)),
+    # letter -> (factor, exponent of the factor's generator, matrix)
+    _TABLE = {
+        "S": (Factor.G1, 1, ((0, -1), (1, 0))),
+        "S-": (Factor.G1, 3, ((0, 1), (-1, 0))),
+        "R": (Factor.G2, 1, ((0, -1), (1, 1))),
+        "R-": (Factor.G2, 5, ((1, 1), (-1, 0))),
     }
+    LETTERS = tuple(_TABLE)
 
     def _order(self, factor: Factor) -> int:
         return 4 if factor is Factor.G1 else 6
@@ -556,18 +569,17 @@ class FiniteAmalgamInstance:
             return (2 * k) % 4
         return (3 * k) % 6
 
-    def syllable(self, letter: str) -> Syllable:
-        if letter in ("S", "S-"):
-            return Syllable(Factor.G1, 1 if letter == "S" else 3)
-        if letter in ("R", "R-"):
-            return Syllable(Factor.G2, 1 if letter == "R" else 5)
-        raise ValueError("unknown letter %r" % letter)
-
-    def matrix(self, letter: str):
+    def _entry(self, letter: str) -> tuple:
         try:
-            return self._MATRICES[letter]
+            return self._TABLE[letter]
         except KeyError:
             raise ValueError("unknown letter %r" % letter) from None
+
+    def syllable(self, letter: str) -> Syllable:
+        return Syllable(*self._entry(letter)[:2])
+
+    def matrix(self, letter: str):
+        return self._entry(letter)[2]
 
     def is_trivial_by_reduction(self, letters) -> bool:
         word = [self.syllable(letter) for letter in letters]

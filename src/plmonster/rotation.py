@@ -334,10 +334,6 @@ class PowerDetector:
         self._sign = 1 if ref.lo[0] > 0 else -1
         self._powers = {}
 
-    @property
-    def base(self) -> PLLineMap:
-        return self._base
-
     def power(self, k: int) -> PLLineMap:
         """base**k, cached for |k| <= POWER_CACHE_LIMIT."""
         cached = self._powers.get(k)

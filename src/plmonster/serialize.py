@@ -13,12 +13,15 @@ invariant violations all raise DocumentError with the offending field.
 Integers in fraction strings and JSON integers (a line map's offset)
 may have up to MAX_DIGITS decimal digits, far past CPython's default
 conversion limit, so every value the library computes at a practical
-size serializes and parses back.  The limit is raised to MAX_DIGITS only
-while one fraction string or one JSON document is converted, and a value
-beyond it raises BudgetError, a DocumentError.  The writer counts the
-digits of every integer it emits, so exactly the values that parse back
-are written on every CPython.  (Before 3.10.7 CPython has no limit, and
-there only the writer enforces the budget.)
+size serializes and parses back.  The limit is process-wide: it is raised
+to MAX_DIGITS only while one fraction string or one JSON document is
+converted, under a module lock held from the save to the restore, so
+conversions in several threads each run at MAX_DIGITS and the limit is
+always restored to its value before.  A value beyond MAX_DIGITS raises
+BudgetError, a DocumentError.  The writer counts the digits of every
+integer it emits, so exactly the values that parse back are written on
+every CPython.  (Before 3.10.7 CPython has no limit, and there only the
+writer enforces the budget.)
 
 The command line's budgets sit beside it: MAX_DOCUMENT_BYTES bounds the
 document files it reads, MAX_EXPONENT bounds `power`, MAX_ROTATION_DEPTH
@@ -30,6 +33,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+import threading
 from fractions import Fraction
 from functools import partial
 from typing import TYPE_CHECKING, Optional, Union
@@ -64,6 +68,9 @@ MAX_WORD_LENGTH = 5_000
 
 _FRACTION_RE = re.compile(r"^-?\d+(/\d+)?$")
 _OVER_BUDGET = "an integer exceeds the budget of %d decimal digits" % MAX_DIGITS
+# held from each save of the digit limit to its restore; no conversion
+# calls back into _within_budget, so it never nests
+_DIGIT_LIMIT_LOCK = threading.Lock()
 
 
 class DocumentError(ValueError):
@@ -84,18 +91,19 @@ def _within_budget(convert, value):
     if not hasattr(sys, "set_int_max_str_digits"):
         # CPython before 3.10.7 has no limit to raise or to enforce
         return convert(value)
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(MAX_DIGITS)
-    try:
-        return convert(value)
-    except json.JSONDecodeError:
-        raise
-    except ValueError:
-        # apart from malformed JSON, the only ValueError these conversions
-        # raise is the digit limit
-        raise BudgetError(_OVER_BUDGET) from None
-    finally:
-        sys.set_int_max_str_digits(saved)
+    with _DIGIT_LIMIT_LOCK:
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(MAX_DIGITS)
+        try:
+            return convert(value)
+        except json.JSONDecodeError:
+            raise
+        except ValueError:
+            # apart from malformed JSON, the only ValueError these
+            # conversions raise is the digit limit
+            raise BudgetError(_OVER_BUDGET) from None
+        finally:
+            sys.set_int_max_str_digits(saved)
 
 
 def _shown(value) -> str:

@@ -319,12 +319,11 @@ def tuple_map_report(xtuple, ytuple, descriptor: GroupDescriptor) -> TupleMapRep
 
     def equalize(short, short_lo, short_hi, want):
         # halve the leftmost largest gap until the arc has `want` interior
-        # points; a heap keyed by (-gap, left endpoint) realizes exactly
-        # that order, since gaps are disjoint and only ever split
+        # points, more than it has; a heap keyed by (-gap, left endpoint)
+        # realizes exactly that order, since gaps are disjoint and only
+        # ever split
         nonlocal depth_used
         need = want - len(short)
-        if need <= 0:
-            return
         pts = [(short_lo, q)] + [tuple(e) for e in short] + [(short_hi, q)]
         heap = [
             (a - b, a, b, da, db) for (a, da), (b, db) in zip(pts, pts[1:])

@@ -19,9 +19,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .amalgam import (
+    EDGE_ROTATION_DEPTH,
     AmalgamContext,
     AmalgamWord,
-    Factor,
     Syllable,
     default_context,
     finite_oracle_check,
@@ -42,7 +42,6 @@ from .maps import (
     rotation_map,
 )
 from .rotation import (
-    NonRationalCertificate,
     RationalRotation,
     log_ratio_bounds,
     rotation_number,
@@ -51,7 +50,6 @@ from .rotation import (
 from .stein import (
     STEIN_2_3,
     THOMPSON,
-    irrational_candidate_g0,
     is_member,
     random_member,
     random_tuple_pair,
@@ -75,9 +73,9 @@ class CheckResult(NamedTuple):
     detail: str = ""
 
 
-def _outcome(name, failures, total, describe=repr):
+def _outcome(name, failures, total):
     if failures:
-        shown = "; ".join(describe(c) for c in failures[:3])
+        shown = "; ".join(repr(c) for c in failures[:3])
         return CheckResult(
             name, False, "%d of %d failed, e.g. %s" % (len(failures), total, shown)
         )
@@ -167,16 +165,20 @@ def run_arith(samples: int = 1000, seed: int = 42):
     return results
 
 
-def run_centrality(samples: int = 1000, seed: int = 42):
-    """The unit translation commutes exactly with every sampled lift."""
-    rng = random.Random(seed)
+def _center_commutes(rng, samples) -> CheckResult:
+    """The unit translation commutes exactly with `samples` drawn lifts."""
     z = PLLineMap(identity_map(), 1)
     failures = []
     for i in range(samples):
         fbar = _random_lift(rng, _alternating_descriptor(i))
         if compose(z, fbar) != compose(fbar, z):
             failures.append(fbar)
-    return [_outcome("center-commutes", failures, samples)]
+    return _outcome("center-commutes", failures, samples)
+
+
+def run_centrality(samples: int = 1000, seed: int = 42):
+    """The unit translation commutes exactly with every sampled lift."""
+    return [_center_commutes(random.Random(seed), samples)]
 
 
 def run_rot_invariance(samples: int = 1000, seed: int = 42):
@@ -297,6 +299,19 @@ def perturb_word(word: AmalgamWord, rng: random.Random) -> AmalgamWord:
     return AmalgamWord(context, syllables)
 
 
+def _projection_failures(context, rng, rounds) -> list:
+    """Drawn word pairs (u, v) on which projecting to G1 is not multiplicative."""
+    failures = []
+    for _ in range(rounds):
+        u = random_word(context, rng.randint(0, 4), seed=rng.randrange(1 << 30))
+        v = random_word(context, rng.randint(0, 4), seed=rng.randrange(1 << 30))
+        lhs = u.multiply(v).project_to_g1()
+        rhs = compose(u.project_to_g1(), v.project_to_g1())
+        if lhs != rhs:
+            failures.append((u, v))
+    return failures
+
+
 def run_amalgam_oracle(samples: int = 1000, seed: int = 42):
     """Finite-instance oracle agreement plus word-problem properties."""
     rng = random.Random(seed)
@@ -334,14 +349,7 @@ def run_amalgam_oracle(samples: int = 1000, seed: int = 42):
             failures.append(u)
     results.append(_outcome("word-inverse-cancels", failures, rounds))
 
-    failures = []
-    for _ in range(rounds):
-        u = random_word(context, rng.randint(0, 4), seed=rng.randrange(1 << 30))
-        v = random_word(context, rng.randint(0, 4), seed=rng.randrange(1 << 30))
-        lhs = u.multiply(v).project_to_g1()
-        rhs = compose(u.project_to_g1(), v.project_to_g1())
-        if lhs != rhs:
-            failures.append((u, v))
+    failures = _projection_failures(context, rng, rounds)
     results.append(_outcome("projection-homomorphism", failures, rounds))
     return results
 
@@ -368,7 +376,10 @@ def monster_evidence_report(
     bracket that provably contains log 2 / log 3; (c) the center
     commutes with sampled lifts; (d) relator words reduce to the empty
     word; (e) the projection to the left circle group is a homomorphism
-    on sampled words.  The disclaimer is part of the report contract.
+    on sampled words.  Section (b) reports the certificate that the
+    context's edge gate computed when it was built
+    (`AmalgamContext.edge_certificate`); nothing recomputes it.  The
+    disclaimer is part of the report contract.
     """
     rng = random.Random(seed)
     context = default_context()
@@ -387,35 +398,21 @@ def monster_evidence_report(
             failures.append(k)
     sections.append(_outcome("center-projects-to-identity", failures, 7))
 
-    cert = rotation_number(context.edge, 50, 200)
-    if isinstance(cert, NonRationalCertificate):
-        lo, hi = cert.bracket.lo, cert.bracket.hi
-        lob, hib = log_ratio_bounds(2, 3, 10**5)
-        contains_log = lo < lob and hib < hi
-        tight = hi - lo <= Fraction(1, 200)
-        sections.append(
-            CheckResult(
-                "edge-rotation-certified",
-                contains_log and tight,
-                "no rational with denominator <= %d; bracket width %.3e "
-                "contains log 2 / log 3" % (cert.max_denominator, float(hi - lo)),
-            )
+    cert = context.edge_certificate
+    lo, hi = cert.bracket.lo, cert.bracket.hi
+    lob, hib = log_ratio_bounds(2, 3, 10**5)
+    contains_log = lo < lob and hib < hi
+    tight = hi - lo <= Fraction(1, EDGE_ROTATION_DEPTH)
+    sections.append(
+        CheckResult(
+            "edge-rotation-certified",
+            contains_log and tight,
+            "no rational with denominator <= %d; bracket width %.3e "
+            "contains log 2 / log 3" % (cert.max_denominator, float(hi - lo)),
         )
-    else:
-        sections.append(
-            CheckResult(
-                "edge-rotation-certified",
-                False,
-                "unexpected rational rotation %s" % (cert.value,),
-            )
-        )
+    )
 
-    failures = []
-    for i in range(samples):
-        fbar = _random_lift(rng, _alternating_descriptor(i))
-        if compose(z, fbar) != compose(fbar, z):
-            failures.append(fbar)
-    sections.append(_outcome("center-commutes", failures, samples))
+    sections.append(_center_commutes(rng, samples))
 
     failures = []
     for k in range(-5, 6):
@@ -426,13 +423,7 @@ def monster_evidence_report(
     failures = []
     if not relator_word(context, 1).project_to_g1().is_identity():
         failures.append("relator")
-    for i in range(samples):
-        u = random_word(context, rng.randint(0, 4), seed=rng.randrange(1 << 30))
-        v = random_word(context, rng.randint(0, 4), seed=rng.randrange(1 << 30))
-        if u.multiply(v).project_to_g1() != compose(
-            u.project_to_g1(), v.project_to_g1()
-        ):
-            failures.append((u, v))
+    failures += _projection_failures(context, rng, samples)
     sections.append(_outcome("projection-homomorphism", failures, samples + 1))
 
     return MonsterEvidenceReport(tuple(sections), MONSTER_DISCLAIMER)

@@ -297,6 +297,17 @@ def test_finite_instance_basics():
     sr = [inst.syllable("S"), inst.syllable("R")]
     assert britton_reduce(inst, sr) != ()
     assert not inst.is_trivial_by_matrices(["S", "R"])
+    assert [inst.syllable(letter) for letter in inst.LETTERS] == [
+        Syllable(Factor.G1, 1),
+        Syllable(Factor.G1, 3),
+        Syllable(Factor.G2, 1),
+        Syllable(Factor.G2, 5),
+    ]
+    for letter in ("T", "s", ""):
+        with pytest.raises(ValueError, match="unknown letter"):
+            inst.syllable(letter)
+        with pytest.raises(ValueError, match="unknown letter"):
+            inst.matrix(letter)
 
 
 def test_finite_oracle_small_enumeration():
@@ -304,6 +315,19 @@ def test_finite_oracle_small_enumeration():
     assert report.words_checked == 4 + 16 + 64 + 256 + 1024 + 4096 + 16384
     assert report.mismatches == ()
     assert report.ok
+
+
+def test_finite_oracle_reports_mismatches(monkeypatch):
+    # an edge test that never answers never flips a syllable across the
+    # edge, so words trivial only through S**2 = R**3 stay unreduced: the
+    # matrix oracle must catch that
+    monkeypatch.setattr(
+        FiniteAmalgamInstance, "edge_coefficient", lambda self, factor, a: None
+    )
+    report = finite_oracle_check(5)
+    assert not report.ok
+    assert ("S", "S", "R-", "R-", "R-") in report.mismatches
+    assert ("S", "S", "S", "S") not in report.mismatches
 
 
 # ---------------------------------------------------------------------------

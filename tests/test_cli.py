@@ -14,6 +14,8 @@ import pytest
 
 import plmonster
 from plmonster import (
+    AmalgamWord,
+    Factor,
     PLLineMap,
     default_context,
     format_map,
@@ -48,6 +50,18 @@ def relator_file(tmp_path):
     path = tmp_path / "relator.json"
     path.write_text(format_word(relator_word(default_context(), 1)))
     return str(path)
+
+
+def test_element_identity_document(capsys):
+    code, out, err = run(capsys, "element", "identity")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "format": "plmonster.map/1",
+        "lambda": None,
+        "slopes": None,
+        "breakpoints": ["0"],
+        "images": ["0"],
+    }
 
 
 def test_element_g0_document(capsys):
@@ -301,6 +315,24 @@ def test_verify_small_suite(capsys):
     assert lines[-1] == "result: 1 of 1 checks passed"
 
 
+def test_a_failing_verify_check_exits_1(capsys, monkeypatch):
+    from plmonster import verify
+
+    # the relator without its z**k syllable: edge**-k alone is nontrivial
+    # for every k != 0, and projects to the identity as the relator does
+    def broken_relator(context, k=1):
+        return AmalgamWord(context, [(Factor.G2, context.edge_element(Factor.G2, -k))])
+
+    monkeypatch.setattr(verify, "relator_word", broken_relator)
+    code, out, err = run(capsys, "verify", "--suite", "monster-evidence", "--samples", "5")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL monster-evidence.relator-words-trivial (10 of 11 failed, e.g. -5; -4; -3)"
+    ]
+    assert lines[-1] == "result: 5 of 6 checks passed"
+
+
 def test_verify_all_output_is_pinned(capsys):
     # the same bytes on every supported Python: refactors must keep them
     code, out, err = run(capsys, "verify", "--suite", "all", "--samples", "40")
@@ -320,10 +352,32 @@ def test_verify_monster_evidence_contains_disclaimer(capsys):
 
 
 def test_usage_errors_exit_2(capsys, g0_file):
-    code, _, err = run(capsys, "eval", "--map", g0_file, "--point", "x")
-    assert code == 2 and json.loads(err)["error"]["kind"] == "usage"
-    code, _, err = run(capsys, "member", "--map", g0_file)
-    assert code == 2 and json.loads(err)["error"]["kind"] == "usage"
+    for argv, kind, message in (
+        (("eval", "--map", g0_file, "--point", "x"), "usage", "--point expects"),
+        (("member", "--map", g0_file), "usage", "a group is required"),
+        (("member", "--map", g0_file, "--slopes", "2,x"), "usage", "--slopes expects"),
+        (
+            ("member", "--map", g0_file, "--slopes", "2,3", "--lambda", "5"),
+            "usage",
+            "--lambda 5 does not equal the product 6",
+        ),
+        (("element", "rotation"), "usage", "requires --angle"),
+        # the tuple construction's own argument checks
+        (
+            ("tuple-map", "--from", "0,1/3", "--to", "0,2/3", "--slopes", "3"),
+            "runtime",
+            "2 is not a product of the generators",
+        ),
+        (
+            ("tuple-map", "--from", "0,1/4,1/2", "--to", "0,1/2,1/4", "--slopes", "2,3"),
+            "runtime",
+            "target tuple is not positively cyclically ordered",
+        ),
+    ):
+        code, out, err = run(capsys, *argv)
+        error = json.loads(err)["error"]
+        assert (code, out, error["kind"]) == (2, "", kind)
+        assert message in error["message"]
     code, _, err = run(capsys, "no-such-command")
     assert code == 2
     code, _, err = run(capsys, "verify", "--suite", "bogus")

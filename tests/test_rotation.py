@@ -197,6 +197,25 @@ def test_log_ratio_bounds_are_exact_and_tight():
     assert float(lo) <= math.log(2) / math.log(3) <= float(hi)
 
 
+@pytest.mark.parametrize("shift", [-2, 2])
+@pytest.mark.parametrize("a, b, q", [(2, 3, 50), (3, 2, 7), (10, 7, 13), (7, 2, 3)])
+def test_log_ratio_bounds_corrects_a_wrong_float_seed(monkeypatch, a, b, q, shift):
+    # the float seed p = int(q log a / log b) only starts the search: with
+    # math.log bent so that the seed is off by two either way, the integer
+    # correction loops must still land on the largest p with b**p <= a**q
+    p = 0
+    while b ** (p + 1) <= a**q:
+        p += 1
+    real_log = math.log
+
+    def bent_log(x):
+        return (p + shift + 0.5) * real_log(b) / q if x == a else real_log(x)
+
+    monkeypatch.setattr(math, "log", bent_log)
+    assert int(q * math.log(a) / math.log(b)) == p + shift >= 0
+    assert log_ratio_bounds(a, b, q) == (F(p, q), F(p + 1, q))
+
+
 def test_is_power_of_planted_powers():
     base = g0bar()
     for k in (-3, -1, 0, 1, 3, 7):

@@ -3,6 +3,7 @@
 import json
 import random
 import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -297,6 +298,39 @@ def test_fraction_strings_over_the_digit_budget_fail(digit_limit):
     doc["breakpoints"] = ["1/" + huge]
     with pytest.raises(BudgetError, match=r"breakpoints\[0\]"):
         map_from_document(doc)
+    assert sys.get_int_max_str_digits() == digit_limit
+
+
+@needs_digit_limit
+def test_concurrent_conversions_restore_the_digit_limit(digit_limit):
+    # the limit is process-wide: eight threads (more than the cores of a
+    # small machine) convert 5,000-digit fractions at once, switching as
+    # often as the interpreter allows, and each conversion must run at the
+    # budget and leave the limit as it found it
+    value = F(10**4999 + 1, 3 * 10**4998 + 7)
+    text = fraction_to_str(value)
+    errors = []
+
+    def convert():
+        try:
+            for _ in range(100):
+                assert str_to_fraction(text) == value
+                assert fraction_to_str(value) == text
+        except Exception as exc:  # reported below, from the test's thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=convert) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
     assert sys.get_int_max_str_digits() == digit_limit
 
 
