@@ -120,7 +120,8 @@ def _segment(xs, x):
 
 
 def _interp(xa, xb, ya, yb, x):
-    # ya + (x - xa) * (yb - ya) / (xb - xa) for xa < xb, reduced once
+    # ya + (x - xa) * (yb - ya) / (xb - xa) for xa != xb, reduced once: rat
+    # moves den's sign (that of xb - xa), so rotation's xa > xb calls are exact
     xan, xad = xa
     xbn, xbd = xb
     yan, yad = ya

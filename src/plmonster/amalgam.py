@@ -119,6 +119,11 @@ _set_factor = Syllable.factor.__set__
 _set_element = Syllable.element.__set__
 
 
+def _violation_text(report) -> str:
+    """A membership report's violations, as "kind at where" items."""
+    return "; ".join("%s at %s" % (v.kind, v.where) for v in report.violations)
+
+
 class AmalgamContext:
     """Two factor groups glued along z = edge, with Britton's operations.
 
@@ -159,7 +164,7 @@ class AmalgamContext:
         if not report.member:
             raise ContextError(
                 "edge map is not a member of the right factor %s: %s"
-                % (right, "; ".join("%s at %s" % (v.kind, v.where) for v in report.violations))
+                % (right, _violation_text(report))
             )
         rot = rotation_number(edge, EDGE_MAX_DENOMINATOR, EDGE_ROTATION_DEPTH)
         if isinstance(rot, RationalRotation):
@@ -360,13 +365,7 @@ class AmalgamWord:
             if not report.member:
                 raise SyllableError(
                     "syllable %d: element is not a member of factor %s (%s)"
-                    % (
-                        i,
-                        factor.value,
-                        "; ".join(
-                            "%s at %s" % (v.kind, v.where) for v in report.violations
-                        ),
-                    )
+                    % (i, factor.value, _violation_text(report))
                 )
             cooked.append(Syllable(factor, element))
         self._context = context
@@ -539,6 +538,9 @@ class FiniteAmalgamInstance:
     The matrix product is therefore an independent oracle for the
     reduction engine, which this class feeds through the same
     `britton_reduce` as the PL amalgam.
+
+    `_FACTORS` states each factor's order and edge exponent once, and the
+    factor operations read them there; `_TABLE` states each letter.
     """
 
     # letter -> (factor, exponent of the factor's generator, matrix)
@@ -549,25 +551,22 @@ class FiniteAmalgamInstance:
         "R-": (Factor.G2, 5, ((1, 1), (-1, 0))),
     }
     LETTERS = tuple(_TABLE)
-
-    def _order(self, factor: Factor) -> int:
-        return 4 if factor is Factor.G1 else 6
+    # factor -> (order of its generator, exponent of the edge element)
+    _FACTORS = {Factor.G1: (4, 2), Factor.G2: (6, 3)}
 
     def compose(self, factor, a, b):
-        return (a + b) % self._order(factor)
+        return (a + b) % self._FACTORS[factor][0]
 
     def is_identity(self, factor, a):
         return a == 0
 
     def edge_coefficient(self, factor, a):
-        if factor is Factor.G1:
-            return {0: 0, 2: 1}.get(a)
-        return {0: 0, 3: 1}.get(a)
+        # the edge subgroup has order 2: 0 and the edge element
+        return {0: 0, self._FACTORS[factor][1]: 1}.get(a)
 
     def edge_element(self, factor, k):
-        if factor is Factor.G1:
-            return (2 * k) % 4
-        return (3 * k) % 6
+        order, edge = self._FACTORS[factor]
+        return (edge * k) % order
 
     def _entry(self, letter: str) -> tuple:
         try:

@@ -36,6 +36,7 @@ from .serialize import (
     MAX_DOCUMENT_BYTES,
     MAX_EXPONENT,
     MAX_ROTATION_DEPTH,
+    MAX_TUPLE_GRID,
     MAX_WORD_LENGTH,
     BudgetError,
     DocumentError,
@@ -50,6 +51,7 @@ from .serialize import (
 from .stein import (
     STEIN_2_3,
     GroupDescriptor,
+    center_generator_z,
     irrational_candidate_g0,
     is_member,
     tuple_map_report,
@@ -164,7 +166,7 @@ def _cmd_element(args) -> int:
     if name == "g0":
         _write(format_map(irrational_candidate_g0(), STEIN_2_3), args.out)
     elif name == "z":
-        _write(format_map(PLLineMap(identity_map(), 1)), args.out)
+        _write(format_map(center_generator_z()), args.out)
     elif name == "identity":
         _write(format_map(identity_map()), args.out)
     else:  # rotation
@@ -186,10 +188,6 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _combined_descriptor(da, db):
-    return da if da == db else None
-
-
 def _cmd_compose(args) -> int:
     first, da = _read(args.first, _parse_map_with_descriptor)
     second, db = _read(args.second, _parse_map_with_descriptor)
@@ -197,7 +195,7 @@ def _cmd_compose(args) -> int:
         raise _UsageError(
             "cannot compose a circle map with a line map; lift or project first"
         )
-    _write(format_map(compose(first, second), _combined_descriptor(da, db)), args.out)
+    _write(format_map(compose(first, second), da if da == db else None), args.out)
     return 0
 
 
@@ -244,6 +242,15 @@ def _cmd_tuple_map(args) -> int:
     descriptor = _descriptor_from_args(args)
     xs = _parse_fraction_list(args.source, "--from")
     ys = _parse_fraction_list(args.target, "--to")
+    # the construction builds every lam**-q grid point, so q is bounded
+    # first; an entry off Y is left for it to refuse
+    on_grid = [e for e in xs + ys if descriptor.contains_coordinate(e)]
+    q = max([1] + [descriptor.coordinate_depth(e) for e in on_grid])
+    if descriptor.lam**q > MAX_TUPLE_GRID:
+        raise _UsageError(
+            "a grid of %d**%d points is over the tuple-map budget of %d"
+            % (descriptor.lam, q, MAX_TUPLE_GRID)
+        )
     report = tuple_map_report(xs, ys, descriptor)
     _write(format_map(report.map, descriptor), args.out)
     return 0

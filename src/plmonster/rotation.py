@@ -99,7 +99,8 @@ def translation_bracket(f, n: int = 1) -> DisplacementInterval:
     lifted with offset 0.
     """
     _check_positive_int(n, "n")
-    lo, hi = _bracket(power(_as_lift(f), n), n)
+    g = power(_as_lift(f), n)
+    lo, hi = _bracket(g.base._xs, g.base._ys, g.offset, n)
     return DisplacementInterval(Fraction(*lo), Fraction(*hi))
 
 
@@ -137,7 +138,7 @@ def rational_rotation_test(f, q: int) -> Optional[RationalRotation]:
     _check_positive_int(q, "q")
     fbar = _as_lift(f)
     g = power(fbar, q)
-    (ln, ld), (hn, hd) = _bracket(g, 1)
+    (ln, ld), (hn, hd) = _bracket(g.base._xs, g.base._ys, g.offset)
     p = -(-ln // ld)
     if p * hd > hn:
         return None
@@ -184,10 +185,8 @@ def rotation_number(
     fk = fbar.offset
     xs, ys, k = fxs, fys, fk
     for n in range(1, depth + 1):
-        # ln/ld + k and hn/hd + k: lowest terms, as the kernel's are
-        (ln, ld), (hn, hd) = core.displacement(xs, ys)
-        ln += k * ld
-        hn += k * hd
+        # the n-th iterate's displacement interval, in lowest terms
+        (ln, ld), (hn, hd) = _bracket(xs, ys, k)
         p = -(-ln // ld)
         if p * hd <= hn:
             # first hit: no integer appeared at any q < n, so p/n cannot
@@ -242,14 +241,13 @@ def log_ratio_bounds(a: int, b: int, denominator: int) -> tuple:
     return (Fraction(p, q), Fraction(p + 1, q))
 
 
-def _bracket(fbar: PLLineMap, n: int) -> tuple:
-    """Displacement interval of fbar divided by n, as two kernel pairs.
+def _bracket(xs, ys, k: int, n: int = 1) -> tuple:
+    """Displacement interval of the lift (xs, ys, k) divided by n.
 
-    The pairs (numerator, denominator) have positive denominators but are
-    not reduced; they are only compared and floor-divided.
+    Two (numerator, denominator) pairs with positive denominators, in
+    lowest terms when n is 1 and otherwise only compared and floor-divided.
     """
-    (ln, ld), (hn, hd) = core.displacement(fbar.base._xs, fbar.base._ys)
-    k = fbar.offset
+    (ln, ld), (hn, hd) = core.displacement(xs, ys)
     return (ln + k * ld, ld * n), (hn + k * hd, hd * n)
 
 
@@ -293,12 +291,13 @@ class _BracketRefiner:
     def __init__(self, fbar: PLLineMap):
         self.power_map = fbar
         self.n = 1
-        self.lo, self.hi = _bracket(fbar, 1)
+        self.lo, self.hi = _bracket(fbar.base._xs, fbar.base._ys, fbar.offset)
 
     def refine(self) -> None:
-        self.power_map = compose(self.power_map, self.power_map)
+        g = self.power_map = compose(self.power_map, self.power_map)
         self.n *= 2
-        self.lo, self.hi = _meet(self.lo, self.hi, *_bracket(self.power_map, self.n))
+        nlo, nhi = _bracket(g.base._xs, g.base._ys, g.offset, self.n)
+        self.lo, self.hi = _meet(self.lo, self.hi, nlo, nhi)
 
 
 class PowerDetector:

@@ -20,12 +20,12 @@ conversions in several threads each run at MAX_DIGITS and the limit is
 always restored to its value before.  A value beyond MAX_DIGITS raises
 BudgetError, a DocumentError.  The writer counts the digits of every
 integer it emits, so exactly the values that parse back are written on
-every CPython.  (Before 3.10.7 CPython has no limit, and there only the
-writer enforces the budget.)
+every CPython.
 
 The command line's budgets sit beside it: MAX_DOCUMENT_BYTES bounds the
 document files it reads, MAX_EXPONENT bounds `power`, MAX_ROTATION_DEPTH
-bounds `rot`, and MAX_WORD_LENGTH bounds `word random`.
+bounds `rot`, MAX_WORD_LENGTH bounds `word random`, and MAX_TUPLE_GRID
+bounds the grid that `tuple-map` builds.
 """
 
 from __future__ import annotations
@@ -65,6 +65,9 @@ MAX_DOCUMENT_BYTES = 4 * 2**20
 # and none seen took more than 563, so a word this long (at most about
 # 2.8 MB) parses back under MAX_DOCUMENT_BYTES
 MAX_WORD_LENGTH = 5_000
+# largest lam**q of `tuple-map`, whose construction builds every point of
+# the lam**-q grid, q the finest depth of its entries (at least 1)
+MAX_TUPLE_GRID = 2**16
 
 _FRACTION_RE = re.compile(r"^-?\d+(/\d+)?$")
 _OVER_BUDGET = "an integer exceeds the budget of %d decimal digits" % MAX_DIGITS
@@ -88,9 +91,6 @@ def _within_budget(convert, value):
     process limit is restored afterwards either way.  Malformed JSON is
     not a budget matter: its JSONDecodeError passes through unchanged.
     """
-    if not hasattr(sys, "set_int_max_str_digits"):
-        # CPython before 3.10.7 has no limit to raise or to enforce
-        return convert(value)
     with _DIGIT_LIMIT_LOCK:
         saved = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(MAX_DIGITS)
@@ -156,12 +156,6 @@ def str_to_fraction(text: str) -> Fraction:
     return value
 
 
-def _descriptor_fields(descriptor: Optional[GroupDescriptor]):
-    if descriptor is None:
-        return None, None
-    return descriptor.lam, list(descriptor.generators)
-
-
 def _checked_descriptor(generators, lam, where: Optional[str], key: str, noun: str):
     """The descriptor of a generator list (field `key`, items called
     `noun`) and an optional lambda; errors are prefixed by `where`."""
@@ -208,11 +202,10 @@ def map_to_document(
         value = value.base
     if not isinstance(value, PLCircleMap):
         raise TypeError("expected a circle map or a line map")
-    lam, slopes = _descriptor_fields(descriptor)
     doc = {
         "format": MAP_FORMAT,
-        "lambda": lam,
-        "slopes": slopes,
+        "lambda": None if descriptor is None else descriptor.lam,
+        "slopes": None if descriptor is None else list(descriptor.generators),
         "breakpoints": [fraction_to_str(b) for b in value.breakpoints],
         "images": [fraction_to_str(v) for v in value.images],
     }

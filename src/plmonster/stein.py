@@ -240,13 +240,9 @@ def is_member(f: PLCircleMap, descriptor: GroupDescriptor) -> MembershipReport:
 
 def _cyclic_rotation_to_increasing(values) -> int:
     """Index r so that values[r:] + values[:r] is strictly increasing, else -1."""
-    m = len(values)
-    if m == 1:
-        return 0
-    descents = [i for i in range(m - 1) if values[i + 1] <= values[i]]
-    for i in descents:
-        if values[i + 1] == values[i]:
-            return -1
+    # a repeated value counts as a descent: a lone one leaves the values
+    # nondecreasing, so the values[0] <= values[-1] test refuses it
+    descents = [i for i in range(len(values) - 1) if values[i + 1] <= values[i]]
     if not descents:
         return 0
     if len(descents) > 1 or values[0] <= values[-1]:
@@ -273,11 +269,11 @@ def tuple_map_report(xtuple, ytuple, descriptor: GroupDescriptor) -> TupleMapRep
     p = len(xs)
     if p == 0:
         raise ValueError("tuples must be nonempty")
+    q = 1
     for e in xs + ys:
         if not 0 <= e < 1:
             raise ValueError("tuple entries live in [0, 1); got %s" % e)
-        if not descriptor.contains_coordinate(e):
-            raise ValueError("%s is not a Z[1/%d] point" % (e, descriptor.lam))
+        q = max(q, descriptor.coordinate_depth(e))  # refuses a point off Y
     if not descriptor.slope_in_group(2):
         raise ValueError(
             "descriptor %s cannot halve grid gaps (2 is not a product of the "
@@ -296,7 +292,6 @@ def tuple_map_report(xtuple, ytuple, descriptor: GroupDescriptor) -> TupleMapRep
     # linear coordinates on [ys[0], ys[0] + 1) so arcs are plain intervals
     ys_lin = [ys[0]] + [v if v > ys[0] else v + 1 for v in ys[1:]]
 
-    q = max(1, max(descriptor.coordinate_depth(e) for e in xs + ys))
     lam_q = descriptor.lam**q
 
     def grid_arcs(points):

@@ -50,6 +50,7 @@ from .rotation import (
 from .stein import (
     STEIN_2_3,
     THOMPSON,
+    center_generator_z,
     is_member,
     random_member,
     random_tuple_pair,
@@ -167,13 +168,33 @@ def run_arith(samples: int = 1000, seed: int = 42):
 
 def _center_commutes(rng, samples) -> CheckResult:
     """The unit translation commutes exactly with `samples` drawn lifts."""
-    z = PLLineMap(identity_map(), 1)
+    z = center_generator_z()
     failures = []
     for i in range(samples):
         fbar = _random_lift(rng, _alternating_descriptor(i))
         if compose(z, fbar) != compose(fbar, z):
             failures.append(fbar)
     return _outcome("center-commutes", failures, samples)
+
+
+def _center_power_failures(ks) -> list:
+    """The k in ks at which z**k does not project to the identity, with
+    rotation number exactly 0, or has a translation bracket other than [k, k]."""
+    z = center_generator_z()
+    failures = []
+    for k in ks:
+        zk = power(z, k)
+        rot = rotation_number(project(zk), 10, 10)
+        br = translation_bracket(zk, 1)
+        if not (
+            project(zk).is_identity()
+            and isinstance(rot, RationalRotation)
+            and rot.value == 0
+            and br.lo == k
+            and br.hi == k
+        ):
+            failures.append(k)
+    return failures
 
 
 def run_centrality(samples: int = 1000, seed: int = 42):
@@ -207,26 +228,14 @@ def run_rot_invariance(samples: int = 1000, seed: int = 42):
         d = _alternating_descriptor(i)
         fbar = _random_lift(rng, d)
         k = rng.randint(-3, 3)
-        shifted = compose(fbar, PLLineMap(identity_map(), k))
+        shifted = compose(fbar, power(center_generator_z(), k))
         d0 = displacement_interval(fbar)
         d1 = displacement_interval(shifted)
         if not (d1.lo == d0.lo + k and d1.hi == d0.hi + k):
             failures.append((fbar, k))
     results.append(_outcome("offset-shifts-bracket", failures, pairs))
 
-    failures = []
-    for k in range(-5, 6):
-        zk = power(PLLineMap(identity_map(), 1), k)
-        rot = rotation_number(project(zk), 10, 10)
-        br = translation_bracket(zk, 1)
-        ok = (
-            isinstance(rot, RationalRotation)
-            and rot.value == 0
-            and br.lo == k
-            and br.hi == k
-        )
-        if not ok:
-            failures.append(k)
+    failures = _center_power_failures(range(-5, 6))
     results.append(_outcome("center-quotient-rot", failures, 11))
     return results
 
@@ -370,32 +379,22 @@ def monster_evidence_report(
 ) -> MonsterEvidenceReport:
     """Machine-checkable ingredients for the shipped amalgam, bundled.
 
-    Sections: (a) the center projects to the identity circle map with
-    rotation number exactly 0; (b) the edge map's rotation number is
-    certified nonrational for all denominators up to 50, with an exact
-    bracket that provably contains log 2 / log 3; (c) the center
-    commutes with sampled lifts; (d) relator words reduce to the empty
-    word; (e) the projection to the left circle group is a homomorphism
-    on sampled words.  Section (b) reports the certificate that the
-    context's edge gate computed when it was built
-    (`AmalgamContext.edge_certificate`); nothing recomputes it.  The
-    disclaimer is part of the report contract.
+    Sections: (a) the center's powers z**k project to the identity circle
+    map with rotation number exactly 0 and translate by exactly k; (b)
+    the edge map's rotation number is certified nonrational for all
+    denominators up to 50, with an exact bracket that provably contains
+    log 2 / log 3; (c) the center commutes with sampled lifts; (d)
+    relator words reduce to the empty word; (e) the projection to the
+    left circle group is a homomorphism on sampled words.  Section (b)
+    reports the certificate that the context's edge gate computed when it
+    was built (`AmalgamContext.edge_certificate`); nothing recomputes it.
+    The disclaimer is part of the report contract.
     """
     rng = random.Random(seed)
     context = default_context()
-    z = PLLineMap(identity_map(), 1)
     sections = []
 
-    failures = []
-    for k in range(-3, 4):
-        zk = power(z, k)
-        rot = rotation_number(project(zk), 10, 10)
-        if not (
-            project(zk).is_identity()
-            and isinstance(rot, RationalRotation)
-            and rot.value == 0
-        ):
-            failures.append(k)
+    failures = _center_power_failures(range(-3, 4))
     sections.append(_outcome("center-projects-to-identity", failures, 7))
 
     cert = context.edge_certificate

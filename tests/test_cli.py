@@ -333,6 +333,26 @@ def test_a_failing_verify_check_exits_1(capsys, monkeypatch):
     assert lines[-1] == "result: 5 of 6 checks passed"
 
 
+def test_a_wrong_center_bracket_fails_both_center_checks(capsys, monkeypatch):
+    from plmonster import verify
+    from plmonster.maps import DisplacementInterval
+
+    exact = verify.translation_bracket
+
+    def shifted(f, n=1):
+        bracket = exact(f, n)
+        return DisplacementInterval(bracket.lo + 1, bracket.hi + 1)
+
+    # both suites check z**k through the one helper, which reads this name
+    monkeypatch.setattr(verify, "translation_bracket", shifted)
+    code, out, err = run(capsys, "verify", "--suite", "all", "--samples", "5")
+    assert (code, err) == (1, "")
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL rot-invariance.center-quotient-rot (11 of 11 failed, e.g. -5; -4; -3)",
+        "FAIL monster-evidence.center-projects-to-identity (7 of 7 failed, e.g. -3; -2; -1)",
+    ]
+
+
 def test_verify_all_output_is_pinned(capsys):
     # the same bytes on every supported Python: refactors must keep them
     code, out, err = run(capsys, "verify", "--suite", "all", "--samples", "40")
@@ -373,6 +393,11 @@ def test_usage_errors_exit_2(capsys, g0_file):
             "runtime",
             "target tuple is not positively cyclically ordered",
         ),
+        (
+            ("tuple-map", "--from", "0,0", "--to", "0,1/2", "--slopes", "2"),
+            "runtime",
+            "source tuple is not positively cyclically ordered",
+        ),
     ):
         code, out, err = run(capsys, *argv)
         error = json.loads(err)["error"]
@@ -405,6 +430,7 @@ def test_power_and_rot_budgets_exit_2_before_computing(capsys, g0_file, tmp_path
 
     monkeypatch.setattr(cli, "power", refuse)
     monkeypatch.setattr(rotation, "rotation_number", refuse)
+    monkeypatch.setattr(cli, "tuple_map_report", refuse)
     over = str(serialize.MAX_EXPONENT + 1)
     for argv in (
         ("power", g0_file, over),
@@ -413,11 +439,17 @@ def test_power_and_rot_budgets_exit_2_before_computing(capsys, g0_file, tmp_path
         ("rot", "--map", g0_file, "--depth", str(serialize.MAX_ROTATION_DEPTH + 1)),
         ("rot", "--map", g0_file, "--depth", "10000000"),
         ("rot", "--map", g0_file, "--max-denominator", "10000000"),
+        # tuple-map grids of 2**20 and 6**16 points, one from the target's
+        # depth, and one of lambda**1 that is over already
+        ("tuple-map", "--from", "0,1/1048576", "--to", "0,1/2", "--slopes", "2"),
+        ("tuple-map", "--from", "0,1/65536", "--to", "0,1/2", "--slopes", "2,3"),
+        ("tuple-map", "--from", "0,1/2", "--to", "0,1/1048576", "--slopes", "2"),
+        ("tuple-map", "--from", "0", "--to", "0", "--slopes", "65537"),
     ):
         code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, "")
+        assert (code, out) == (2, ""), argv
         error = json.loads(err)["error"]
-        assert error["kind"] == "usage" and "budget" in error["message"]
+        assert error["kind"] == "usage" and "budget" in error["message"], argv
     # a rigid rotation's power grows with the exponent's digits only
     monkeypatch.undo()
     rigid = tmp_path / "rigid.json"
@@ -472,10 +504,6 @@ def test_document_and_word_length_budgets_exit_2_before_parsing(
     assert run(capsys, "eval", "--map", at_budget, "--point", "1/8") == (0, "3/4\n", "")
 
 
-@pytest.mark.skipif(
-    not hasattr(sys, "get_int_max_str_digits"),
-    reason="CPython before 3.10.7 has no int/str digit limit",
-)
 def test_budget_errors_exit_2(capsys, tmp_path):
     doc = json.loads(format_map(irrational_candidate_g0()))
     doc["images"] = ["1/" + "3" * 100_001, "0"]
@@ -485,10 +513,6 @@ def test_budget_errors_exit_2(capsys, tmp_path):
     assert code == 2 and json.loads(err)["error"]["kind"] == "budget"
 
 
-@pytest.mark.skipif(
-    not hasattr(sys, "get_int_max_str_digits"),
-    reason="CPython before 3.10.7 has no int/str digit limit",
-)
 def test_offsets_past_the_default_digit_limit(capsys, tmp_path):
     text = format_map(PLLineMap(identity_map(), 99))
     t = tmp_path / "t.json"

@@ -249,12 +249,6 @@ def test_word_document_rationals_are_strings():
         assert isinstance(token, str)
 
 
-needs_digit_limit = pytest.mark.skipif(
-    not hasattr(sys, "get_int_max_str_digits"),
-    reason="CPython before 3.10.7 has no int/str digit limit",
-)
-
-
 @pytest.fixture
 def digit_limit():
     """A process digit limit of 4300 that serialize must leave as it found it."""
@@ -266,7 +260,6 @@ def digit_limit():
         sys.set_int_max_str_digits(saved)
 
 
-@needs_digit_limit
 def test_values_past_the_default_digit_limit_round_trip(digit_limit):
     h = power(lift(irrational_candidate_g0(), 0), 30000)
     text = format_map(h)
@@ -275,7 +268,6 @@ def test_values_past_the_default_digit_limit_round_trip(digit_limit):
     assert sys.get_int_max_str_digits() == digit_limit
 
 
-@needs_digit_limit
 def test_fraction_strings_over_the_digit_budget_fail(digit_limit):
     for text in ("2/4", "1/0"):
         with pytest.raises(DocumentError) as info:
@@ -301,7 +293,6 @@ def test_fraction_strings_over_the_digit_budget_fail(digit_limit):
     assert sys.get_int_max_str_digits() == digit_limit
 
 
-@needs_digit_limit
 def test_concurrent_conversions_restore_the_digit_limit(digit_limit):
     # the limit is process-wide: eight threads (more than the cores of a
     # small machine) convert 5,000-digit fractions at once, switching as
@@ -341,7 +332,6 @@ def _line_map_text(offset_digits: str) -> str:
     )
 
 
-@needs_digit_limit
 def test_offsets_past_the_default_digit_limit_round_trip(digit_limit):
     big = "1" + "0" * 4999  # 5,000 digits
     text = _line_map_text(big)
@@ -354,7 +344,6 @@ def test_offsets_past_the_default_digit_limit_round_trip(digit_limit):
     assert sys.get_int_max_str_digits() == digit_limit
 
 
-@needs_digit_limit
 def test_offsets_over_the_digit_budget_fail(digit_limit):
     with pytest.raises(BudgetError):
         parse_map(_line_map_text("1" + "0" * MAX_DIGITS))

@@ -375,12 +375,24 @@ def test_tuple_map_report_depth_bounds_grid():
 def test_tuple_map_errors():
     with pytest.raises(ValueError):
         tuple_map([0, F(1, 2)], [0], THOMPSON)  # length mismatch
-    with pytest.raises(ValueError):
-        tuple_map([0, F(1, 5)], [0, F(1, 2)], THOMPSON)  # 1/5 outside Y
+    with pytest.raises(ValueError, match=r"^1/5 is not a Z\[1/2\] point$"):
+        tuple_map([0, F(1, 5)], [0, F(1, 2)], THOMPSON)
     with pytest.raises(ValueError):
         tuple_map([0, F(1, 2), F(1, 4)], [0, F(1, 4), F(1, 2)], THOMPSON)
     with pytest.raises(ValueError):
         tuple_map([], [], THOMPSON)
+    # a repeated entry, wherever it sits, leaves no cyclic shift of its
+    # tuple strictly increasing
+    half, quarter = F(1, 2), F(1, 4)
+    for xs, ys, side in (
+        ([0, 0], [0, half], "source"),
+        ([quarter, half, half], [0, quarter, half], "source"),
+        ([half, 0, half], [0, quarter, half], "source"),
+        ([0, half], [0, 0], "target"),
+        ([0, quarter, half], [quarter, half, half], "target"),
+    ):
+        with pytest.raises(ValueError, match="%s tuple is not positively cyclically" % side):
+            tuple_map_report(xs, ys, STEIN_2_3)
 
 
 def test_tuple_map_random_pairs_exact():
