@@ -18,10 +18,17 @@ canonical grids and emit canonical ones in the same walk, testing only
 the few vertices that can be straight, with no second pass.
 `canon_grid` is for grids that come from outside (the map constructor).
 
-`compose` reads its second grid in place: the window [t0, t0 + 1] it
-walks is an index running over g's corners from t0 up to 1 and then,
-shifted by one as each is read, from 0 up to t0, so a call builds no
-window list and no shifted copy of g.
+`compose` walks g's corners through the window [t0, t0 + 1], t0 = f~(0),
+in one of two ways.  A one-shot product reads g's grid in place: an
+index runs over g's corners from t0 up to 1 and then, shifted by one as
+each is read, from 0 up to t0, so the call builds no table and no
+shifted copy of g.  A caller that composes many maps with the same g
+builds `window(gxs, gys)` once, a table of g's corners over (0, 2] that
+holds each corner's image and the line constants of the g segment
+ending there, and passes it to every call; the walk then starts at the
+first corner past t0 and does no shift arithmetic, no anchor test and no
+per-segment differences.  Building that table costs about twice a
+one-shot walk, so single products keep the in-place walk.
 
 The grid operations reduce each coordinate they emit once: intermediate
 differences, products and slopes stay unreduced integers, compared by
@@ -165,7 +172,47 @@ def first_breakpoint(xs, ys):
     return 0 if len(xs) == 2 or not anchor_is_straight(xs, ys) else 1
 
 
-def compose(fxs, fys, gxs, gys):
+def window(gxs, gys):
+    """Table of g's corners over (0, 2], for `compose` calls that share g.
+
+    One entry (cn, cd, v, h1, h2, h3) per corner c = cn/cd of g's lift in
+    (0, 2], in increasing order, then one sentinel past 2: g's first
+    grid point after 0, shifted by two.  The anchors 1 and 2 are entries
+    only when g has a corner there.  v = g~(c), and g~(x) = (h1 + x h2)
+    / h3 with h3 > 0 on the g segment ending at c, which starts at the
+    entry before (at 0 for the first); the constants are reduced by
+    their common gcd.  A rotation (one segment) has only the sentinel.
+    """
+    sg = len(gxs) - 1
+    cx = list(gxs[1:sg])
+    cy = list(gys[1:sg])
+    if not anchor_is_straight(gxs, gys):
+        cx.append(ONE)
+        cy.append(gys[sg])
+    # unit shifts keep lowest terms
+    cx += [(n + d, d) for n, d in cx]
+    cy += [(n + d, d) for n, d in cy]
+    (n, d), (m, e) = gxs[1], gys[1]
+    cx.append((n + 2 * d, d))
+    cy.append((m + 2 * e, e))
+
+    table = []
+    an, ad = ZERO
+    un, ud = gys[0]
+    for (cn, cd), v in zip(cx, cy):
+        vn, vd = v
+        g1 = vd * (cn * ad - an * cd)
+        g2 = (vn * ud - un * vd) * cd
+        h1 = un * g1 - an * g2
+        h2 = ad * g2
+        h3 = ud * g1
+        g = gcd(gcd(h1, h2), h3)
+        table.append((cn, cd, v, h1 // g, h2 // g, h3 // g))
+        an, ad, un, ud = cn, cd, vn, vd
+    return tuple(table)
+
+
+def compose(fxs, fys, gxs, gys, window=None):
     """Grid and integer carry of "apply f, then g".
 
     Returns (xs, ys, carry) where (xs, ys) is the anchored canonical grid
@@ -173,13 +220,23 @@ def compose(fxs, fys, gxs, gys):
     anchored lifts stack (0 or 1); lift offsets add it on top of their own.
 
     One merge walk, with no search: g's corners inside the window
-    (t0, t0 + 1), t0 = f~(0), form a sorted stream, read in place from
-    g's grid and shifted by one past 1, and the window end closes it;
-    f's images increase through the same window.  Each f breakpoint
-    below a stream point takes g~ from the g segment that point closes;
-    the stream point then lands on an f breakpoint, or emits a vertex
-    pulled back through the f segment around it.  The work is linear in
-    the sizes of the two grids, and no window or shifted grid is built.
+    (t0, t0 + 1), t0 = f~(0), form a sorted stream, and the window end
+    closes it; f's images increase through the same window.  Each f
+    breakpoint below a stream point takes g~ from the g segment that
+    point closes; the stream point then lands on an f breakpoint, or
+    emits a vertex pulled back through the f segment around it.  The work
+    is linear in the sizes of the two grids.
+
+    With ``window=None`` the stream is read in place from g's grid and
+    shifted by one past 1, and no table or shifted grid is built.  A
+    ``window`` is `window(gxs, gys)`, built by the caller once for many
+    products with the same g: the stream is then its entries from the
+    first corner past t0, and every segment's constants come from the
+    table.  t0's value and the f breakpoints below the first stream point
+    take the constants of the entry closing t0's segment; those below the
+    window end take the constants of the first entry at or past t0 + 1,
+    the segment ending there.  When t0 is a corner of g, that is the
+    segment ending at t0, shifted, and not t0's own segment.
 
     The inputs must be canonical, and then so is the output, with no
     second pass: an interior corner of f, or one of g strictly inside an
@@ -188,6 +245,8 @@ def compose(fxs, fys, gxs, gys):
     are f breakpoints landing exactly on a corner of g, where the two
     slope changes may cancel.
     """
+    if window is not None:
+        return _compose_window(fxs, fys, window)
     t0 = fys[0]
     tn, td = t0
     sg = len(gxs) - 1
@@ -292,7 +351,93 @@ def compose(fxs, fys, gxs, gys):
         u = v
     out_x.append(fxs[sf])
     out_y.append(v)
+    return _finish(out_x, out_y, landed, y0)
 
+
+def _compose_window(fxs, fys, window):
+    # compose's merge walk over a `window` table; the f side is as in the
+    # in-place walk
+    t0 = fys[0]
+    tn, td = t0
+    # the first entry past t0 closes t0's segment; the sentinel, past 2,
+    # stops the scan
+    i = 0
+    while window[i][0] * td <= tn * window[i][1]:
+        i += 1
+    _, _, _, h1, h2, h3 = window[i]
+    n = td * h1 + tn * h2
+    d = td * h3
+    g = gcd(n, d)
+    y0 = (n // g, d // g) if g > 1 else (n, d)
+
+    # the window holds each corner of (0, 1] once more in (1, 2], so the
+    # first entry at or past t0 + 1 is len // 2 entries on, or one less
+    # when t0 + 1 is itself an entry (t0 is a corner of g)
+    en = tn + td
+    stop = i + (len(window) >> 1)
+    if window[stop - 1][:2] == (en, td):
+        stop -= 1
+
+    out_x = [fxs[0]]
+    out_y = [y0]
+    landed = []
+    sf = len(fxs) - 1
+    j = 1  # the next f breakpoint, with image (bn, bd)
+    bn, bd = fys[1]
+    seg = 0  # the f segment whose pull-back constants are held
+    q = i
+    while True:
+        # the stream point c = (cn, cd), with g~(c) = v and the constants
+        # of the g segment ending at it
+        cn, cd, v, h1, h2, h3 = window[q]
+        if q == stop:
+            cn, cd = en, td
+            v = (y0[0] + y0[1], y0[1])
+        q += 1
+
+        s = bn * cd - cn * bd
+        if s < 0:
+            while True:
+                out_x.append(fxs[j])
+                n = bd * h1 + bn * h2
+                d = bd * h3
+                g = gcd(n, d)
+                out_y.append((n // g, d // g) if g > 1 else (n, d))
+                j += 1
+                bn, bd = fys[j]
+                s = bn * cd - cn * bd
+                if s >= 0:
+                    break
+        if s == 0:
+            if j == sf:
+                break  # the window end, on f's last image
+            out_x.append(fxs[j])
+            landed.append(len(out_y))
+            out_y.append(v)
+            j += 1
+            bn, bd = fys[j]
+        else:
+            if seg != j:
+                seg = j
+                pn, pd = fxs[j - 1]
+                rn, rd = fxs[j]
+                sn, sd = fys[j - 1]
+                e1 = rd * (bn * sd - sn * bd)
+                e2 = (rn * pd - pn * rd) * bd
+                e3 = pn * e1 - sn * e2
+                e4 = sd * e2
+                e5 = pd * e1
+            n = cd * e3 + cn * e4
+            d = cd * e5
+            g = gcd(n, d)
+            out_x.append((n // g, d // g) if g > 1 else (n, d))
+            out_y.append(v)
+    out_x.append(fxs[sf])
+    out_y.append(v)
+    return _finish(out_x, out_y, landed, y0)
+
+
+def _finish(out_x, out_y, landed, y0):
     # a landed vertex goes when its neighbours are collinear with it;
     # the emitted points hold every corner, so raw neighbours will do
     for m in reversed(landed):
@@ -309,6 +454,7 @@ def compose(fxs, fys, gxs, gys):
             del out_x[m]
             del out_y[m]
 
+    # the raw walk ran from g~(f~(0)) = y0; the anchored grid starts in [0, 1)
     carry = y0[0] // y0[1]
     if carry:
         return tuple(out_x), tuple([(n - carry * d, d) for n, d in out_y]), carry

@@ -46,6 +46,7 @@ from .stein import (
     GroupDescriptor,
     STEIN_2_3,
     THOMPSON,
+    center_power,
     irrational_candidate_g0,
     is_member,
     random_member,
@@ -214,7 +215,7 @@ class AmalgamContext:
 
     def edge_element(self, factor, k):
         if factor is Factor.G1:
-            return PLLineMap(identity_map(), k)
+            return center_power(k)
         return self._detector.power(k)
 
     def __eq__(self, other):

@@ -173,7 +173,11 @@ def rotation_number(
     interval stays a pair of (numerator, denominator) pairs, so the
     integer point, the pinch test and the running bracket (kept over
     denominators d*n) are integer arithmetic.  Maps and Fractions are
-    built only for the returned result.
+    built only for the returned result.  Every iterate is composed with
+    the same base grid, so its `core.window` table (its corners, their
+    images and its segments' line constants) is built once per call and
+    passed to each `core.compose`, which then redoes none of the base's
+    set-up.
     """
     _check_positive_int(max_denominator, "max_denominator")
     _check_positive_int(depth, "depth")
@@ -184,6 +188,7 @@ def rotation_number(
     fys = fbar.base._ys
     fk = fbar.offset
     xs, ys, k = fxs, fys, fk
+    window = core.window(fxs, fys)
     for n in range(1, depth + 1):
         # the n-th iterate's displacement interval, in lowest terms
         (ln, ld), (hn, hd) = _bracket(xs, ys, k)
@@ -201,7 +206,7 @@ def rotation_number(
         nhi = (hn, hd * n)
         lo, hi = (nlo, nhi) if n == 1 else _meet(lo, hi, nlo, nhi)
         if n < depth:
-            xs, ys, carry = core.compose(xs, ys, fxs, fys)
+            xs, ys, carry = core.compose(xs, ys, fxs, fys, window)
             k += fk + carry
     bracket = DisplacementInterval(Fraction(*lo), Fraction(*hi))
     return NonRationalCertificate(max_denominator, bracket)

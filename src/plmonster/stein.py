@@ -381,7 +381,12 @@ def irrational_candidate_g0() -> PLCircleMap:
 
 def center_generator_z() -> PLLineMap:
     """Unit translation x -> x + 1, the center of the lifted groups."""
-    return lift(identity_map(), 1)
+    return center_power(1)
+
+
+def center_power(k: int) -> PLLineMap:
+    """z**k: the translation x -> x + k, the lift of the identity with offset k."""
+    return lift(identity_map(), k)
 
 
 def torsion_rotation(descriptor: GroupDescriptor, p: int, q: int) -> PLCircleMap:

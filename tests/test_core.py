@@ -116,6 +116,7 @@ def check_kernel(f, g):
     assert_canonical(xs, ys)
     rx, ry, rc = ref_compose((fracs(fx), fracs(fy)), (fracs(gx), fracs(gy)))
     assert (xs, ys, carry) == (pairs(rx), pairs(ry), rc)
+    assert _core.compose(fx, fy, gx, gy, window=_core.window(gx, gy)) == (xs, ys, carry)
 
     xs, ys, carry = _core.invert(fx, fy)
     assert_canonical(xs, ys)

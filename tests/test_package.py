@@ -198,5 +198,3 @@ def test_displacement_interval_contains_the_closed_range():
     assert F(2, 3) + F(1, 100) not in interval and 0 not in interval
     with pytest.raises(TypeError):
         0.6 in interval
-    assert interval.width == F(1, 6) and interval.integer_point() is None
-    assert DisplacementInterval(F(1, 2), F(3, 2)).integer_point() == 1

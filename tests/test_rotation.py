@@ -474,3 +474,19 @@ def test_rotation_number_matches_reference_on_g0_lifts():
         h = random_member(THOMPSON, rng)
         f = compose(compose(invert(h), g0), h)
         assert isinstance(assert_matches_reference(lift(f, k), 20, 50), NonRationalCertificate)
+    # the rotation-certify benchmark's shapes: conjugators fixing tuples
+    # of 3 points on the 2**-3 grid in T_2, and of 2 on the 6**-2 grid in
+    # T_{2,3}, certified at depth 200
+    for descriptor, q, length in ((THOMPSON, 3, 3), (STEIN_2_3, 2, 2)):
+        n = descriptor.lam**q
+        xs = sorted(rng.sample(range(n), length))
+        ys = sorted(rng.sample(range(n), length))
+        shift = rng.randrange(length)
+        h = tuple_map(
+            [F(x, n) for x in xs[shift:] + xs[:shift]],
+            [F(y, n) for y in ys[shift:] + ys[:shift]],
+            descriptor,
+        )
+        f = compose(compose(invert(h), g0), h)
+        assert len(f.breakpoints) > 3
+        assert isinstance(assert_matches_reference(f, 50, 200), NonRationalCertificate)

@@ -32,7 +32,7 @@ from plmonster import (
     tuple_map_report,
 )
 from plmonster.serialize import BudgetError, map_from_document, map_to_document
-from plmonster.stein import MembershipReport, Violation, random_tuple_pair
+from plmonster.stein import MembershipReport, Violation, center_power, random_tuple_pair
 
 
 def test_descriptor_basic_fields():
@@ -421,6 +421,8 @@ def test_center_generator():
     z = center_generator_z()
     assert z.offset == 1 and z.base.is_identity()
     assert displacement_interval(z).lo == 1
+    for k in range(-3, 4):
+        assert center_power(k) == power(z, k)
 
 
 def test_torsion_rotation():
