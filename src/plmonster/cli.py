@@ -42,6 +42,7 @@ from .serialize import (
     DocumentError,
     _load_json,
     _map_and_descriptor,
+    check_document_size,
     format_map,
     format_word,
     fraction_to_str,
@@ -94,26 +95,28 @@ def _emit_error(kind: str, message: str) -> None:
 
 
 def _write(text: str, out_path) -> None:
+    """Write text, UTF-8 encoded, to out_path or to stdout when it is None.
+
+    A document over the byte budget is refused before anything is
+    written: no stdout bytes and no file, not even an empty one.
+    """
+    data = check_document_size(text.encode("utf-8"), out_path or "the output")
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with open(out_path, "wb") as handle:
+            handle.write(data)
 
 
 def _read(path: str, parse):
     """parse(text) for the document file at path.
 
-    At most MAX_DOCUMENT_BYTES + 1 bytes are read, and a longer file is
-    refused.  The bytes are decoded as a text-mode read would: UTF-8 with
-    universal newlines.
+    At most MAX_DOCUMENT_BYTES + 1 bytes are read, and a file over the
+    budget is refused.  The bytes are decoded as a text-mode read would:
+    UTF-8 with universal newlines.
     """
     with open(path, "rb") as handle:
-        data = handle.read(MAX_DOCUMENT_BYTES + 1)
-    if len(data) > MAX_DOCUMENT_BYTES:
-        raise BudgetError(
-            "%s is over the budget of %d bytes for a document" % (path, MAX_DOCUMENT_BYTES)
-        )
+        data = check_document_size(handle.read(MAX_DOCUMENT_BYTES + 1), path)
     return parse(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
 
 

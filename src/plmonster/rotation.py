@@ -13,7 +13,11 @@ with a shrinking bracket around it.
 The same brackets drive `PowerDetector`, which decides whether a map is
 an integer power of a fixed base map: brackets isolate finitely many
 plausible exponents and exact structural equality confirms or rejects
-each, so the answer has no numerical error in either direction.
+each, so the answer has no numerical error in either direction.  A
+candidate's first bracket is fbar(0) +- 1, read off its grid's first
+image and its offset, since fbar(0) lies in the displacement interval of
+width below 1; its grid is walked only when that bracket leaves too many
+exponents.
 
 `log_ratio_bounds` pins down ratios log(a)/log(b) between rationals using
 only integer power comparisons, which is how irrational rotation numbers
@@ -288,7 +292,10 @@ class _BracketRefiner:
 
     Tracks fbar**n for n = 1, 2, 4, ... and intersects the per-n brackets
     (see `_bracket`); the current bracket always contains the translation
-    number and its width is below 1/n.
+    number and its width is below 1/n.  Building one walks the map's grid
+    once (`core.displacement`) and each refinement composes a square, so
+    `PowerDetector.detect` builds one for a candidate only when the
+    grid-free bracket fbar(0) +- 1 leaves too many exponents.
     """
 
     __slots__ = ("power_map", "n", "lo", "hi")
@@ -311,11 +318,18 @@ class PowerDetector:
     The base map must have translation number separated from zero: its
     bracket is refined by repeated squaring, and ZeroBracketError is
     raised if zero survives ZERO_EXCLUSION_DEPTH iterates.  ``detect``
-    brackets the candidate's translation number, keeps the finitely many
-    exponents k for which k times the base bracket meets it (refining
-    both brackets while more than CANDIDATE_LIMIT survive, up to
-    REFINE_LIMIT iterates), and confirms each survivor by exact
-    structural equality, so both positive and negative answers are exact.
+    brackets the candidate's translation number and keeps the finitely
+    many exponents k for which k times the base bracket meets it.  The
+    first bracket is fbar(0) +- 1: fbar(0) is the grid's first image plus
+    the offset, and it lies in the displacement interval, whose width is
+    below 1, so the bracket costs no pass over the grid and leaves about
+    2 / tau(base) exponents.  Only while more than CANDIDATE_LIMIT
+    survive does the candidate's grid come in: its displacement interval
+    (which lies inside fbar(0) +- 1) and then both brackets refined by
+    squaring, up to REFINE_LIMIT iterates.  Each survivor is confirmed by
+    exact structural equality, so both positive and negative answers are
+    exact, and at most one can match: base**j == base**k with j != k
+    would give base**(j - k) translation number 0, but tau(base) != 0.
     A negative base is handled through its inverse, whose bracket is the
     negated base bracket at every iterate.  ``power`` is the one cache of
     base powers, shared by detection and the amalgam's edge elements; it
@@ -354,22 +368,31 @@ class PowerDetector:
         if candidate.is_identity():
             return 0
         ref = self._ref
-        wref = _BracketRefiner(candidate)
+        # the first rung, fbar(0) +- 1 with fbar(0) = ys[0] + offset, reads
+        # no grid; the displacement interval lies inside it
+        yn, yd = candidate.base._ys[0]
+        offset = candidate.offset
+        lo, hi = (yn + (offset - 1) * yd, yd), (yn + (offset + 1) * yd, yd)
+        wref = None
         while True:
             a, b = ref.lo, ref.hi
             if self._sign < 0:
                 # the inverse's bracket: the base bracket negated
                 a, b = (-b[0], b[1]), (-a[0], a[1])
-            positive, negative = _candidates(a, b, wref.lo, wref.hi)
+            positive, negative = _candidates(a, b, lo, hi)
             if len(positive) + len(negative) <= CANDIDATE_LIMIT:
                 break
-            if wref.n >= REFINE_LIMIT:
+            if wref is None:
+                wref = _BracketRefiner(candidate)
+            elif wref.n >= REFINE_LIMIT:
                 raise ValueError(
                     "cannot isolate candidate exponents within the "
                     "refinement limit"
                 )
-            wref.refine()
-            ref.refine()
+            else:
+                wref.refine()
+                ref.refine()
+            lo, hi = wref.lo, wref.hi
         for k in sorted((*positive, *negative), key=abs):
             if self.power(self._sign * k) == candidate:
                 return self._sign * k

@@ -23,9 +23,10 @@ integer it emits, so exactly the values that parse back are written on
 every CPython.
 
 The command line's budgets sit beside it: MAX_DOCUMENT_BYTES bounds the
-document files it reads, MAX_EXPONENT bounds `power`, MAX_ROTATION_DEPTH
-bounds `rot`, MAX_WORD_LENGTH bounds `word random`, and MAX_TUPLE_GRID
-bounds the grid that `tuple-map` builds.
+documents it reads and writes, both checked by `check_document_size`, so
+it writes no document that it would refuse to read; MAX_EXPONENT bounds
+`power`, MAX_ROTATION_DEPTH bounds `rot`, MAX_WORD_LENGTH bounds `word
+random`, and MAX_TUPLE_GRID bounds the grid that `tuple-map` builds.
 """
 
 from __future__ import annotations
@@ -104,6 +105,20 @@ def _within_budget(convert, value):
             raise BudgetError(_OVER_BUDGET) from None
         finally:
             sys.set_int_max_str_digits(saved)
+
+
+def check_document_size(data: bytes, name: str) -> bytes:
+    """data, the bytes of the document called name, if within budget.
+
+    Raises BudgetError when it has more than MAX_DOCUMENT_BYTES bytes.
+    The command line calls this on every document it reads and on every
+    document before it writes a byte of it.
+    """
+    if len(data) > MAX_DOCUMENT_BYTES:
+        raise BudgetError(
+            "%s is over the budget of %d bytes for a document" % (name, MAX_DOCUMENT_BYTES)
+        )
+    return data
 
 
 def _shown(value) -> str:

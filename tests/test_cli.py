@@ -29,7 +29,13 @@ from plmonster import amalgam, cli, serialize
 from plmonster.amalgam import ContextError, SyllableError
 from plmonster.cli import main
 from plmonster.rotation import ZeroBracketError
-from plmonster.stein import STEIN_2_3, GroupDescriptor, irrational_candidate_g0
+from plmonster.stein import (
+    STEIN_2_3,
+    THOMPSON,
+    GroupDescriptor,
+    irrational_candidate_g0,
+    tuple_map,
+)
 
 
 def run(capsys, *argv):
@@ -502,6 +508,50 @@ def test_document_and_word_length_budgets_exit_2_before_parsing(
         assert error["kind"] == kind and "budget" in error["message"], argv
     monkeypatch.undo()
     assert run(capsys, "eval", "--map", at_budget, "--point", "1/8") == (0, "3/4\n", "")
+
+
+def test_writers_refuse_documents_over_the_budget(capsys, g0_file, tmp_path, monkeypatch):
+    # the budget is cut to each command's input, so the over-budget
+    # product stays small: no writer emits a document the readers refuse
+    # an alternating word with no edge syllable: its square reduces no
+    # further and is twice as long
+    word = AmalgamWord(
+        default_context(),
+        [
+            (Factor.G1, lift(tuple_map([0, Fraction(1, 4)], [0, Fraction(1, 2)], THOMPSON), 0)),
+            (Factor.G2, lift(irrational_candidate_g0(), 1)),
+        ],
+    )
+    word_file = tmp_path / "w.json"
+    word_file.write_text(format_word(word))
+    for argv, budget in (
+        (("power", g0_file, "20"), os.path.getsize(g0_file)),
+        (("word", "multiply", str(word_file), str(word_file)), os.path.getsize(word_file)),
+    ):
+        monkeypatch.setattr(serialize, "MAX_DOCUMENT_BYTES", budget)
+        out_file = tmp_path / "out.json"
+        for extra in ((), ("-o", str(out_file))):
+            code, out, err = run(capsys, *argv, *extra)
+            assert (code, out) == (2, ""), argv
+            error = json.loads(err)["error"]
+            assert error["kind"] == "budget" and "budget" in error["message"], argv
+            assert not out_file.exists(), argv
+        monkeypatch.undo()
+
+
+def test_a_document_exactly_at_the_budget_round_trips(capsys, g0_file, tmp_path, monkeypatch):
+    code, text, _ = run(capsys, "power", g0_file, "20")
+    assert code == 0
+    size = len(text.encode("utf-8"))
+    out_file = tmp_path / "p.json"
+    monkeypatch.setattr(serialize, "MAX_DOCUMENT_BYTES", size - 1)
+    assert run(capsys, "power", g0_file, "20", "-o", str(out_file))[0] == 2
+    assert not out_file.exists()
+    monkeypatch.setattr(serialize, "MAX_DOCUMENT_BYTES", size)
+    assert run(capsys, "power", g0_file, "20", "-o", str(out_file)) == (0, "", "")
+    assert out_file.read_bytes() == text.encode("utf-8")
+    # read back and written again, byte for byte
+    assert run(capsys, "power", str(out_file), "1") == (0, text, "")
 
 
 def test_budget_errors_exit_2(capsys, tmp_path):

@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plmonster import (
+    Factor,
     NonRationalCertificate,
     PLLineMap,
     PowerDetector,
     RationalRotation,
     ZeroBracketError,
     compose,
+    default_context,
     evaluate_line,
     identity_map,
     invert,
@@ -25,6 +27,7 @@ from plmonster import (
     log_ratio_bounds,
     power,
     random_member,
+    random_word,
     rational_rotation_test,
     rotation_map,
     rotation_number,
@@ -268,17 +271,21 @@ def test_detector_finds_every_edge_power():
         assert detector.detect(power(g0bar(), k)) == k
 
 
-def test_detector_rejects_edge_powers_times_stein_members():
-    # each member has a rational rotation number and is not the identity,
-    # so no edge power times it is an edge power again
-    members = [
+def stein_members():
+    """Stein (2,3) members with rational rotation numbers, none the identity."""
+    return [
         torsion_rotation(STEIN_2_3, 1, 2),
         torsion_rotation(STEIN_2_3, 5, 6),
         tuple_map([0, F(1, 4)], [0, F(1, 2)], STEIN_2_3),
         tuple_map([0, F(1, 3), F(1, 2)], [0, F(1, 6), F(2, 3)], STEIN_2_3),
     ]
+
+
+def test_detector_rejects_edge_powers_times_stein_members():
+    # each member has a rational rotation number and is not the identity,
+    # so no edge power times it is an edge power again
     detector = PowerDetector(g0bar())
-    for m in members:
+    for m in stein_members():
         for offset in (-1, 0, 1):
             h = lift(m, offset)
             assert not h.is_identity()
@@ -291,9 +298,12 @@ def test_detector_refines_past_the_candidate_limit(monkeypatch):
     # a limit of one exponent forces the refinement loop on every power
     monkeypatch.setattr(rotation, "CANDIDATE_LIMIT", 1)
     detector = PowerDetector(g0bar())
+    reference = PowerDetector(g0bar())
     for k in (-17, -2, 3, 29):
         assert detector.detect(power(g0bar(), k)) == k
+        assert reference_detect(reference, power(g0bar(), k)) == k
     assert detector.detect(z()) is None
+    assert reference_detect(reference, z()) is None
 
 
 def test_detector_on_negative_bases():
@@ -323,6 +333,165 @@ def test_power_cache_is_bounded():
     for k in (-3, 150):
         assert detector.power(k) == power(g0bar(), k)
     assert -3 in detector._powers and 150 not in detector._powers
+
+
+def reference_detect(detector, candidate):
+    """The displacement-first detector, as a reference.
+
+    Brackets the candidate by its displacement interval from the start
+    and squares both brackets while more than CANDIDATE_LIMIT exponents
+    survive; `PowerDetector.detect` starts from fbar(0) +- 1 instead and
+    must give the same answers.  Pass a detector of its own: the loop
+    refines the detector's base bracket in place, as `detect` does.
+    """
+    if candidate.is_identity():
+        return 0
+    ref = detector._ref
+    wref = rotation._BracketRefiner(candidate)
+    while True:
+        a, b = ref.lo, ref.hi
+        if detector._sign < 0:
+            a, b = (-b[0], b[1]), (-a[0], a[1])
+        positive, negative = _candidates(a, b, wref.lo, wref.hi)
+        if len(positive) + len(negative) <= rotation.CANDIDATE_LIMIT:
+            break
+        if wref.n >= rotation.REFINE_LIMIT:
+            raise ValueError("cannot isolate candidate exponents")
+        wref.refine()
+        ref.refine()
+    for k in sorted((*positive, *negative), key=abs):
+        if detector.power(detector._sign * k) == candidate:
+            return detector._sign * k
+    return None
+
+
+@pytest.fixture(scope="module")
+def default_edge_pool():
+    """(candidate, k) pairs against the default context's edge.
+
+    Edge powers k in -70..70, past POWER_CACHE_LIMIT, come with their k;
+    edge powers times Stein (2,3) members in both orders and every G2
+    syllable of 200 random words come with None (not known).
+    """
+    context = default_context()
+    edge = context.edge
+    pool = [(power(edge, k), k) for k in range(-70, 71)]
+    for m in stein_members():
+        for offset in range(-3, 4):
+            h = lift(m, offset)
+            for k in (-25, -3, 0, 1, 4, 31):
+                pool.append((compose(power(edge, k), h), None))
+                pool.append((compose(h, power(edge, k)), None))
+    for seed in range(200):
+        for s in random_word(context, 6, seed).syllables:
+            if s.factor is Factor.G2:
+                pool.append((s.element, None))
+    return pool
+
+
+def small_rotation_bases():
+    """Two bases with translation number 1/40, below 2/31.
+
+    fbar(0) +- 1 leaves about 80 exponents against them, so detection
+    reaches the displacement rung; the conjugate's grid is wide enough
+    that large powers also reach the squaring rung.
+    """
+    r = rotation_map(F(1, 40))
+    h = tuple_map([0, F(1, 2)], [0, F(1, 6)], STEIN_2_3)
+    return [lift(r, 0), lift(compose(compose(invert(h), r), h), 0)]
+
+
+def small_rotation_pool(base):
+    pool = [(power(base, k), k) for k in (-80, -50, -7, -1, 1, 3, 40, 80)]
+    for m in stein_members():
+        for offset in (-1, 0, 1):
+            h = lift(m, offset)
+            for k in (-3, 0, 5):
+                pool.append((compose(power(base, k), h), None))
+                pool.append((compose(h, power(base, k)), None))
+    return pool
+
+
+def assert_detects_as_reference(base, pool, sign=1):
+    detector = PowerDetector(base)
+    reference = PowerDetector(base)
+    hits = 0
+    for candidate, k in pool:
+        found = detector.detect(candidate)
+        assert found == reference_detect(reference, candidate)
+        if k is not None:
+            assert found == sign * k
+        hits += found is not None
+    return hits
+
+
+def test_detector_matches_reference_on_the_default_edge(default_edge_pool):
+    hits = assert_detects_as_reference(default_context().edge, default_edge_pool)
+    assert hits > 141  # every power, and the random words' edge syllables
+
+
+def test_detector_matches_reference_on_the_inverse_edge(default_edge_pool):
+    # a negative base: edge**k is its (-k)-th power
+    base = invert(default_context().edge)
+    assert assert_detects_as_reference(base, default_edge_pool, -1) > 141
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_detector_matches_reference_on_small_rotation_bases(which):
+    # the rigid base also has the torsion rotations' products among its
+    # powers: a half turn is its 20th
+    base = small_rotation_bases()[which]
+    assert assert_detects_as_reference(base, small_rotation_pool(base)) >= 8
+
+
+def test_default_edge_detection_reads_no_grid(monkeypatch, default_edge_pool):
+    # fbar(0) +- 1 against the edge bracket [1/2, 3/4] leaves at most
+    # CANDIDATE_LIMIT exponents up to about |fbar(0)| = 43, so no grid is
+    # walked for any cached power, their products with Stein members or
+    # the random words' syllables
+    detector = default_context()._detector
+
+    def no_grid(*args):
+        raise AssertionError("core.displacement was called")
+
+    monkeypatch.setattr(rotation.core, "displacement", no_grid)
+    for candidate, k in default_edge_pool:
+        if k is None or abs(k) <= rotation.POWER_CACHE_LIMIT:
+            detector.detect(candidate)
+    monkeypatch.undo()
+    # a counting stub: the displacement rung, and for the conjugate base
+    # the squaring rung after it, are reached past the cheap bracket
+    calls = {"displacement": 0, "refine": 0}
+    displacement = rotation.core.displacement
+    refine = rotation._BracketRefiner.refine
+
+    def counting_displacement(*args):
+        calls["displacement"] += 1
+        return displacement(*args)
+
+    def counting_refine(self):
+        calls["refine"] += 1
+        return refine(self)
+
+    edge = default_context().edge
+    bases = small_rotation_bases()
+    pools = [[(power(edge, k), k) for k in (-70, 70)]]
+    pools += [small_rotation_pool(base) for base in bases]
+    seen = []
+    for base, pool in zip([edge, *bases], pools):
+        detector = PowerDetector(base)
+        monkeypatch.setattr(rotation.core, "displacement", counting_displacement)
+        monkeypatch.setattr(rotation._BracketRefiner, "refine", counting_refine)
+        calls.update(displacement=0, refine=0)
+        for candidate, k in pool:
+            found = detector.detect(candidate)
+            assert k is None or found == k
+        seen.append(dict(calls))
+        monkeypatch.undo()
+    assert seen[0] == {"displacement": 2, "refine": 0}
+    # every candidate of a small rotation base reaches the displacement rung
+    assert all(c["displacement"] >= len(pool) for c, pool in zip(seen[1:], pools[1:]))
+    assert seen[1]["refine"] == 0 and seen[2]["refine"] > 0
 
 
 def fraction_candidates(a, b, lo, hi):
