@@ -30,6 +30,7 @@ from typing import NamedTuple, Optional
 from .maps import (
     PLCircleMap,
     PLLineMap,
+    _shown,
     compose,
     identity_map,
     invert,
@@ -122,7 +123,7 @@ _set_element = Syllable.element.__set__
 
 def _violation_text(report) -> str:
     """A membership report's violations, as "kind at where" items."""
-    return "; ".join("%s at %s" % (v.kind, v.where) for v in report.violations)
+    return "; ".join("%s at %s" % (v.kind, _shown(v.where, str)) for v in report.violations)
 
 
 class AmalgamContext:
@@ -172,7 +173,7 @@ class AmalgamContext:
             raise ContextError(
                 "edge map has rational translation number %s; the edge "
                 "subgroup must be separated from all small rationals for "
-                "power detection to stay conclusive" % rot.value
+                "power detection to stay conclusive" % _shown(rot.value, str)
             )
         self._left = left
         self._right = right

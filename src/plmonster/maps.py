@@ -53,6 +53,19 @@ def _frac(pair) -> Fraction:
     return Fraction(pair[0], pair[1])
 
 
+def _shown(value, render=repr) -> str:
+    """render(value) for an error message about value.
+
+    An integer past the host's int/str conversion limit, alone or inside
+    a Fraction or a list, has no str or repr there; the message names it
+    instead of failing.
+    """
+    try:
+        return render(value)
+    except ValueError:
+        return "a value too large to show"
+
+
 class PLCircleMap:
     """Orientation preserving PL bijection of the circle R/Z.
 
@@ -75,10 +88,10 @@ class PLCircleMap:
         # is tuple equality, and order is cross-multiplication
         for b in breaks:
             if not 0 <= b[0] < b[1]:
-                raise ValueError("breakpoint %s outside [0, 1)" % _frac(b))
+                raise ValueError("breakpoint %s outside [0, 1)" % _shown(_frac(b), str))
         for v in imgs:
             if not 0 <= v[0] < v[1]:
-                raise ValueError("image %s outside [0, 1)" % _frac(v))
+                raise ValueError("image %s outside [0, 1)" % _shown(_frac(v), str))
         for (an, ad), (bn, bd) in zip(breaks, breaks[1:]):
             if bn * ad <= an * bd:
                 raise ValueError("breakpoints must be strictly increasing")

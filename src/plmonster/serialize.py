@@ -12,15 +12,15 @@ invariant violations all raise DocumentError with the offending field.
 
 Integers in fraction strings and JSON integers (a line map's offset)
 may have up to MAX_DIGITS decimal digits, far past CPython's default
-conversion limit, so every value the library computes at a practical
-size serializes and parses back.  The limit is process-wide: it is raised
-to MAX_DIGITS only while one fraction string or one JSON document is
-converted, under a module lock held from the save to the restore, so
-conversions in several threads each run at MAX_DIGITS and the limit is
-always restored to its value before.  A value beyond MAX_DIGITS raises
-BudgetError, a DocumentError.  The writer counts the digits of every
-integer it emits, so exactly the values that parse back are written on
-every CPython.
+int/str conversion limit, so every value the library computes at a
+practical size serializes and parses back.  This module converts them
+itself and never reads or sets that limit: a digit run is counted before
+it is converted, and an integer's bit length is checked before it is
+formatted and its digits counted exactly after, so a value beyond
+MAX_DIGITS raises BudgetError, a DocumentError, and exactly the values
+that parse back are written.  Runs and integers longer than a few hundred
+digits, which a host's limit could refuse, convert by halves (hi * 10**k
++ lo each way); near MAX_DIGITS that beats CPython's quadratic conversion.
 
 The command line's budgets sit beside it: MAX_DOCUMENT_BYTES bounds the
 documents it reads and writes, both checked by `check_document_size`, so
@@ -32,14 +32,12 @@ random`, and MAX_TUPLE_GRID bounds the grid that `tuple-map` builds.
 from __future__ import annotations
 
 import json
+import math
 import re
-import sys
-import threading
 from fractions import Fraction
-from functools import partial
 from typing import TYPE_CHECKING, Optional, Union
 
-from .maps import PLCircleMap, PLLineMap, lift
+from .maps import PLCircleMap, PLLineMap, _shown, lift
 from .stein import GroupDescriptor
 
 if TYPE_CHECKING:
@@ -70,11 +68,21 @@ MAX_WORD_LENGTH = 5_000
 # the lam**-q grid, q the finest depth of its entries (at least 1)
 MAX_TUPLE_GRID = 2**16
 
-_FRACTION_RE = re.compile(r"^-?\d+(/\d+)?$")
+# a fraction string's sign, numerator and denominator digits; canonical
+# ones have ASCII digits, no leading zero, no "-0" and no final newline
+_FRACTION_RE = re.compile(r"^(-?)(\d+)(?:/(\d+))?$")
+_CANONICAL_RE = re.compile(r"(0|-?[1-9][0-9]*)(/[1-9][0-9]*)?\Z")
 _OVER_BUDGET = "an integer exceeds the budget of %d decimal digits" % MAX_DIGITS
-# held from each save of the digit limit to its restore; no conversion
-# calls back into _within_budget, so it never nests
-_DIGIT_LIMIT_LOCK = threading.Lock()
+# bit length of 10**MAX_DIGITS: a larger one has more than MAX_DIGITS digits
+_BUDGET_BITS = math.floor(MAX_DIGITS * math.log2(10)) + 1
+# int() and str() convert these natively under every host limit (the
+# smallest a host can set is 640 digits): runs of at most _SHORT_DIGITS
+# digits, and integers below 2**_SHORT_BITS (at most 603 digits)
+_SHORT_DIGITS = 600
+_SHORT_BITS = 2000
+# a marker of _dump_json as json.dumps writes it: a whole string "\x00" and
+# an index (a quote after a backslash is an escaped one, inside a string)
+_MARKER_RE = re.compile(r'(?<!\\)"\\u0000(\d+)"')
 
 
 class DocumentError(ValueError):
@@ -83,28 +91,6 @@ class DocumentError(ValueError):
 
 class BudgetError(DocumentError):
     """Raised when an integer would exceed MAX_DIGITS decimal digits."""
-
-
-def _within_budget(convert, value):
-    """convert(value) with CPython's int/str digit limit set to MAX_DIGITS.
-
-    A conversion past MAX_DIGITS digits raises BudgetError, and the
-    process limit is restored afterwards either way.  Malformed JSON is
-    not a budget matter: its JSONDecodeError passes through unchanged.
-    """
-    with _DIGIT_LIMIT_LOCK:
-        saved = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(MAX_DIGITS)
-        try:
-            return convert(value)
-        except json.JSONDecodeError:
-            raise
-        except ValueError:
-            # apart from malformed JSON, the only ValueError these
-            # conversions raise is the digit limit
-            raise BudgetError(_OVER_BUDGET) from None
-        finally:
-            sys.set_int_max_str_digits(saved)
 
 
 def check_document_size(data: bytes, name: str) -> bytes:
@@ -121,49 +107,60 @@ def check_document_size(data: bytes, name: str) -> bytes:
     return data
 
 
-def _shown(value) -> str:
-    """repr(value) for an error message about a document value.
-
-    An integer past CPython's conversion limit, alone or inside a list,
-    has no repr there; the message names it instead of failing.
-    """
-    try:
-        return repr(value)
-    except ValueError:
-        return "a value too large to show"
+def _int(text: str) -> int:
+    """int(text) for a run of decimal digits after an optional "-"."""
+    # a run is counted before it is converted, and a long one splits in halves
+    if len(text.lstrip("-")) > MAX_DIGITS:
+        raise BudgetError(_OVER_BUDGET)
+    if len(text) <= _SHORT_DIGITS:
+        return int(text)
+    if text[0] == "-":
+        return -_int(text[1:])
+    k = len(text) // 2
+    return _int(text[:-k]) * 10**k + _int(text[-k:])
 
 
 def _digits(n: int) -> str:
-    # CPython 3.12 and later check their limit against an estimate that
-    # lets a few hundred digits more through, so count them exactly
-    text = str(n)
-    if len(text) - (n < 0) > MAX_DIGITS:
+    """str(n), or BudgetError when |n| has more than MAX_DIGITS digits."""
+    # refused by bit length before converting, then counted exactly; a long
+    # value splits in halves
+    bits = n.bit_length()
+    if bits <= _SHORT_BITS:
+        return str(n)
+    if bits > _BUDGET_BITS:
+        raise BudgetError(_OVER_BUDGET)
+    if n < 0:
+        return "-" + _digits(-n)
+    k = bits * 3 // 20  # about half its digits: log10(2) > 0.3
+    hi, lo = divmod(n, 10**k)
+    text = _digits(hi) + _digits(lo).zfill(k)
+    if len(text) > MAX_DIGITS:
         raise BudgetError(_OVER_BUDGET)
     return text
 
 
-def _format_fraction(value: Fraction) -> str:
+def fraction_to_str(value: Fraction) -> str:
+    """Lowest-terms string form: "p" for integers, "p/q" otherwise."""
     if value.denominator == 1:
         return _digits(value.numerator)
     return _digits(value.numerator) + "/" + _digits(value.denominator)
 
 
-def fraction_to_str(value: Fraction) -> str:
-    """Lowest-terms string form: "p" for integers, "p/q" otherwise."""
-    return _within_budget(_format_fraction, value)
-
-
 def str_to_fraction(text: str) -> Fraction:
     """Parse a canonical fraction string; anything non-canonical fails."""
-    if not isinstance(text, str) or not _FRACTION_RE.match(text):
+    match = _FRACTION_RE.match(text) if isinstance(text, str) else None
+    if match is None:
         raise DocumentError(
             "expected a fraction string like '3' or '-1/4', got %s" % _shown(text)
         )
-    try:
-        value = _within_budget(Fraction, text)
-    except ZeroDivisionError:
-        raise DocumentError("zero denominator in %r" % text) from None
-    if fraction_to_str(value) != text:
+    sign, num, den = match.groups()
+    numerator = _int(sign + num)
+    denominator = 1 if den is None else _int(den)
+    if denominator == 0:
+        raise DocumentError("zero denominator in %r" % text)
+    value = Fraction(numerator, denominator)
+    # canonical, and in lowest terms when Fraction reduced nothing
+    if not _CANONICAL_RE.match(text) or den == "1" or value.denominator != denominator:
         raise DocumentError(
             "%r is not in canonical lowest-terms form (expected %r)"
             % (text, fraction_to_str(value))
@@ -225,7 +222,7 @@ def map_to_document(
         "images": [fraction_to_str(v) for v in value.images],
     }
     if offset is not None:
-        _within_budget(_digits, offset)  # json.dumps would not count exactly
+        _digits(offset)  # refused here, as the fractions are
         doc["offset"] = offset
     return doc
 
@@ -273,7 +270,31 @@ def _map_and_descriptor(doc: dict):
 
 
 def _dump_json(doc: dict) -> str:
-    return _within_budget(partial(json.dumps, indent=2), doc) + "\n"
+    """json.dumps(doc, indent=2) and a newline, long integers by _digits."""
+    # each long integer goes in as a marker string, "\x00" and its index in
+    # `pieces`, which its digits replace in the text; so does each document
+    # string starting with "\x00", put back as json.dumps writes it
+    pieces = []
+
+    def marked(node):
+        if isinstance(node, str):
+            if node[:1] != "\x00":
+                return node
+            pieces.append(json.dumps(node))
+        elif isinstance(node, dict):
+            return {marked(k) if isinstance(k, str) else k: marked(v) for k, v in node.items()}
+        elif isinstance(node, (list, tuple)):
+            return [marked(item) for item in node]
+        elif isinstance(node, int) and node.bit_length() > _SHORT_BITS:
+            pieces.append(_digits(node))
+        else:
+            return node
+        return "\x00%d" % (len(pieces) - 1)
+
+    text = json.dumps(marked(doc), indent=2)
+    if pieces:
+        text = _MARKER_RE.sub(lambda m: pieces[int(m[1])], text)
+    return text + "\n"
 
 
 def format_map(
@@ -289,7 +310,7 @@ def parse_map(text: str) -> Union[PLCircleMap, PLLineMap]:
 
 def _load_json(text: str) -> dict:
     try:
-        return _within_budget(json.loads, text)
+        return json.loads(text, parse_int=_int)
     except json.JSONDecodeError as exc:
         raise DocumentError("invalid JSON: %s" % exc) from None
     except RecursionError:

@@ -16,6 +16,7 @@ import plmonster
 from plmonster import (
     AmalgamWord,
     Factor,
+    PLCircleMap,
     PLLineMap,
     default_context,
     format_map,
@@ -586,6 +587,24 @@ def test_offsets_past_the_default_digit_limit(capsys, tmp_path):
     bad.write_text(text[:-5])
     code, _, err = run(capsys, "eval", "--map", str(bad), "--point", "0")
     assert code == 2 and json.loads(err)["error"]["kind"] == "parse"
+
+
+def test_non_members_with_long_breakpoints_are_parse_errors(capsys, tmp_path):
+    # a message showing a 5,000-digit breakpoint, past CPython's default
+    # limit, is still a parse error naming the syllable or the context
+    long = lift(PLCircleMap([0, Fraction(1, 3 * 10**4999 + 1)], [0, Fraction(1, 2)]), 0)
+    for place, start in (("syllable", "syllable 0: "), ("edge", "invalid context: ")):
+        doc = serialize.word_to_document(relator_word(default_context(), 1))
+        if place == "syllable":
+            doc["syllables"][0]["element"] = serialize.map_to_document(long)
+        else:
+            doc["context"]["edge"] = serialize.map_to_document(long)
+        path = tmp_path / (place + ".json")
+        path.write_text(json.dumps(doc, indent=2))
+        code, out, err = run(capsys, "word", "trivial", str(path))
+        error = json.loads(err)["error"]
+        assert (code, out, error["kind"]) == (2, "", "parse"), place
+        assert error["message"].startswith(start), place
 
 
 def test_missing_file_exit_2(capsys, tmp_path):

@@ -62,7 +62,8 @@ WORD_DOCS = [
 ]
 
 # values a mutation writes: JSON scalars, fraction strings near and far
-# from canonical, integers at and past the digit budget, small containers
+# from canonical (one with 5,000 digits, between CPython's default limit
+# and the budget), integers at and past the digit budget, small containers
 SCALARS = st.one_of(
     st.none(),
     st.booleans(),
@@ -72,8 +73,8 @@ SCALARS = st.one_of(
     st.text(max_size=6),
     st.sampled_from(
         ["0", "1", "-1", "1/2", "-1/3", "2/4", "1/0", "0/1", "3/2", "01/2", "1/-2",
-         "1/" + "3" * 500, "1/" + "7" * 100_001, "plmonster.map/1", "plmonster.word/1",
-         "G1", "G2"]
+         "1/" + "3" * 500, "1/" + "9" * 5_000, "1/" + "7" * 100_001,
+         "plmonster.map/1", "plmonster.word/1", "G1", "G2"]
     ),
 )
 VALUES = st.one_of(

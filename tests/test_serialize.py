@@ -2,17 +2,21 @@
 
 import json
 import random
+import re
 import sys
 import threading
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from plmonster import (
     AmalgamWord,
     BudgetError,
     DocumentError,
     Factor,
+    PLCircleMap,
     PLLineMap,
     default_context,
     format_map,
@@ -33,8 +37,10 @@ from plmonster import (
     word_from_document,
     word_to_document,
 )
-from plmonster.serialize import MAX_DIGITS
+from plmonster.maps import _shown
+from plmonster.serialize import MAX_DIGITS, _dump_json
 from plmonster.stein import STEIN_2_3, THOMPSON
+from test_fuzz import SCALARS
 
 
 def test_fraction_to_str_forms():
@@ -55,6 +61,50 @@ def test_str_to_fraction_rejects_noncanonical_forms():
     for text in ("2/4", "1/1", "03", "-0", "1/0", "0/1", "1.5", " 1", "1 ", "a", "1/-2", "+1"):
         with pytest.raises(DocumentError):
             str_to_fraction(text)
+
+
+def reference_str_to_fraction(text):
+    """str_to_fraction as it was: Fraction(text), canonical when formatting
+    it gives text back (here under the host's limit, so at most 4,300
+    digits)."""
+    if not isinstance(text, str) or not re.match(r"^-?\d+(/\d+)?$", text):
+        raise DocumentError(
+            "expected a fraction string like '3' or '-1/4', got %s" % _shown(text)
+        )
+    try:
+        value = F(text)
+    except ZeroDivisionError:
+        raise DocumentError("zero denominator in %r" % text) from None
+    if str(value) != text:
+        raise DocumentError(
+            "%r is not in canonical lowest-terms form (expected %r)" % (text, str(value))
+        )
+    return value
+
+
+def parse_outcome(parse, text):
+    """The value parse(text) returns, or its error's type and message."""
+    try:
+        return parse(text)
+    except DocumentError as exc:
+        return type(exc), str(exc)
+
+
+def test_canonical_check_matches_the_reference():
+    # "\u0661" is an Arabic-Indic one, a digit to int() but not canonical
+    for text in ("-0", "0/1", "00", "01/2", "1/01", "1/1", "2/4", "-0/3", "1/0", "-1/2",
+                 "1\n", "1/2\n", "\u0661", "1/\u0662", "0", "-7/3", 5, None):
+        expected = parse_outcome(reference_str_to_fraction, text)
+        assert parse_outcome(str_to_fraction, text) == expected, text
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=st.one_of(st.text(alphabet="-+0123456789/. e_", max_size=12), SCALARS))
+def test_fuzzed_fraction_strings_match_the_reference(text):
+    # the strings of the fuzz that the reference parses at the default limit
+    assume(not isinstance(text, str) or len(text) <= 4300)
+    expected = parse_outcome(reference_str_to_fraction, text)
+    assert parse_outcome(str_to_fraction, text) == expected
 
 
 def test_g0_document_shape():
@@ -249,15 +299,26 @@ def test_word_document_rationals_are_strings():
         assert isinstance(token, str)
 
 
-@pytest.fixture
-def digit_limit():
-    """A process digit limit of 4300 that serialize must leave as it found it."""
+@pytest.fixture(params=[640, 4300, 0])
+def digit_limit(request, monkeypatch):
+    """A host digit limit that serialize must neither read nor set.
+
+    640 is the least a host can set, 4300 CPython's default, and 0 no
+    limit; while the test runs, reading or setting the limit raises.
+    """
     saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
+    set_limit = sys.set_int_max_str_digits
+    set_limit(request.param)
+
+    def refuse(*args):
+        raise AssertionError("the host's int/str digit limit was read or set")
+
+    monkeypatch.setattr(sys, "get_int_max_str_digits", refuse)
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
     try:
-        yield 4300
+        yield request.param
     finally:
-        sys.set_int_max_str_digits(saved)
+        set_limit(saved)
 
 
 def test_values_past_the_default_digit_limit_round_trip(digit_limit):
@@ -265,7 +326,6 @@ def test_values_past_the_default_digit_limit_round_trip(digit_limit):
     text = format_map(h)
     assert max(len(v) for v in json.loads(text)["images"]) > digit_limit
     assert parse_map(text) == h
-    assert sys.get_int_max_str_digits() == digit_limit
 
 
 def test_fraction_strings_over_the_digit_budget_fail(digit_limit):
@@ -290,14 +350,13 @@ def test_fraction_strings_over_the_digit_budget_fail(digit_limit):
     doc["breakpoints"] = ["1/" + huge]
     with pytest.raises(BudgetError, match=r"breakpoints\[0\]"):
         map_from_document(doc)
-    assert sys.get_int_max_str_digits() == digit_limit
 
 
-def test_concurrent_conversions_restore_the_digit_limit(digit_limit):
+def test_concurrent_conversions_never_touch_the_digit_limit(digit_limit):
     # the limit is process-wide: eight threads (more than the cores of a
     # small machine) convert 5,000-digit fractions at once, switching as
-    # often as the interpreter allows, and each conversion must run at the
-    # budget and leave the limit as it found it
+    # often as the interpreter allows, and each conversion must succeed
+    # under the host's limit without reading or setting it
     value = F(10**4999 + 1, 3 * 10**4998 + 7)
     text = fraction_to_str(value)
     errors = []
@@ -322,7 +381,25 @@ def test_concurrent_conversions_restore_the_digit_limit(digit_limit):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert sys.get_int_max_str_digits() == digit_limit
+
+
+def test_dumped_documents_write_long_integers_at_any_depth(digit_limit):
+    def doc(a, b, c):
+        # strings that look like the dump's markers stay strings
+        return {
+            "a": [1, a, {"b": b, "\x001": "\x000"}],
+            "\x000": [c, True, None, 1.5, 'x"\x000', "\x00", "\\"],
+            "c": a,
+        }
+
+    long = {"101": "1" + "0" * 5000, "202": "-1" + "0" * 99_999, "303": "9" * 700}
+    expected = json.dumps(doc(101, 202, 303), indent=2) + "\n"
+    for placeholder, digits in long.items():
+        expected = expected.replace(placeholder, digits)
+    assert _dump_json(doc(10**5000, -(10**99_999), 10**700 - 1)) == expected
+    assert _dump_json(10**5000) == long["101"] + "\n"
+    with pytest.raises(BudgetError):
+        _dump_json({"a": [1, {"b": -(10**MAX_DIGITS)}]})
 
 
 def _line_map_text(offset_digits: str) -> str:
@@ -341,7 +418,6 @@ def test_offsets_past_the_default_digit_limit_round_trip(digit_limit):
     g = power(lift(identity_map(), 99), 10**4299)
     assert g.offset == 99 * 10**4299  # 4,301 digits
     assert parse_map(format_map(g)) == g
-    assert sys.get_int_max_str_digits() == digit_limit
 
 
 def test_offsets_over_the_digit_budget_fail(digit_limit):
@@ -355,4 +431,28 @@ def test_offsets_over_the_digit_budget_fail(digit_limit):
     with pytest.raises(DocumentError) as info:
         parse_map(_line_map_text("1")[:-5])
     assert not isinstance(info.value, BudgetError)
-    assert sys.get_int_max_str_digits() == digit_limit
+
+
+def long_non_member():
+    # the denominator of its breakpoint has 5,000 digits, past CPython's
+    # default limit, and is not a power of 6: a member of neither factor
+    return lift(PLCircleMap([0, F(1, 3 * 10**4999 + 1)], [0, F(1, 2)]), 0)
+
+
+def test_messages_about_long_values_are_document_errors(digit_limit):
+    doc = word_to_document(relator_word(default_context(), 1))
+    doc["syllables"][0]["element"] = map_to_document(long_non_member())
+    with pytest.raises(DocumentError, match="^syllable 0: element is not a member"):
+        word_from_document(doc)
+    doc = word_to_document(relator_word(default_context(), 1))
+    doc["context"]["edge"] = map_to_document(long_non_member())
+    with pytest.raises(DocumentError, match="^invalid context: edge map is not a member"):
+        word_from_document(doc)
+    # the identity is a member, but its lift by 10**5000 translates by it
+    doc["context"]["edge"] = map_to_document(lift(identity_map(), 10**5000))
+    with pytest.raises(DocumentError, match="^invalid context: .* rational translation"):
+        word_from_document(doc)
+    doc = map_to_document(identity_map())
+    doc["breakpoints"] = ["1" + "0" * 5000]  # 10**5000, 5,001 digits
+    with pytest.raises(DocumentError, match=r"^invalid map data: breakpoint .* outside \[0, 1\)$"):
+        map_from_document(doc)
