@@ -19,16 +19,15 @@ the few vertices that can be straight, with no second pass.
 `canon_grid` is for grids that come from outside (the map constructor).
 
 `compose` walks g's corners through the window [t0, t0 + 1], t0 = f~(0),
-in one of two ways.  A one-shot product reads g's grid in place: an
-index runs over g's corners from t0 up to 1 and then, shifted by one as
-each is read, from 0 up to t0, so the call builds no table and no
-shifted copy of g.  A caller that composes many maps with the same g
-builds `window(gxs, gys)` once, a table of g's corners over (0, 2] that
-holds each corner's image and the line constants of the g segment
-ending there, and passes it to every call; the walk then starts at the
-first corner past t0 and does no shift arithmetic, no anchor test and no
-per-segment differences.  Building that table costs about twice a
-one-shot walk, so single products keep the in-place walk.
+in one merge walk that reads them from one of two sources.  A one-shot
+product reads g's grid in place: an index runs over g's corners from t0
+up to 1 and then, shifted by one as each is read, from 0 up to t0, so
+the call builds no table and no shifted copy of g.  A caller that
+composes many maps with the same g builds `window(gxs, gys)` once, g's
+grid stretched over [0, 2] with the line constants of each segment, and
+passes it to every call; the walk then reads the table with no shift,
+no anchor test and no per-segment differences.  Building that table
+costs about twice a one-shot walk, so single products read in place.
 
 The grid operations reduce each coordinate they emit once: intermediate
 differences, products and slopes stay unreduced integers, compared by
@@ -173,43 +172,45 @@ def first_breakpoint(xs, ys):
 
 
 def window(gxs, gys):
-    """Table of g's corners over (0, 2], for `compose` calls that share g.
+    """g's grid stretched over [0, 2], for `compose` calls that share g.
 
-    One entry (cn, cd, v, h1, h2, h3) per corner c = cn/cd of g's lift in
-    (0, 2], in increasing order, then one sentinel past 2: g's first
-    grid point after 0, shifted by two.  The anchors 1 and 2 are entries
-    only when g has a corner there.  v = g~(c), and g~(x) = (h1 + x h2)
-    / h3 with h3 > 0 on the g segment ending at c, which starts at the
-    entry before (at 0 for the first); the constants are reduced by
-    their common gcd.  A rotation (one segment) has only the sentinel.
+    Three parallel sequences (xs, ys, hs): xs holds g's anchor 0, every
+    corner c of g's lift in (0, 2] in increasing order, and one sentinel
+    past 2 (g's first grid point after 0, shifted by two); the anchors 1
+    and 2 are entries only when g has a corner there.  ys holds g~(c),
+    and hs holds (h1, h2, h3), reduced by their common gcd with h3 > 0,
+    such that g~(x) = (h1 + x h2) / h3 on the g segment ending at c,
+    which starts at the entry before (none for the anchor).  A rotation
+    (one segment) has only the anchor and the sentinel.
     """
     sg = len(gxs) - 1
-    cx = list(gxs[1:sg])
-    cy = list(gys[1:sg])
+    xs = list(gxs[:sg])
+    ys = list(gys[:sg])
     if not anchor_is_straight(gxs, gys):
-        cx.append(ONE)
-        cy.append(gys[sg])
+        xs.append(ONE)
+        ys.append(gys[sg])
     # unit shifts keep lowest terms
-    cx += [(n + d, d) for n, d in cx]
-    cy += [(n + d, d) for n, d in cy]
+    xs += [(n + d, d) for n, d in xs[1:]]
+    ys += [(n + d, d) for n, d in ys[1:]]
     (n, d), (m, e) = gxs[1], gys[1]
-    cx.append((n + 2 * d, d))
-    cy.append((m + 2 * e, e))
+    xs.append((n + 2 * d, d))
+    ys.append((m + 2 * e, e))
 
-    table = []
+    hs = [None]
     an, ad = ZERO
     un, ud = gys[0]
-    for (cn, cd), v in zip(cx, cy):
-        vn, vd = v
+    for k in range(1, len(xs)):
+        cn, cd = xs[k]
+        vn, vd = ys[k]
         g1 = vd * (cn * ad - an * cd)
         g2 = (vn * ud - un * vd) * cd
         h1 = un * g1 - an * g2
         h2 = ad * g2
         h3 = ud * g1
         g = gcd(gcd(h1, h2), h3)
-        table.append((cn, cd, v, h1 // g, h2 // g, h3 // g))
+        hs.append((h1 // g, h2 // g, h3 // g))
         an, ad, un, ud = cn, cd, vn, vd
-    return tuple(table)
+    return tuple(xs), tuple(ys), tuple(hs)
 
 
 def compose(fxs, fys, gxs, gys, window=None):
@@ -219,24 +220,24 @@ def compose(fxs, fys, gxs, gys, window=None):
     of the composite circle map and carry = floor(g~(f~(0))) records how the
     anchored lifts stack (0 or 1); lift offsets add it on top of their own.
 
-    One merge walk, with no search: g's corners inside the window
-    (t0, t0 + 1), t0 = f~(0), form a sorted stream, and the window end
-    closes it; f's images increase through the same window.  Each f
-    breakpoint below a stream point takes g~ from the g segment that
-    point closes; the stream point then lands on an f breakpoint, or
-    emits a vertex pulled back through the f segment around it.  The work
-    is linear in the sizes of the two grids.
+    One merge walk, with no search: g's corners in the window
+    (t0, t0 + 1], t0 = f~(0), form a sorted stream, and the window end
+    t0 + 1 closes it; f's images increase through the same window and
+    end there, so the walk ends on the first stream point at or past
+    t0 + 1.  Each f breakpoint below a stream point takes g~ from the g
+    segment that point closes; the stream point then lands on an f
+    breakpoint, or emits a vertex pulled back through the f segment
+    around it.  The work is linear in the sizes of the two grids.
 
-    With ``window=None`` the stream is read in place from g's grid and
-    shifted by one past 1, and no table or shifted grid is built.  A
-    ``window`` is `window(gxs, gys)`, built by the caller once for many
-    products with the same g: the stream is then its entries from the
-    first corner past t0, and every segment's constants come from the
-    table.  t0's value and the f breakpoints below the first stream point
-    take the constants of the entry closing t0's segment; those below the
-    window end take the constants of the first entry at or past t0 + 1,
-    the segment ending there.  When t0 is a corner of g, that is the
-    segment ending at t0, shifted, and not t0's own segment.
+    The stream has one of two sources, and only where it stops and where
+    a g segment's constants come from depend on which.  With
+    ``window=None`` it is read in place from g's grid, shifted by one
+    past 1, and each segment's constants are taken from its two ends; no
+    table or shifted grid is built.  A ``window`` is `window(gxs, gys)`,
+    built by the caller once for many products with the same g: the
+    stream is then its entries from the first past t0, with no shift,
+    and each segment's constants are read from the entry that closes it,
+    the window end's from the first entry past t0 + 1.
 
     The inputs must be canonical, and then so is the output, with no
     second pass: an interior corner of f, or one of g strictly inside an
@@ -245,29 +246,41 @@ def compose(fxs, fys, gxs, gys, window=None):
     are f breakpoints landing exactly on a corner of g, where the two
     slope changes may cancel.
     """
-    if window is not None:
-        return _compose_window(fxs, fys, window)
+    if window is None:
+        sx, sy, hs = gxs, gys, None
+    else:
+        sx, sy, hs = window
     t0 = fys[0]
     tn, td = t0
-    sg = len(gxs) - 1
-    # g's segment around t0: gxs[i - 1] <= t0 < gxs[i]
+    # the stream source's segment around t0: sx[i - 1] <= t0 < sx[i]
     i = 1
-    while gxs[i][0] * td <= tn * gxs[i][1]:
-        i += 1  # gxs[sg] == 1 > t0 stops the scan
-    if gxs[i - 1] == t0:
-        y0 = gys[i - 1]
-        below = i - 1
-    else:
+    while sx[i][0] * td <= tn * sx[i][1]:
+        i += 1  # g's grid point 1, or the table's sentinel, stops the scan
+    if sx[i - 1] == t0:
+        y0 = sy[i - 1]
+    elif hs is None:
         y0 = _interp(gxs[i - 1], gxs[i], gys[i - 1], gys[i], t0)
-        below = i
+    else:
+        h1, h2, h3 = hs[i]
+        n = td * h1 + tn * h2
+        d = td * h3
+        g = gcd(n, d)
+        y0 = (n // g, d // g) if g > 1 else (n, d)
 
-    # the stream index q runs over gxs[i:top] and then, as q - wrap and
-    # shifted by one, over gxs[1:below] (unit shifts keep lowest terms);
-    # from stop on it reads the window end.  g's anchor at 1 is inside
-    # the window when t0 > 0, and a corner unless g is straight there
-    top = sg if tn == 0 or anchor_is_straight(gxs, gys) else sg + 1
-    wrap = top - 1
-    stop = top + below - 1
+    # the stream index q runs over sx[i:top]; in place, it then runs as
+    # q - wrap over gxs[1:i], shifted by one (unit shifts keep lowest
+    # terms).  From stop on it reads the window end
+    if hs is None:
+        # g's anchor at 1 is inside the window when t0 > 0, and a corner
+        # unless g is straight there
+        sg = len(gxs) - 1
+        top = sg if tn == 0 or anchor_is_straight(gxs, gys) else sg + 1
+        wrap = top - 1
+        stop = top + i - 1
+    else:
+        # the table holds each corner of (0, 1] once more in (1, 2], so
+        # the first entry past t0 + 1 is that many entries on
+        stop = top = i + (len(sx) - 2) // 2
 
     out_x = [fxs[0]]
     out_y = [y0]
@@ -283,8 +296,8 @@ def compose(fxs, fys, gxs, gys, window=None):
     q = i
     while True:
         if q < top:
-            cn, cd = gxs[q]
-            v = gys[q]
+            cn, cd = sx[q]
+            v = sy[q]
         elif q < stop:
             cn, cd = gxs[q - wrap]
             cn += cd
@@ -293,21 +306,23 @@ def compose(fxs, fys, gxs, gys, window=None):
         else:
             cn, cd = tn + td, td
             v = (y0[0] + y0[1], y0[1])
-        q += 1
 
         s = bn * cd - cn * bd
         if s < 0:
             # f breakpoints below the stream point: g~ on the g segment
-            # from (a, u) to (c, v), its differences taken once.  f's
-            # last image is t0 + 1, at or above every stream point, so
-            # this stops by j = sf
-            un, ud = u
-            vn, vd = v
-            g1 = vd * (cn * ad - an * cd)
-            g2 = (vn * ud - un * vd) * cd
-            h1 = un * g1 - an * g2
-            h2 = ad * g2
-            h3 = ud * g1
+            # from (a, u) to (c, v), (h1 + x h2) / h3.  f's last image is
+            # t0 + 1, at or above every stream point, so this stops by
+            # j = sf
+            if hs is None:
+                un, ud = u
+                vn, vd = v
+                g1 = vd * (cn * ad - an * cd)
+                g2 = (vn * ud - un * vd) * cd
+                h1 = un * g1 - an * g2
+                h2 = ad * g2
+                h3 = ud * g1
+            else:
+                h1, h2, h3 = hs[q]
             while True:
                 out_x.append(fxs[j])
                 n = bd * h1 + bn * h2
@@ -347,97 +362,12 @@ def compose(fxs, fys, gxs, gys, window=None):
             g = gcd(n, d)
             out_x.append((n // g, d // g) if g > 1 else (n, d))
             out_y.append(v)
+        q += 1
         an, ad = cn, cd
         u = v
     out_x.append(fxs[sf])
     out_y.append(v)
-    return _finish(out_x, out_y, landed, y0)
 
-
-def _compose_window(fxs, fys, window):
-    # compose's merge walk over a `window` table; the f side is as in the
-    # in-place walk
-    t0 = fys[0]
-    tn, td = t0
-    # the first entry past t0 closes t0's segment; the sentinel, past 2,
-    # stops the scan
-    i = 0
-    while window[i][0] * td <= tn * window[i][1]:
-        i += 1
-    _, _, _, h1, h2, h3 = window[i]
-    n = td * h1 + tn * h2
-    d = td * h3
-    g = gcd(n, d)
-    y0 = (n // g, d // g) if g > 1 else (n, d)
-
-    # the window holds each corner of (0, 1] once more in (1, 2], so the
-    # first entry at or past t0 + 1 is len // 2 entries on, or one less
-    # when t0 + 1 is itself an entry (t0 is a corner of g)
-    en = tn + td
-    stop = i + (len(window) >> 1)
-    if window[stop - 1][:2] == (en, td):
-        stop -= 1
-
-    out_x = [fxs[0]]
-    out_y = [y0]
-    landed = []
-    sf = len(fxs) - 1
-    j = 1  # the next f breakpoint, with image (bn, bd)
-    bn, bd = fys[1]
-    seg = 0  # the f segment whose pull-back constants are held
-    q = i
-    while True:
-        # the stream point c = (cn, cd), with g~(c) = v and the constants
-        # of the g segment ending at it
-        cn, cd, v, h1, h2, h3 = window[q]
-        if q == stop:
-            cn, cd = en, td
-            v = (y0[0] + y0[1], y0[1])
-        q += 1
-
-        s = bn * cd - cn * bd
-        if s < 0:
-            while True:
-                out_x.append(fxs[j])
-                n = bd * h1 + bn * h2
-                d = bd * h3
-                g = gcd(n, d)
-                out_y.append((n // g, d // g) if g > 1 else (n, d))
-                j += 1
-                bn, bd = fys[j]
-                s = bn * cd - cn * bd
-                if s >= 0:
-                    break
-        if s == 0:
-            if j == sf:
-                break  # the window end, on f's last image
-            out_x.append(fxs[j])
-            landed.append(len(out_y))
-            out_y.append(v)
-            j += 1
-            bn, bd = fys[j]
-        else:
-            if seg != j:
-                seg = j
-                pn, pd = fxs[j - 1]
-                rn, rd = fxs[j]
-                sn, sd = fys[j - 1]
-                e1 = rd * (bn * sd - sn * bd)
-                e2 = (rn * pd - pn * rd) * bd
-                e3 = pn * e1 - sn * e2
-                e4 = sd * e2
-                e5 = pd * e1
-            n = cd * e3 + cn * e4
-            d = cd * e5
-            g = gcd(n, d)
-            out_x.append((n // g, d // g) if g > 1 else (n, d))
-            out_y.append(v)
-    out_x.append(fxs[sf])
-    out_y.append(v)
-    return _finish(out_x, out_y, landed, y0)
-
-
-def _finish(out_x, out_y, landed, y0):
     # a landed vertex goes when its neighbours are collinear with it;
     # the emitted points hold every corner, so raw neighbours will do
     for m in reversed(landed):

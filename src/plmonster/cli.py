@@ -23,6 +23,7 @@ from fractions import Fraction
 from .maps import (
     PLCircleMap,
     PLLineMap,
+    _shown,
     compose,
     evaluate_circle,
     evaluate_line,
@@ -41,6 +42,7 @@ from .serialize import (
     BudgetError,
     DocumentError,
     _load_json,
+    _int,
     _map_and_descriptor,
     check_document_size,
     format_map,
@@ -62,6 +64,13 @@ from .stein import (
 # so a command loads only what it runs
 
 
+# the one grammar of flag rationals: an integer or a decimal, over an
+# optional integer, with no sign, exponent, underscore or space
+_RATIONAL = r"(\d+|\d*\.\d+)(/\d+)?"
+_RATIONAL_RE = re.compile(r"(-?)%s\Z" % _RATIONAL)
+_INTEGER_RE = re.compile(r"-?\d+\Z")
+
+
 class _UsageError(Exception):
     """Bad flags or flag combinations; reported as kind 'usage', exit 2."""
 
@@ -75,8 +84,9 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
         # a negative rational, or a comma list of rationals starting with
         # one, is a flag value and not an option (subparsers inherit this)
-        rational = r"(\d+|\d*\.\d+)(/\d+)?"
-        self._negative_number_matcher = re.compile(r"^-%s(,\s*-?%s)*$" % (rational, rational))
+        self._negative_number_matcher = re.compile(
+            r"^-%s(,\s*-?%s)*$" % (_RATIONAL, _RATIONAL)
+        )
 
     def parse_known_args(self, args=None, namespace=None):
         if self.populate is not None:
@@ -124,15 +134,38 @@ def _parse_map_with_descriptor(text: str):
     return _map_and_descriptor(_load_json(text))
 
 
-def _parse_fraction_arg(text: str, flag: str) -> Fraction:
+def _integer(text: str) -> int:
+    """The value of an integer flag: an optional "-" and decimal digits.
+
+    Its digits are converted as a document's are, whatever the host's
+    int/str digit limit; a value past MAX_DIGITS is a usage error.
+    """
+    digits = text.strip()
+    if not _INTEGER_RE.match(digits):
+        raise argparse.ArgumentTypeError("expected an integer, got %r" % text)
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise _UsageError("%s expects a rational like 3/4; got %r" % (flag, text))
+        return _int(digits)
+    except BudgetError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
+def _parse_fraction_arg(text: str, flag: str) -> Fraction:
+    # an exponent is refused and digit runs are counted before they are
+    # converted, so no flag builds a huge integer
+    match = _RATIONAL_RE.match(text.strip())
+    if match is not None:
+        sign, number, over = match.groups()
+        whole, _, decimals = number.partition(".")
+        try:
+            numerator = _int(sign + whole + decimals)
+            return Fraction(numerator, 10 ** len(decimals) * (_int(over[1:]) if over else 1))
+        except (BudgetError, ZeroDivisionError):
+            pass
+    raise _UsageError("%s expects a rational like 3/4; got %r" % (flag, text))
 
 
 def _parse_fraction_list(text: str, flag: str):
-    return [_parse_fraction_arg(e.strip(), flag) for e in text.split(",")]
+    return [_parse_fraction_arg(e, flag) for e in text.split(",")]
 
 
 def _descriptor_from_args(args) -> GroupDescriptor:
@@ -143,8 +176,8 @@ def _descriptor_from_args(args) -> GroupDescriptor:
     """
     if args.slopes is not None:
         try:
-            generators = [int(e.strip()) for e in args.slopes.split(",")]
-        except ValueError:
+            generators = [_integer(e) for e in args.slopes.split(",")]
+        except argparse.ArgumentTypeError:
             raise _UsageError("--slopes expects integers like 2,3")
         try:
             descriptor = GroupDescriptor(*generators)
@@ -152,8 +185,8 @@ def _descriptor_from_args(args) -> GroupDescriptor:
             raise _UsageError(str(exc))
         if args.lam is not None and args.lam != descriptor.lam:
             raise _UsageError(
-                "--lambda %d does not equal the product %d of --slopes"
-                % (args.lam, descriptor.lam)
+                "--lambda %s does not equal the product %d of --slopes"
+                % (_shown(args.lam, str), descriptor.lam)
             )
         return descriptor
     if args.lam is not None:
@@ -365,7 +398,7 @@ def _add_descriptor_flags(parser) -> None:
     parser.add_argument(
         "--lambda",
         dest="lam",
-        type=int,
+        type=_integer,
         default=None,
         help="grid base; with --slopes it must equal their product",
     )
@@ -376,9 +409,9 @@ def _add_verify_args(parser) -> None:
 
     parser.add_argument("--suite", required=True, choices=tuple(SUITES) + ("all",))
     parser.add_argument(
-        "--samples", type=int, default=1000, help="sample budget per suite"
+        "--samples", type=_integer, default=1000, help="sample budget per suite"
     )
-    parser.add_argument("--seed", type=int, default=42, help="sampling seed")
+    parser.add_argument("--seed", type=_integer, default=42, help="sampling seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -424,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("map", help="map document file")
     p.add_argument(
         "exponent",
-        type=int,
+        type=_integer,
         help="any integer, negatives allowed; at most %d in absolute value unless "
         "the map is a rigid rotation" % MAX_EXPONENT,
     )
@@ -460,14 +493,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True, help="map document file")
     p.add_argument(
         "--max-denominator",
-        type=int,
+        type=_integer,
         default=50,
         help="certify against all rationals with denominator up to this "
         "(default 50, at most %d)" % MAX_ROTATION_DEPTH,
     )
     p.add_argument(
         "--depth",
-        type=int,
+        type=_integer,
         default=200,
         help="maximum iterate examined (default 200, at most %d)" % MAX_ROTATION_DEPTH,
     )
@@ -512,11 +545,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     w.add_argument(
         "--length",
-        type=int,
+        type=_integer,
         default=4,
         help="syllable count (default 4, at most %d)" % MAX_WORD_LENGTH,
     )
-    w.add_argument("--seed", type=int, default=42, help="generator seed (default 42)")
+    w.add_argument("--seed", type=_integer, default=42, help="generator seed (default 42)")
     _add_out(w)
     w.set_defaults(handler=_cmd_word_random)
 

@@ -276,7 +276,7 @@ def evaluate_circle(f: PLCircleMap, x: RationalLike) -> Fraction:
     """f(x) for x in [0, 1); the result is again in [0, 1)."""
     xf = as_fraction(x)
     if not 0 <= xf < 1:
-        raise ValueError("circle points live in [0, 1); got %s" % xf)
+        raise ValueError("circle points live in [0, 1); got %s" % _shown(xf, str))
     y = _frac(core.eval_lift(f._xs, f._ys, _pair(xf)))
     return y - 1 if y >= 1 else y
 

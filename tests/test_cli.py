@@ -244,6 +244,72 @@ def test_negative_rationals_are_values(capsys, tmp_path):
     assert code == 2 and json.loads(err)["error"]["kind"] == "usage"
 
 
+def test_flag_rationals_follow_one_grammar(capsys, g0_file):
+    # digits, an optional point and an optional denominator after an
+    # optional "-": an exponent would build 10**exp before it could be
+    # refused, so 1e400 is a usage error (it was accepted) and
+    # 1e30000000 exits at once
+    flags = (
+        ("element", "rotation", "--angle"),
+        ("eval", "--map", g0_file, "--point"),
+        ("tuple-map", "--slopes", "2", "--to", "0,1/2", "--from"),
+        ("tuple-map", "--slopes", "2", "--from", "0,1/2", "--to"),
+    )
+    for argv in flags:
+        for text in ("1e400", "1e30000000", "1_0", "1 /2", "+1", "1/0", "2" * 100_001):
+            code, out, err = run(capsys, *argv, text)
+            error = json.loads(err)["error"]
+            assert (code, out, error["kind"]) == (2, "", "usage")
+            assert error["message"].startswith(argv[-1] + " expects a rational")
+    same = (
+        (("element", "rotation", "--angle"), ("-0.25", "3/4"), ("0.25", "1/4"), ("2/4", "1/2")),
+        (("eval", "--map", g0_file, "--point"), ("-0.875", "1/8"), (".5", "1/2")),
+    )
+    for argv, *texts in same:
+        for text, value in texts:
+            assert run(capsys, *argv, text)[:2] == run(capsys, *argv, value)[:2]
+            assert run(capsys, *argv, text)[0] == 0
+    for flag, other in (("--from", "--to"), ("--to", "--from")):
+        code, _, err = run(capsys, "tuple-map", "--lambda", "2", flag, "0,-0.5", other, "0,1/2")
+        assert code == 2
+        assert json.loads(err)["error"] == {
+            "kind": "runtime",
+            "message": "tuple entries live in [0, 1); got -1/2",
+        }
+
+
+def test_integer_flags_ignore_the_host_digit_limit(capsys, tmp_path):
+    z = tmp_path / "z.json"
+    run(capsys, "element", "z", "-o", str(z))
+    long = "1" + "0" * 700
+    over = "1" * (serialize.MAX_DIGITS + 1)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        power = run(capsys, "power", str(z), long)
+        word = run(capsys, "word", "random", "--length", "2", "--seed", "-" + long)
+        refused = []
+        for value in (over, "1e3", "0x10", "1_0", "2.0"):
+            for argv in (
+                ("power", str(z), value),
+                ("rot", "--map", str(z), "--depth", value),
+                ("rot", "--map", str(z), "--max-denominator", value),
+                ("word", "random", "--length", value),
+                ("word", "random", "--seed", value),
+                ("verify", "--suite", "all", "--samples", value),
+                ("verify", "--suite", "all", "--seed", value),
+                ("member", "--map", str(z), "--lambda", value),
+                ("member", "--map", str(z), "--slopes", "2," + value),
+            ):
+                code, out, err = run(capsys, *argv)
+                refused.append((code, out, json.loads(err)["error"]["kind"]))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert power[0] == 0 and '"offset": ' + long + "\n" in power[1]
+    assert word[0] == 0 and word[2] == ""
+    assert set(refused) == {(2, "", "usage")}
+
+
 def test_word_trivial_verdicts(capsys, relator_file, tmp_path):
     assert run(capsys, "word", "trivial", relator_file) == (0, "trivial\n", "")
     w = tmp_path / "w.json"

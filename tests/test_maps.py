@@ -58,6 +58,9 @@ def test_evaluate_circle_rejects_points_outside_domain():
         evaluate_circle(identity_map(), F(3, 2))
     with pytest.raises(ValueError):
         evaluate_circle(identity_map(), F(-1, 2))
+    # a point past the host's int/str digit limit is named, not shown
+    with pytest.raises(ValueError, match=r"^circle points live in \[0, 1\); got a value too large"):
+        evaluate_circle(g0(), F(10**5000))
 
 
 def test_evaluate_line_unit_translation():
