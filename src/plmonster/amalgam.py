@@ -204,14 +204,19 @@ class AmalgamContext:
     def compose(self, factor, a, b):
         return compose(a, b)
 
+    # is_identity and edge_coefficient run once per syllable and merge of
+    # every reduction, so they read the line map's slots directly
+
     def is_identity(self, factor, a):
-        return a.is_identity()
+        base = a._base
+        return a._offset == 0 and base._ys == base._xs
 
     def edge_coefficient(self, factor, a):
         if factor is Factor.G1:
             # left edge subgroup: integer translations z**k, the lifts of
             # the identity circle map, with k their offset
-            return a.offset if a.base.is_identity() else None
+            base = a._base
+            return a._offset if base._ys == base._xs else None
         return self._detector.detect(a)
 
     def edge_element(self, factor, k):
@@ -273,8 +278,8 @@ def britton_reduce(ops, syllables) -> tuple:
     soundness of the word problem rests on it having no false answers in
     either direction.
 
-    Free reduction is one pass over a stack: each pending syllable is
-    dropped if it is the identity, merged into the top of the stack if
+    Free reduction is one pass over a stack: each syllable of the word
+    is dropped if it is the identity, merged into the top of the stack if
     the factors match (the merged syllable is popped when it is the
     identity), and pushed otherwise, so the stack always alternates
     factors with no identity syllable.  The reduced stack is then
@@ -282,10 +287,19 @@ def britton_reduce(ops, syllables) -> tuple:
     that an earlier scan already rejected and no merge has touched since,
     and an edge test depends on the syllable alone.  The leftmost
     edge-subgroup syllable is flipped into the other factor: the stack is
-    truncated at it, and the flipped syllable and then the untouched
-    suffix go back onto the pending list.  The flipped syllable has the
-    factor of its left neighbor (or, leftmost, of its right one), so it
-    merges at once.
+    truncated at it, and the flipped syllable takes the factor of its
+    left neighbor (or, leftmost, of its right one), so it merges at once.
+
+    The Python-level work of a flip is its merge cascade plus one slice.
+    The suffix after the flipped syllable is already reduced: it
+    alternates, and none of it is the identity.  So its syllables are
+    taken back one at a time only while the next one shares the factor
+    of the stack's top, which happens only after a merge or an identity
+    pop; the first one that does not goes back with the rest of the
+    suffix in one slice, and no suffix syllable is identity-tested again.
+    Nor is the flipped syllable: it is a nonzero power of the edge, since
+    the syllable it replaces was not the identity.  A word of n syllables
+    whose reduction merges m times thus makes n + m identity tests.
 
     Terminates because every merge removes a syllable and every flip is
     followed by a merge, so the syllable count drops between flips.  The
@@ -294,36 +308,55 @@ def britton_reduce(ops, syllables) -> tuple:
     normal form theorem for amalgamated products it is empty exactly
     when the word represents the identity.
     """
+    is_identity = ops.is_identity
+    compose = ops.compose
     stack = []
-    checked = 0
-    pending = list(syllables)
-    pending.reverse()
-    while True:
-        while pending:
-            s = pending.pop()
-            if ops.is_identity(s.factor, s.element):
+    for s in syllables:
+        if is_identity(s.factor, s.element):
+            continue
+        if stack and stack[-1].factor == s.factor:
+            top = stack.pop()
+            s = Syllable(s.factor, compose(s.factor, top.element, s.element))
+            if is_identity(s.factor, s.element):
                 continue
-            if stack and stack[-1].factor == s.factor:
-                top = stack.pop()
-                checked = min(checked, len(stack))
-                s = Syllable(s.factor, ops.compose(s.factor, top.element, s.element))
-                if ops.is_identity(s.factor, s.element):
-                    continue
-            stack.append(s)
-        if len(stack) < 2:
-            return tuple(stack)
+        stack.append(s)
+    checked = 0
+    while len(stack) >= 2:
         for i in range(checked, len(stack)):
             s = stack[i]
             k = ops.edge_coefficient(s.factor, s.element)
             if k is not None:
                 break
         else:
-            return tuple(stack)
+            break
         other = s.factor.other
-        pending = stack[:i:-1]  # the suffix after i, last syllable first
-        pending.append(Syllable(other, ops.edge_element(other, k)))
+        suffix = stack[i + 1 :]
         del stack[i:]
         checked = i
+        # the merge cascade: s merges into the top or is pushed, and the
+        # suffix's next syllable follows it only when it shares the top's
+        # factor; the suffix is reduced, so once one does not, none does
+        s = Syllable(other, ops.edge_element(other, k))
+        j = 0
+        while True:
+            if stack and stack[-1].factor == s.factor:
+                top = stack.pop()
+                if len(stack) < checked:
+                    checked = len(stack)
+                s = Syllable(s.factor, compose(s.factor, top.element, s.element))
+                if is_identity(s.factor, s.element):
+                    if j == len(suffix):
+                        break
+                    s = suffix[j]
+                    j += 1
+                    continue
+            stack.append(s)
+            if j == len(suffix) or suffix[j].factor != s.factor:
+                break
+            s = suffix[j]
+            j += 1
+        stack += suffix[j:]
+    return tuple(stack)
 
 
 class AmalgamWord:

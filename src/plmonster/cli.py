@@ -38,6 +38,7 @@ from .serialize import (
     MAX_EXPONENT,
     MAX_ROTATION_DEPTH,
     MAX_TUPLE_GRID,
+    MAX_VERIFY_SAMPLES,
     MAX_WORD_LENGTH,
     BudgetError,
     DocumentError,
@@ -371,6 +372,8 @@ def _cmd_word_random(args) -> int:
 def _cmd_verify(args) -> int:
     from .verify import run_suite
 
+    if args.samples > MAX_VERIFY_SAMPLES:
+        raise BudgetError("--samples beyond the budget of %d" % MAX_VERIFY_SAMPLES)
     lines = []
     all_passed = True
     for suite, check in run_suite(args.suite, args.samples, args.seed):
@@ -409,7 +412,10 @@ def _add_verify_args(parser) -> None:
 
     parser.add_argument("--suite", required=True, choices=tuple(SUITES) + ("all",))
     parser.add_argument(
-        "--samples", type=_integer, default=1000, help="sample budget per suite"
+        "--samples",
+        type=_integer,
+        default=1000,
+        help="sample budget per suite (default 1000, at most %d)" % MAX_VERIFY_SAMPLES,
     )
     parser.add_argument("--seed", type=_integer, default=42, help="sampling seed")
 

@@ -203,6 +203,18 @@ class PLLineMap:
         self._base = base
         self._offset = offset
 
+    @classmethod
+    def _from_parts(cls, base: PLCircleMap, offset: int) -> "PLLineMap":
+        """The lift of base with offset, with neither argument checked.
+
+        For products the library computed itself, as `PLCircleMap._from_grid`
+        is for grids: base is a circle map and offset an int by construction.
+        """
+        self = object.__new__(cls)
+        self._base = base
+        self._offset = offset
+        return self
+
     @property
     def base(self) -> PLCircleMap:
         return self._base
@@ -290,15 +302,23 @@ def evaluate_line(fbar: PLLineMap, x: RationalLike) -> Fraction:
 
 
 def compose(f, g):
-    """Apply ``f`` first, then ``g`` (both circle maps or both line maps)."""
+    """Apply ``f`` first, then ``g`` (both circle maps or both line maps).
+
+    One `core.compose` of the two grids; a product of line maps adds the
+    two offsets and the kernel's carry, floor(g~(f~(0))), to get its own.
+    Both read the operands' slots and build the result with no
+    constructor's checks, as Britton reduction makes one product per merge.
+    """
     if isinstance(f, PLCircleMap) and isinstance(g, PLCircleMap):
         xs, ys, _ = core.compose(f._xs, f._ys, g._xs, g._ys)
         return PLCircleMap._from_grid(xs, ys)
     if isinstance(f, PLLineMap) and isinstance(g, PLLineMap):
-        xs, ys, carry = core.compose(
-            f.base._xs, f.base._ys, g.base._xs, g.base._ys
+        fb = f._base
+        gb = g._base
+        xs, ys, carry = core.compose(fb._xs, fb._ys, gb._xs, gb._ys)
+        return PLLineMap._from_parts(
+            PLCircleMap._from_grid(xs, ys), f._offset + g._offset + carry
         )
-        return PLLineMap(PLCircleMap._from_grid(xs, ys), f.offset + g.offset + carry)
     raise TypeError("compose needs two circle maps or two line maps")
 
 
@@ -307,8 +327,8 @@ def invert(f):
         xs, ys, _ = core.invert(f._xs, f._ys)
         return PLCircleMap._from_grid(xs, ys)
     if isinstance(f, PLLineMap):
-        xs, ys, carry = core.invert(f.base._xs, f.base._ys)
-        return PLLineMap(PLCircleMap._from_grid(xs, ys), carry - f.offset)
+        xs, ys, carry = core.invert(f._base._xs, f._base._ys)
+        return PLLineMap._from_parts(PLCircleMap._from_grid(xs, ys), carry - f._offset)
     raise TypeError("invert needs a circle map or a line map")
 
 

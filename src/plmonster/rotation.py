@@ -317,23 +317,26 @@ class PowerDetector:
 
     The base map must have translation number separated from zero: its
     bracket is refined by repeated squaring, and ZeroBracketError is
-    raised if zero survives ZERO_EXCLUSION_DEPTH iterates.  ``detect``
-    brackets the candidate's translation number and keeps the finitely
-    many exponents k for which k times the base bracket meets it.  The
-    first bracket is fbar(0) +- 1: fbar(0) is the grid's first image plus
-    the offset, and it lies in the displacement interval, whose width is
-    below 1, so the bracket costs no pass over the grid and leaves about
-    2 / tau(base) exponents.  Only while more than CANDIDATE_LIMIT
-    survive does the candidate's grid come in: its displacement interval
-    (which lies inside fbar(0) +- 1) and then both brackets refined by
-    squaring, up to REFINE_LIMIT iterates.  Each survivor is confirmed by
-    exact structural equality, so both positive and negative answers are
-    exact, and at most one can match: base**j == base**k with j != k
-    would give base**(j - k) translation number 0, but tau(base) != 0.
-    A negative base is handled through its inverse, whose bracket is the
-    negated base bracket at every iterate.  ``power`` is the one cache of
-    base powers, shared by detection and the amalgam's edge elements; it
-    keeps base**k for |k| <= POWER_CACHE_LIMIT only.
+    raised if zero survives ZERO_EXCLUSION_DEPTH iterates.  Once zero is
+    out, squaring goes on to that depth, so the base bracket is narrower
+    than 1 / ZERO_EXCLUSION_DEPTH.  ``detect`` brackets the candidate's
+    translation number and keeps the finitely many exponents k for which
+    k times the base bracket meets it.  The first bracket is fbar(0) +- 1:
+    fbar(0) is the grid's first image plus the offset, and it lies in the
+    displacement interval, whose width is below 1, so the bracket costs
+    no pass over the grid and leaves about (2 + |k| w) / tau(base)
+    exponents for base**k, w the base bracket's width.  Only while more
+    than CANDIDATE_LIMIT survive does the candidate's grid come in: its
+    displacement interval (which lies inside fbar(0) +- 1) and then both
+    brackets refined by squaring, up to REFINE_LIMIT iterates.  Each
+    survivor is confirmed by exact structural equality, so both positive
+    and negative answers are exact, and at most one can match:
+    base**j == base**k with j != k would give base**(j - k) translation
+    number 0, but tau(base) != 0.  A negative base is handled through its
+    inverse, whose bracket is the negated base bracket at every iterate.
+    ``power`` is the one cache of base powers, shared by detection and the
+    amalgam's edge elements; it keeps base**k for |k| <= POWER_CACHE_LIMIT
+    only.
     """
 
     def __init__(self, base: PLLineMap):
@@ -346,6 +349,10 @@ class PowerDetector:
                     "translation number bracket still contains 0 after "
                     "%d iterates" % ref.n
                 )
+            ref.refine()
+        # squaring on to that depth narrows the base bracket, and with it
+        # the exponents that a candidate's grid-free bracket leaves
+        while ref.n < ZERO_EXCLUSION_DEPTH:
             ref.refine()
         self._base = base
         self._ref = ref
@@ -365,13 +372,16 @@ class PowerDetector:
         """k with candidate == base**k, or None when no power matches."""
         if not isinstance(candidate, PLLineMap):
             raise TypeError("candidate must be a line map")
-        if candidate.is_identity():
+        # the candidate's slots are read directly: Britton reduction
+        # detects once per right-factor syllable
+        ys = candidate._base._ys
+        offset = candidate._offset
+        if offset == 0 and ys == candidate._base._xs:
             return 0
         ref = self._ref
         # the first rung, fbar(0) +- 1 with fbar(0) = ys[0] + offset, reads
         # no grid; the displacement interval lies inside it
-        yn, yd = candidate.base._ys[0]
-        offset = candidate.offset
+        yn, yd = ys[0]
         lo, hi = (yn + (offset - 1) * yd, yd), (yn + (offset + 1) * yd, yd)
         wref = None
         while True:

@@ -26,7 +26,8 @@ The command line's budgets sit beside it: MAX_DOCUMENT_BYTES bounds the
 documents it reads and writes, both checked by `check_document_size`, so
 it writes no document that it would refuse to read; MAX_EXPONENT bounds
 `power`, MAX_ROTATION_DEPTH bounds `rot`, MAX_WORD_LENGTH bounds `word
-random`, and MAX_TUPLE_GRID bounds the grid that `tuple-map` builds.
+random`, MAX_TUPLE_GRID bounds the grid that `tuple-map` builds, and
+MAX_VERIFY_SAMPLES bounds `verify --samples`.
 """
 
 from __future__ import annotations
@@ -67,6 +68,9 @@ MAX_WORD_LENGTH = 5_000
 # largest lam**q of `tuple-map`, whose construction builds every point of
 # the lam**-q grid, q the finest depth of its entries (at least 1)
 MAX_TUPLE_GRID = 2**16
+# largest `verify --samples`: `verify --suite all` grows linearly with it,
+# from about 16 s at the default 1,000 samples to about 140 s here
+MAX_VERIFY_SAMPLES = 10_000
 
 # a fraction string's sign, numerator and denominator digits; canonical
 # ones have ASCII digits, no leading zero, no "-0" and no final newline
@@ -90,7 +94,7 @@ class DocumentError(ValueError):
 
 
 class BudgetError(DocumentError):
-    """Raised when an integer would exceed MAX_DIGITS decimal digits."""
+    """Raised when an integer, a document or a run is over its budget."""
 
 
 def check_document_size(data: bytes, name: str) -> bytes:

@@ -1,5 +1,6 @@
 """Amalgam words, Britton reduction, the word problem, and the oracle."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction as F
@@ -374,22 +375,36 @@ def reference_britton_reduce(ops, syllables):
             return tuple(sylls)
 
 
-def pl_syllable_lists():
-    """Over a thousand PL syllable sequences, most with flips to make.
+@functools.lru_cache(maxsize=1)
+def pl_word_pool():
+    """Random PL words of 1 to 12 syllables, as syllable tuples.
 
-    Building words is bound by tuple maps, so a pool of random words is
-    built once and reused in concatenations.
+    Building words is bound by tuple maps, so the pool is built once and
+    reused in concatenations.
     """
     c = ctx()
-    pool = [random_word(c, length, seed) for length in range(1, 13) for seed in range(12)]
+    return tuple(
+        random_word(c, length, seed).syllables
+        for length in range(1, 13)
+        for seed in range(12)
+    )
+
+
+def inverse_syllables(syllables):
+    return tuple(Syllable(s.factor, invert(s.element)) for s in reversed(syllables))
+
+
+def pl_syllable_lists():
+    """Over a thousand PL syllable sequences, most with flips to make."""
+    c = ctx()
+    pool = pl_word_pool()
     for u in pool:
-        inverse = tuple(Syllable(s.factor, invert(s.element)) for s in reversed(u.syllables))
-        yield u.syllables
-        yield u.syllables + inverse
+        yield u
+        yield u + inverse_syllables(u)
     rng = random.Random(2024)
     for _ in range(600):
         u, v = rng.choice(pool), rng.choice(pool)
-        yield u.syllables + v.syllables
+        yield u + v
     for _ in range(80):
         w = planted_trivial_word(c, rng, 24)
         yield w.syllables
@@ -408,6 +423,50 @@ def test_britton_reduce_matches_reference_on_pl_words():
     assert 200 <= trivial < count
 
 
+class _FlipCounter:
+    """An amalgam's operations, passed through, with a count of flips."""
+
+    def __init__(self, ops):
+        self.ops = ops
+        self.flips = 0
+
+    def __getattr__(self, name):
+        return getattr(self.ops, name)
+
+    def edge_element(self, factor, k):
+        self.flips += 1
+        return self.ops.edge_element(factor, k)
+
+
+def test_britton_reduce_matches_reference_on_long_pl_words():
+    # concatenated pool words of a few hundred syllables, and planted
+    # trivial words v (u1 r1 u1**-1) ... (u4 r4 u4**-1) v**-1 around
+    # relators r: each flip has a long suffix to put back
+    c = ctx()
+    pool = pl_word_pool()
+    rng = random.Random(2025)
+
+    def concatenation(count):
+        return sum((rng.choice(pool) for _ in range(count)), ())
+
+    words = [concatenation(60) for _ in range(4)]
+    for _ in range(3):
+        v = concatenation(15)
+        middle = ()
+        for _ in range(4):
+            u = concatenation(10)
+            r = relator_word(c, rng.choice((-2, -1, 1, 2))).syllables
+            middle += u + r + inverse_syllables(u)
+        words.append(v + middle + inverse_syllables(v))
+    for i, sylls in enumerate(words):
+        assert len(sylls) >= 300
+        ops = _FlipCounter(c)
+        expected = reference_britton_reduce(c, sylls)
+        assert britton_reduce(ops, sylls) == expected
+        assert (not expected) == (i >= 4)
+        assert ops.flips >= 50
+
+
 def test_britton_reduce_matches_reference_on_finite_words():
     inst = FiniteAmalgamInstance()
     for n in range(1, 8):
@@ -421,19 +480,31 @@ class _Fresh(int):
 
 
 class _CountingInstance(FiniteAmalgamInstance):
-    """The finite instance with fresh elements and a log of edge tests."""
+    """The finite instance with fresh elements and logs of its operations.
+
+    The logs keep every tested element alive, so their ids stay unique.
+    """
 
     def __init__(self):
-        self.tested = []  # keeps every tested element alive, so ids stay unique
+        self.tested = []
+        self.identity_tested = []
+        self.merges = 0
+        self.flips = 0
 
     def syllable(self, letter):
         s = super().syllable(letter)
         return Syllable(s.factor, _Fresh(s.element))
 
     def compose(self, factor, a, b):
+        self.merges += 1
         return _Fresh(super().compose(factor, a, b))
 
+    def is_identity(self, factor, a):
+        self.identity_tested.append(a)
+        return super().is_identity(factor, a)
+
     def edge_element(self, factor, k):
+        self.flips += 1
         return _Fresh(super().edge_element(factor, k))
 
     def edge_coefficient(self, factor, a):
@@ -441,11 +512,20 @@ class _CountingInstance(FiniteAmalgamInstance):
         return super().edge_coefficient(factor, a)
 
 
-def repeated_edge_tests(reduce, letters):
+def counted_reduction(reduce, letters):
+    """The counting instance after it reduced the word, checked by matrices."""
     inst = _CountingInstance()
     result = reduce(inst, [inst.syllable(letter) for letter in letters])
     assert (not result) == inst.is_trivial_by_matrices(letters)
-    return len(inst.tested) - len({id(a) for a in inst.tested})
+    return inst
+
+
+def repeats(log):
+    return len(log) - len({id(a) for a in log})
+
+
+def repeated_edge_tests(reduce, letters):
+    return repeats(counted_reduction(reduce, letters).tested)
 
 
 def test_britton_reduce_edge_tests_each_syllable_once():
@@ -456,3 +536,26 @@ def test_britton_reduce_edge_tests_each_syllable_once():
             reference_repeats += repeated_edge_tests(reference_britton_reduce, letters)
     # the count would see repeats: the whole-word passes make them
     assert reference_repeats > 0
+
+
+def test_britton_reduce_identity_tests_each_element_once():
+    # a flip takes back only its merge cascade: the rest of the suffix,
+    # already reduced, is not identity-tested again
+    reference_repeats = 0
+    for n in range(1, 7):
+        for letters in itertools.product(FiniteAmalgamInstance.LETTERS, repeat=n):
+            assert repeats(counted_reduction(britton_reduce, letters).identity_tested) == 0
+            reference = counted_reduction(reference_britton_reduce, letters)
+            reference_repeats += repeats(reference.identity_tested)
+    assert reference_repeats > 0
+
+
+def test_britton_reduce_identity_tests_follow_syllables_and_merges():
+    rng = random.Random(19)
+    flips = 0
+    for n in (2000, 2001):
+        letters = [rng.choice(FiniteAmalgamInstance.LETTERS) for _ in range(n)]
+        inst = counted_reduction(britton_reduce, letters)
+        assert len(inst.identity_tested) <= len(letters) + inst.merges
+        flips += inst.flips
+    assert flips >= 100

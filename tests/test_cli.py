@@ -577,6 +577,30 @@ def test_document_and_word_length_budgets_exit_2_before_parsing(
     assert run(capsys, "eval", "--map", at_budget, "--point", "1/8") == (0, "3/4\n", "")
 
 
+def test_verify_samples_budget_exits_2_before_any_suite(capsys, monkeypatch):
+    from plmonster import verify
+
+    runs = []
+
+    def record(name, samples, seed):
+        runs.append((name, samples, seed))
+        return []
+
+    monkeypatch.setattr(verify, "run_suite", record)
+    for over in (serialize.MAX_VERIFY_SAMPLES + 1, 10**12):
+        code, out, err = run(capsys, "verify", "--suite", "arith", "--samples", str(over))
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["kind"] == "budget" and "budget" in error["message"]
+    assert runs == []
+    # the budget itself is accepted and handed on
+    code, out, err = run(
+        capsys, "verify", "--suite", "all", "--samples", str(serialize.MAX_VERIFY_SAMPLES)
+    )
+    assert (code, err) == (0, "")
+    assert runs == [("all", serialize.MAX_VERIFY_SAMPLES, 42)]
+
+
 def test_writers_refuse_documents_over_the_budget(capsys, g0_file, tmp_path, monkeypatch):
     # the budget is cut to each command's input, so the over-budget
     # product stays small: no writer emits a document the readers refuse

@@ -445,8 +445,8 @@ def test_detector_matches_reference_on_small_rotation_bases(which):
 
 
 def test_default_edge_detection_reads_no_grid(monkeypatch, default_edge_pool):
-    # fbar(0) +- 1 against the edge bracket [1/2, 3/4] leaves at most
-    # CANDIDATE_LIMIT exponents up to about |fbar(0)| = 43, so no grid is
+    # fbar(0) +- 1 against the edge bracket of the 64th iterate (width
+    # about 0.004) leaves at most CANDIDATE_LIMIT exponents, so no grid is
     # walked for any cached power, their products with Stein members or
     # the random words' syllables
     detector = default_context()._detector
@@ -459,8 +459,9 @@ def test_default_edge_detection_reads_no_grid(monkeypatch, default_edge_pool):
         if k is None or abs(k) <= rotation.POWER_CACHE_LIMIT:
             detector.detect(candidate)
     monkeypatch.undo()
-    # a counting stub: the displacement rung, and for the conjugate base
-    # the squaring rung after it, are reached past the cheap bracket
+    # a counting stub: the edge's powers up to |k| = 3000 stop at the cheap
+    # bracket, while a small rotation base's candidates reach the
+    # displacement rung, and for the conjugate base the squaring rung
     calls = {"displacement": 0, "refine": 0}
     displacement = rotation.core.displacement
     refine = rotation._BracketRefiner.refine
@@ -475,7 +476,7 @@ def test_default_edge_detection_reads_no_grid(monkeypatch, default_edge_pool):
 
     edge = default_context().edge
     bases = small_rotation_bases()
-    pools = [[(power(edge, k), k) for k in (-70, 70)]]
+    pools = [[(power(edge, k), k) for k in (-3000, -1000, -70, 70, 1000, 3000)]]
     pools += [small_rotation_pool(base) for base in bases]
     seen = []
     for base, pool in zip([edge, *bases], pools):
@@ -488,7 +489,7 @@ def test_default_edge_detection_reads_no_grid(monkeypatch, default_edge_pool):
             assert k is None or found == k
         seen.append(dict(calls))
         monkeypatch.undo()
-    assert seen[0] == {"displacement": 2, "refine": 0}
+    assert seen[0] == {"displacement": 0, "refine": 0}
     # every candidate of a small rotation base reaches the displacement rung
     assert all(c["displacement"] >= len(pool) for c, pool in zip(seen[1:], pools[1:]))
     assert seen[1]["refine"] == 0 and seen[2]["refine"] > 0
