@@ -32,7 +32,9 @@ costs about twice a one-shot walk, so single products read in place.
 The grid operations reduce each coordinate they emit once: intermediate
 differences, products and slopes stay unreduced integers, compared by
 cross-multiplication.  Adding an integer to a lowest-terms pair keeps it
-in lowest terms, so the unit and carry shifts take no gcd at all.
+in lowest terms, so the unit and carry shifts take no gcd at all.  A
+window's images take two gcds against g's small line constants, and
+`displacement`'s extremes stay unreduced.
 
 This module is the only kernel: the map, rotation and stein layers call
 it as ``plmonster._core``.
@@ -261,11 +263,12 @@ def compose(fxs, fys, gxs, gys, window=None):
     elif hs is None:
         y0 = _interp(gxs[i - 1], gxs[i], gys[i - 1], gys[i], t0)
     else:
-        h1, h2, h3 = hs[i]
+        h1, h2, h3 = hs[i]  # reduced as the images below
         n = td * h1 + tn * h2
-        d = td * h3
-        g = gcd(n, d)
-        y0 = (n // g, d // g) if g > 1 else (n, d)
+        g = gcd(h2, td)
+        n, d = n // g, td // g
+        g = gcd(n, h3)
+        y0 = (n // g, d * (h3 // g))
 
     # the stream index q runs over sx[i:top]; in place, it then runs as
     # q - wrap over gxs[1:i], shifted by one (unit shifts keep lowest
@@ -326,9 +329,20 @@ def compose(fxs, fys, gxs, gys, window=None):
             while True:
                 out_x.append(fxs[j])
                 n = bd * h1 + bn * h2
-                d = bd * h3
-                g = gcd(n, d)
-                out_y.append((n // g, d // g) if g > 1 else (n, d))
+                if hs is None:
+                    d = bd * h3
+                    g = gcd(n, d)
+                    out_y.append((n // g, d // g) if g > 1 else (n, d))
+                else:
+                    # gcd(n, bd) = gcd(h2, bd) as bn is prime to bd, and
+                    # what is left of n is prime to what is left of bd: two
+                    # gcds on g's small constants (Knuth, TAOCP 4.5.1)
+                    g = gcd(h2, bd)
+                    if g > 1:
+                        n //= g
+                        bd //= g
+                    g = gcd(n, h3)
+                    out_y.append((n // g, bd * (h3 // g)) if g > 1 else (n, bd * h3))
                 j += 1
                 bn, bd = fys[j]
                 s = bn * cd - cn * bd
@@ -435,41 +449,24 @@ def invert(xs, ys):
     return tuple(out_x), tuple(out_y), -1
 
 
-def _minus(y, x):
-    # y - x in lowest terms.  With g = gcd(xd, yd), xd = g a and yd = g b,
-    # the numerator yn a - xn b is prime to a and to b, so only a factor
-    # of g can cancel (Knuth, TAOCP vol. 2, 4.5.1)
-    xn, xd = x
-    yn, yd = y
-    g = gcd(xd, yd)
-    if g == 1:
-        return (yn * xd - xn * yd, xd * yd)
-    b = yd // g
-    n = yn * (xd // g) - xn * b
-    h = gcd(n, g)
-    if h > 1:
-        return (n // h, xd // h * b)
-    return (n, xd * b)
-
-
 def displacement(xs, ys):
     """Exact min and max of y(x) - x over [0, 1] (attained at grid points).
 
-    Both come back in lowest terms, each reduced once through the gcd of
-    its two denominators.
+    Both come back unreduced, as (yn xd - xn yd, yd xd) with a positive
+    denominator: callers compare them, floor-divide them or build a
+    Fraction from them, so no gcd is taken.
     """
     xn, xd = xs[0]
     yn, yd = ys[0]
     lo_n = hi_n = yn * xd - xn * yd
     lo_d = hi_d = yd * xd
-    lo = hi = 0
     for j in range(1, len(xs) - 1):
         xn, xd = xs[j]
         yn, yd = ys[j]
         n = yn * xd - xn * yd
         d = yd * xd
         if n * lo_d < lo_n * d:
-            lo_n, lo_d, lo = n, d, j
+            lo_n, lo_d = n, d
         elif n * hi_d > hi_n * d:
-            hi_n, hi_d, hi = n, d, j
-    return _minus(ys[lo], xs[lo]), _minus(ys[hi], xs[hi])
+            hi_n, hi_d = n, d
+    return (lo_n, lo_d), (hi_n, hi_d)

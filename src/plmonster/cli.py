@@ -248,7 +248,7 @@ def _cmd_power(args) -> int:
         from .rotation import is_translation
 
         if not is_translation(value):
-            raise _UsageError(
+            raise BudgetError(
                 "exponent beyond the budget of %d for a map that is not a rigid rotation"
                 % MAX_EXPONENT
             )
@@ -284,7 +284,7 @@ def _cmd_tuple_map(args) -> int:
     on_grid = [e for e in xs + ys if descriptor.contains_coordinate(e)]
     q = max([1] + [descriptor.coordinate_depth(e) for e in on_grid])
     if descriptor.lam**q > MAX_TUPLE_GRID:
-        raise _UsageError(
+        raise BudgetError(
             "a grid of %d**%d points is over the tuple-map budget of %d"
             % (descriptor.lam, q, MAX_TUPLE_GRID)
         )
@@ -298,7 +298,7 @@ def _cmd_rot(args) -> int:
 
     for flag, given in (("--max-denominator", args.max_denominator), ("--depth", args.depth)):
         if given > MAX_ROTATION_DEPTH:
-            raise _UsageError("%s beyond the budget of %d" % (flag, MAX_ROTATION_DEPTH))
+            raise BudgetError("%s beyond the budget of %d" % (flag, MAX_ROTATION_DEPTH))
     value = _read(args.map, parse_map)
     result = rotation_number(value, args.max_denominator, args.depth)
     if isinstance(result, RationalRotation):
@@ -363,7 +363,7 @@ def _cmd_word_random(args) -> int:
     from .amalgam import default_context, random_word
 
     if args.length > MAX_WORD_LENGTH:
-        raise _UsageError("--length beyond the budget of %d" % MAX_WORD_LENGTH)
+        raise BudgetError("--length beyond the budget of %d" % MAX_WORD_LENGTH)
     word = random_word(default_context(), args.length, args.seed)
     _write(format_word(word), args.out)
     return 0

@@ -174,8 +174,8 @@ def rotation_number(
 
     The loop runs on kernel grids: the n-th iterate is a grid and an
     integer offset, composed with `core.compose`, and its displacement
-    interval stays a pair of (numerator, denominator) pairs, so the
-    integer point, the pinch test and the running bracket (kept over
+    interval stays a pair of unreduced (numerator, denominator) pairs, so
+    the integer point, the pinch test and the running bracket (kept over
     denominators d*n) are integer arithmetic.  Maps and Fractions are
     built only for the returned result.  Every iterate is composed with
     the same base grid, so its `core.window` table (its corners, their
@@ -194,7 +194,7 @@ def rotation_number(
     xs, ys, k = fxs, fys, fk
     window = core.window(fxs, fys)
     for n in range(1, depth + 1):
-        # the n-th iterate's displacement interval, in lowest terms
+        # the n-th iterate's displacement interval, unreduced
         (ln, ld), (hn, hd) = _bracket(xs, ys, k)
         p = -(-ln // ld)
         if p * hd <= hn:
@@ -204,7 +204,8 @@ def rotation_number(
         if ln == hn and ld == hd:
             # the n-th iterate is a rigid translation by a non-integer,
             # so the value is exactly ln / (ld n); a witness exists at the
-            # reduced denominator
+            # reduced denominator.  The unreduced ends have equal values
+            # only on a rigid grid of two points, both read off its anchor
             return _rational(fbar, Fraction(ln, ld * n))
         nlo = (ln, ld * n)
         nhi = (hn, hd * n)
@@ -253,8 +254,9 @@ def log_ratio_bounds(a: int, b: int, denominator: int) -> tuple:
 def _bracket(xs, ys, k: int, n: int = 1) -> tuple:
     """Displacement interval of the lift (xs, ys, k) divided by n.
 
-    Two (numerator, denominator) pairs with positive denominators, in
-    lowest terms when n is 1 and otherwise only compared and floor-divided.
+    Two (numerator, denominator) pairs with positive denominators, not in
+    lowest terms: callers compare them, floor-divide them or build a
+    Fraction from them.
     """
     (ln, ld), (hn, hd) = core.displacement(xs, ys)
     return (ln + k * ld, ld * n), (hn + k * hd, hd * n)

@@ -522,7 +522,7 @@ def test_power_and_rot_budgets_exit_2_before_computing(capsys, g0_file, tmp_path
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         error = json.loads(err)["error"]
-        assert error["kind"] == "usage" and "budget" in error["message"], argv
+        assert error["kind"] == "budget" and "budget" in error["message"], argv
     # a rigid rotation's power grows with the exponent's digits only
     monkeypatch.undo()
     rigid = tmp_path / "rigid.json"
@@ -567,7 +567,7 @@ def test_document_and_word_length_budgets_exit_2_before_parsing(
         (("compose", big, big), "budget"),
         (("word", "trivial", big), "budget"),
         (("word", "multiply", big, big), "budget"),
-        (("word", "random", "--length", str(serialize.MAX_WORD_LENGTH + 1)), "usage"),
+        (("word", "random", "--length", str(serialize.MAX_WORD_LENGTH + 1)), "budget"),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv

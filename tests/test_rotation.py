@@ -569,28 +569,29 @@ def test_crossing_point_matches_reference():
 
 
 def reference_rotation_number(f, max_denominator, depth):
-    """The certificate loop on PLLineMaps and Fractions, as a reference.
+    """The certificate loop on Fractions, as a reference.
 
-    Every iterate is a map from `compose`, every bracket a
-    DisplacementInterval of Fractions; `rotation_number` must return equal
-    results from kernel grids and integer pairs.
+    The n-th iterate is `power(fbar, n)`, built by repeated squaring and
+    not as the running product `rotation_number` keeps; its bracket is the
+    min and max of y - x over its graph vertices, and the certificate's
+    bracket is the running intersection of those brackets over n.  No
+    kernel displacement and no base window is used.
     """
     fbar = f if isinstance(f, PLLineMap) else lift(f, 0)
-    g = fbar
     lo = hi = None
     for n in range(1, depth + 1):
-        d = displacement_interval(g)
-        p = d.integer_point()
-        if p is not None:
+        g = power(fbar, n)
+        d = [y - x for x, y in g.graph_vertices()]
+        dlo, dhi = min(d), max(d)
+        p = math.ceil(dlo)
+        if p <= dhi:
             return RationalRotation(F(p, n), reference_crossing_point(g, p))
-        if d.width == 0:
-            value = d.lo / n
+        if dlo == dhi:
+            value = dlo / n
             g = power(fbar, value.denominator)
             return RationalRotation(value, reference_crossing_point(g, value.numerator))
-        lo = d.lo / n if lo is None else max(lo, d.lo / n)
-        hi = d.hi / n if hi is None else min(hi, d.hi / n)
-        if n < depth:
-            g = compose(g, fbar)
+        lo = dlo / n if lo is None else max(lo, dlo / n)
+        hi = dhi / n if hi is None else min(hi, dhi / n)
     return NonRationalCertificate(max_denominator, DisplacementInterval(lo, hi))
 
 
@@ -644,19 +645,37 @@ def test_rotation_number_matches_reference_on_g0_lifts():
         h = random_member(THOMPSON, rng)
         f = compose(compose(invert(h), g0), h)
         assert isinstance(assert_matches_reference(lift(f, k), 20, 50), NonRationalCertificate)
-    # the rotation-certify benchmark's shapes: conjugators fixing tuples
-    # of 3 points on the 2**-3 grid in T_2, and of 2 on the 6**-2 grid in
-    # T_{2,3}, certified at depth 200
-    for descriptor, q, length in ((THOMPSON, 3, 3), (STEIN_2_3, 2, 2)):
-        n = descriptor.lam**q
-        xs = sorted(rng.sample(range(n), length))
-        ys = sorted(rng.sample(range(n), length))
-        shift = rng.randrange(length)
-        h = tuple_map(
-            [F(x, n) for x in xs[shift:] + xs[:shift]],
-            [F(y, n) for y in ys[shift:] + ys[:shift]],
-            descriptor,
-        )
+
+
+# the rotation-certify benchmark's conjugators: tuple maps of 3 points on
+# the 2**-3 grid in T_2, and of 2 points on the 6**-2 grid in T_{2,3}
+CERTIFY_CONJUGATORS = ((THOMPSON, 3, 3), (STEIN_2_3, 2, 2))
+
+
+def certify_conjugator(rng, descriptor, depth, length):
+    n = descriptor.lam**depth
+    xs = sorted(rng.sample(range(n), length))
+    ys = sorted(rng.sample(range(n), length))
+    shift = rng.randrange(length)
+    return tuple_map(
+        [F(x, n) for x in xs[shift:] + xs[:shift]],
+        [F(y, n) for y in ys[shift:] + ys[:shift]],
+        descriptor,
+    )
+
+
+def test_rotation_number_matches_reference_on_the_certify_pool():
+    # the rotation-certify benchmark's pool: conjugates of rotations by
+    # p/q, q <= 40, certified to Q = 40 at depth 45, and of g0, to Q = 50
+    # at depth 200, under the conjugators of both descriptors
+    rng = random.Random(941)
+    for i, q in enumerate(range(2, 41)):
+        h = certify_conjugator(rng, *CERTIFY_CONJUGATORS[i % 2])
+        p = rng.choice([p for p in range(1, q) if math.gcd(p, q) == 1])
+        f = compose(compose(invert(h), rotation_map(F(p, q))), h)
+        assert assert_matches_reference(f, 40, 45).value == F(p, q)
+    g0 = irrational_candidate_g0()
+    for i in range(6):
+        h = certify_conjugator(rng, *CERTIFY_CONJUGATORS[i % 2])
         f = compose(compose(invert(h), g0), h)
-        assert len(f.breakpoints) > 3
         assert isinstance(assert_matches_reference(f, 50, 200), NonRationalCertificate)
