@@ -32,8 +32,9 @@ costs about twice a one-shot walk, so single products read in place.
 The grid operations reduce each coordinate they emit once: intermediate
 differences, products and slopes stay unreduced integers, compared by
 cross-multiplication.  Adding an integer to a lowest-terms pair keeps it
-in lowest terms, so the unit and carry shifts take no gcd at all.  A
-window's images take two gcds against g's small line constants, and
+in lowest terms, so the unit and carry shifts take no gcd at all.  An
+image through a g segment takes two gcds against that segment's line
+constants instead of one on its full numerator and denominator, and
 `displacement`'s extremes stay unreduced.
 
 This module is the only kernel: the map, rotation and stein layers call
@@ -329,20 +330,15 @@ def compose(fxs, fys, gxs, gys, window=None):
             while True:
                 out_x.append(fxs[j])
                 n = bd * h1 + bn * h2
-                if hs is None:
-                    d = bd * h3
-                    g = gcd(n, d)
-                    out_y.append((n // g, d // g) if g > 1 else (n, d))
-                else:
-                    # gcd(n, bd) = gcd(h2, bd) as bn is prime to bd, and
-                    # what is left of n is prime to what is left of bd: two
-                    # gcds on g's small constants (Knuth, TAOCP 4.5.1)
-                    g = gcd(h2, bd)
-                    if g > 1:
-                        n //= g
-                        bd //= g
-                    g = gcd(n, h3)
-                    out_y.append((n // g, bd * (h3 // g)) if g > 1 else (n, bd * h3))
+                # gcd(n, bd) = gcd(h2, bd) as bn is prime to bd, and what
+                # is left of n is prime to what is left of bd: two gcds on
+                # smaller operands (Knuth, TAOCP 4.5.1)
+                g = gcd(h2, bd)
+                if g > 1:
+                    n //= g
+                    bd //= g
+                g = gcd(n, h3)
+                out_y.append((n // g, bd * (h3 // g)) if g > 1 else (n, bd * h3))
                 j += 1
                 bn, bd = fys[j]
                 s = bn * cd - cn * bd

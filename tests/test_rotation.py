@@ -633,20 +633,6 @@ def test_rotation_number_matches_reference_at_bracket_ends():
             assert_matches_reference(lift(g, k), 10, 20)
 
 
-def test_rotation_number_matches_reference_on_g0_lifts():
-    g0 = irrational_candidate_g0()
-    for k in range(-2, 3):
-        for depth in (50, 200):
-            result = assert_matches_reference(lift(g0, k), 50, depth)
-            assert isinstance(result, NonRationalCertificate)
-            assert result.bracket.hi - result.bracket.lo <= F(1, depth)
-    rng = random.Random(7)
-    for k in (-1, 2):
-        h = random_member(THOMPSON, rng)
-        f = compose(compose(invert(h), g0), h)
-        assert isinstance(assert_matches_reference(lift(f, k), 20, 50), NonRationalCertificate)
-
-
 # the rotation-certify benchmark's conjugators: tuple maps of 3 points on
 # the 2**-3 grid in T_2, and of 2 points on the 6**-2 grid in T_{2,3}
 CERTIFY_CONJUGATORS = ((THOMPSON, 3, 3), (STEIN_2_3, 2, 2))
@@ -664,18 +650,45 @@ def certify_conjugator(rng, descriptor, depth, length):
     )
 
 
+def test_rotation_number_matches_reference_on_g0_lifts():
+    g0 = irrational_candidate_g0()
+    for k in range(-2, 3):
+        for depth in (50, 200):
+            result = assert_matches_reference(lift(g0, k), 50, depth)
+            assert isinstance(result, NonRationalCertificate)
+            assert result.bracket.hi - result.bracket.lo <= F(1, depth)
+    rng = random.Random(7)
+    for k in (-1, 2):
+        h = random_member(THOMPSON, rng)
+        f = compose(compose(invert(h), g0), h)
+        assert isinstance(assert_matches_reference(lift(f, k), 20, 50), NonRationalCertificate)
+    # the rotation-certify benchmark's shapes, certified at depth 200
+    for descriptor, depth, length in CERTIFY_CONJUGATORS:
+        h = certify_conjugator(rng, descriptor, depth, length)
+        f = compose(compose(invert(h), g0), h)
+        assert len(f.breakpoints) > 3
+        assert isinstance(assert_matches_reference(f, 50, 200), NonRationalCertificate)
+
+
 def test_rotation_number_matches_reference_on_the_certify_pool():
     # the rotation-certify benchmark's pool: conjugates of rotations by
     # p/q, q <= 40, certified to Q = 40 at depth 45, and of g0, to Q = 50
-    # at depth 200, under the conjugators of both descriptors
+    # at depth 200, under the conjugators of both descriptors; most
+    # conjugates bend at more than 3 points
     rng = random.Random(941)
+    bent = 0
     for i, q in enumerate(range(2, 41)):
         h = certify_conjugator(rng, *CERTIFY_CONJUGATORS[i % 2])
         p = rng.choice([p for p in range(1, q) if math.gcd(p, q) == 1])
         f = compose(compose(invert(h), rotation_map(F(p, q))), h)
+        bent += len(f.breakpoints) > 3
         assert assert_matches_reference(f, 40, 45).value == F(p, q)
+    assert bent >= 35
     g0 = irrational_candidate_g0()
+    bent = 0
     for i in range(6):
         h = certify_conjugator(rng, *CERTIFY_CONJUGATORS[i % 2])
         f = compose(compose(invert(h), g0), h)
+        bent += len(f.breakpoints) > 3
         assert isinstance(assert_matches_reference(f, 50, 200), NonRationalCertificate)
+    assert bent >= 5
