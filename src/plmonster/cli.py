@@ -61,8 +61,9 @@ from .stein import (
     tuple_map_report,
 )
 
-# amalgam, rotation and verify are imported by the handlers that use them,
-# so a command loads only what it runs
+# amalgam, rotation and verify are imported where a command first needs
+# them, and only the chosen command's parser is built (_Lazy), so a command
+# loads and builds only what it runs
 
 
 # the one grammar of flag rationals: an integer or a decimal, over an
@@ -77,26 +78,34 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    # adds the parser's arguments when it first parses; the verify
-    # subcommand sets it, so only that command imports the suite registry
-    populate = None
-
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # a negative rational, or a comma list of rationals starting with
-        # one, is a flag value and not an option (subparsers inherit this)
+        # one, is a flag value and not an option
         self._negative_number_matcher = re.compile(
             r"^-%s(,\s*-?%s)*$" % (_RATIONAL, _RATIONAL)
         )
 
-    def parse_known_args(self, args=None, namespace=None):
-        if self.populate is not None:
-            populate, self.populate = self.populate, None
-            populate(self)
-        return super().parse_known_args(args, namespace)
-
     def error(self, message):
         raise _UsageError(message)
+
+
+class _Lazy:
+    """A subcommand's _Parser, built and populated when first used.
+
+    argparse uses only the chosen subcommand's parser (help and choice
+    lists come from add_parser's arguments), so a call builds no other;
+    every attribute is delegated, whichever method argparse calls.
+    """
+
+    def __init__(self, populate, **kwargs):
+        self._populate, self._kwargs, self._parser = populate, kwargs, None
+
+    def __getattr__(self, name):
+        if self._parser is None:
+            self._parser = _Parser(**self._kwargs)
+            self._populate(self._parser)
+        return getattr(self._parser, name)
 
 
 def _emit_error(kind: str, message: str) -> None:
@@ -407,17 +416,130 @@ def _add_descriptor_flags(parser) -> None:
     )
 
 
-def _add_verify_args(parser) -> None:
+def _add_commands(parser, dest, metavar, commands) -> None:
+    """Add a required subcommand; each (name, help, populate) is built lazily."""
+    sub = parser.add_subparsers(dest=dest, metavar=metavar, parser_class=_Lazy)
+    sub.required = True
+    for name, summary, populate in commands:
+        sub.add_parser(name, help=summary, populate=populate)
+
+
+def _file_args(noun, handler, out=True):
+    """The populate function of a command that reads one document."""
+
+    def populate(p) -> None:
+        p.add_argument(noun, help="%s document file" % noun)
+        if out:
+            _add_out(p)
+        p.set_defaults(handler=handler)
+
+    return populate
+
+
+def _element_args(p) -> None:
+    p.add_argument("name", choices=("g0", "z", "identity", "rotation"))
+    p.add_argument("--angle", default=None, help="rotation angle, e.g. 1/3")
+    _add_out(p)
+    p.set_defaults(handler=_cmd_element)
+
+
+def _eval_args(p) -> None:
+    p.add_argument("--map", required=True, help="map document file")
+    p.add_argument(
+        "--point", required=True, help="exact rational, e.g. 3/4; circle maps take it mod 1"
+    )
+    p.set_defaults(handler=_cmd_eval)
+
+
+def _compose_args(p) -> None:
+    p.add_argument("first", help="map document applied first")
+    p.add_argument("second", help="map document applied second")
+    _add_out(p)
+    p.set_defaults(handler=_cmd_compose)
+
+
+def _power_args(p) -> None:
+    p.add_argument("map", help="map document file")
+    p.add_argument(
+        "exponent", type=_integer,
+        help="any integer, negatives allowed; at most %d in absolute value unless "
+        "the map is a rigid rotation" % MAX_EXPONENT,
+    )
+    _add_out(p)
+    p.set_defaults(handler=_cmd_power)
+
+
+def _member_args(p) -> None:
+    p.add_argument("--map", required=True, help="map document file")
+    _add_descriptor_flags(p)
+    _add_out(p)
+    p.set_defaults(handler=_cmd_member)
+
+
+def _tuple_map_args(p) -> None:
+    p.add_argument("--from", dest="source", required=True, help="comma-separated points")
+    p.add_argument("--to", dest="target", required=True, help="comma-separated image points")
+    _add_descriptor_flags(p)
+    _add_out(p)
+    p.set_defaults(handler=_cmd_tuple_map)
+
+
+def _rot_args(p) -> None:
+    p.add_argument("--map", required=True, help="map document file")
+    p.add_argument(
+        "--max-denominator", type=_integer, default=50,
+        help="certify against all rationals with denominator up to this "
+        "(default 50, at most %d)" % MAX_ROTATION_DEPTH,
+    )
+    p.add_argument(
+        "--depth", type=_integer, default=200,
+        help="maximum iterate examined (default 200, at most %d)" % MAX_ROTATION_DEPTH,
+    )
+    _add_out(p)
+    p.set_defaults(handler=_cmd_rot)
+
+
+def _word_args(p) -> None:
+    _add_commands(p, "word_command", "ACTION", (
+        ("reduce", "emit the reduced form", _file_args("word", _cmd_word_reduce)),
+        ("trivial", "decide triviality (exit 0 trivial, 1 nontrivial)",
+         _file_args("word", _cmd_word_trivial, out=False)),
+        ("multiply", "concatenate and reduce two words", _word_multiply_args),
+        ("invert", "emit the reduced inverse", _file_args("word", _cmd_word_invert)),
+        ("project", "project to the left circle group, as a map document",
+         _file_args("word", _cmd_word_project)),
+        ("random", "emit a deterministic pseudorandom word in the default context",
+         _word_random_args),
+    ))
+
+
+def _word_multiply_args(p) -> None:
+    p.add_argument("first", help="word document applied first")
+    p.add_argument("second", help="word document applied second")
+    _add_out(p)
+    p.set_defaults(handler=_cmd_word_multiply)
+
+
+def _word_random_args(p) -> None:
+    p.add_argument(
+        "--length", type=_integer, default=4,
+        help="syllable count (default 4, at most %d)" % MAX_WORD_LENGTH,
+    )
+    p.add_argument("--seed", type=_integer, default=42, help="generator seed (default 42)")
+    _add_out(p)
+    p.set_defaults(handler=_cmd_word_random)
+
+
+def _verify_args(p) -> None:
     from .verify import SUITES
 
-    parser.add_argument("--suite", required=True, choices=tuple(SUITES) + ("all",))
-    parser.add_argument(
-        "--samples",
-        type=_integer,
-        default=1000,
+    p.add_argument("--suite", required=True, choices=tuple(SUITES) + ("all",))
+    p.add_argument(
+        "--samples", type=_integer, default=1000,
         help="sample budget per suite (default 1000, at most %d)" % MAX_VERIFY_SAMPLES,
     )
-    parser.add_argument("--seed", type=_integer, default=42, help="sampling seed")
+    p.add_argument("--seed", type=_integer, default=42, help="sampling seed")
+    p.set_defaults(handler=_cmd_verify)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -430,141 +552,19 @@ def build_parser() -> argparse.ArgumentParser:
             "applies A first."
         ),
     )
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    sub.required = True
-
-    p = sub.add_parser("element", help="emit a built-in map as a document")
-    p.add_argument("name", choices=("g0", "z", "identity", "rotation"))
-    p.add_argument("--angle", default=None, help="rotation angle, e.g. 1/3")
-    _add_out(p)
-    p.set_defaults(handler=_cmd_element)
-
-    p = sub.add_parser("eval", help="evaluate a map at an exact point")
-    p.add_argument("--map", required=True, help="map document file")
-    p.add_argument(
-        "--point",
-        required=True,
-        help="exact rational, e.g. 3/4; circle maps take it mod 1",
-    )
-    p.set_defaults(handler=_cmd_eval)
-
-    p = sub.add_parser("compose", help="compose two maps, first then second")
-    p.add_argument("first", help="map document applied first")
-    p.add_argument("second", help="map document applied second")
-    _add_out(p)
-    p.set_defaults(handler=_cmd_compose)
-
-    p = sub.add_parser("invert", help="invert a map")
-    p.add_argument("map", help="map document file")
-    _add_out(p)
-    p.set_defaults(handler=_cmd_invert)
-
-    p = sub.add_parser("power", help="raise a map to an integer power")
-    p.add_argument("map", help="map document file")
-    p.add_argument(
-        "exponent",
-        type=_integer,
-        help="any integer, negatives allowed; at most %d in absolute value unless "
-        "the map is a rigid rotation" % MAX_EXPONENT,
-    )
-    _add_out(p)
-    p.set_defaults(handler=_cmd_power)
-
-    p = sub.add_parser(
-        "member",
-        help="test membership in a Stein-Thompson circle group "
-        "(exit 0 member, 1 not)",
-    )
-    p.add_argument("--map", required=True, help="map document file")
-    _add_descriptor_flags(p)
-    _add_out(p)
-    p.set_defaults(handler=_cmd_member)
-
-    p = sub.add_parser(
-        "tuple-map", help="build a member map sending one tuple to another"
-    )
-    p.add_argument(
-        "--from", dest="source", required=True, help="comma-separated points"
-    )
-    p.add_argument(
-        "--to", dest="target", required=True, help="comma-separated image points"
-    )
-    _add_descriptor_flags(p)
-    _add_out(p)
-    p.set_defaults(handler=_cmd_tuple_map)
-
-    p = sub.add_parser(
-        "rot", help="exact rational rotation number, or a certified bracket"
-    )
-    p.add_argument("--map", required=True, help="map document file")
-    p.add_argument(
-        "--max-denominator",
-        type=_integer,
-        default=50,
-        help="certify against all rationals with denominator up to this "
-        "(default 50, at most %d)" % MAX_ROTATION_DEPTH,
-    )
-    p.add_argument(
-        "--depth",
-        type=_integer,
-        default=200,
-        help="maximum iterate examined (default 200, at most %d)" % MAX_ROTATION_DEPTH,
-    )
-    _add_out(p)
-    p.set_defaults(handler=_cmd_rot)
-
-    p = sub.add_parser("word", help="operate on amalgam word documents")
-    wordsub = p.add_subparsers(dest="word_command", metavar="ACTION")
-    wordsub.required = True
-
-    w = wordsub.add_parser("reduce", help="emit the reduced form")
-    w.add_argument("word", help="word document file")
-    _add_out(w)
-    w.set_defaults(handler=_cmd_word_reduce)
-
-    w = wordsub.add_parser(
-        "trivial", help="decide triviality (exit 0 trivial, 1 nontrivial)"
-    )
-    w.add_argument("word", help="word document file")
-    w.set_defaults(handler=_cmd_word_trivial)
-
-    w = wordsub.add_parser("multiply", help="concatenate and reduce two words")
-    w.add_argument("first", help="word document applied first")
-    w.add_argument("second", help="word document applied second")
-    _add_out(w)
-    w.set_defaults(handler=_cmd_word_multiply)
-
-    w = wordsub.add_parser("invert", help="emit the reduced inverse")
-    w.add_argument("word", help="word document file")
-    _add_out(w)
-    w.set_defaults(handler=_cmd_word_invert)
-
-    w = wordsub.add_parser(
-        "project", help="project to the left circle group, as a map document"
-    )
-    w.add_argument("word", help="word document file")
-    _add_out(w)
-    w.set_defaults(handler=_cmd_word_project)
-
-    w = wordsub.add_parser(
-        "random", help="emit a deterministic pseudorandom word in the default context"
-    )
-    w.add_argument(
-        "--length",
-        type=_integer,
-        default=4,
-        help="syllable count (default 4, at most %d)" % MAX_WORD_LENGTH,
-    )
-    w.add_argument("--seed", type=_integer, default=42, help="generator seed (default 42)")
-    _add_out(w)
-    w.set_defaults(handler=_cmd_word_random)
-
-    p = sub.add_parser(
-        "verify", help="run property suites (exit 0 iff every check passes)"
-    )
-    p.populate = _add_verify_args
-    p.set_defaults(handler=_cmd_verify)
-
+    _add_commands(parser, "command", "COMMAND", (
+        ("element", "emit a built-in map as a document", _element_args),
+        ("eval", "evaluate a map at an exact point", _eval_args),
+        ("compose", "compose two maps, first then second", _compose_args),
+        ("invert", "invert a map", _file_args("map", _cmd_invert)),
+        ("power", "raise a map to an integer power", _power_args),
+        ("member", "test membership in a Stein-Thompson circle group "
+         "(exit 0 member, 1 not)", _member_args),
+        ("tuple-map", "build a member map sending one tuple to another", _tuple_map_args),
+        ("rot", "exact rational rotation number, or a certified bracket", _rot_args),
+        ("word", "operate on amalgam word documents", _word_args),
+        ("verify", "run property suites (exit 0 iff every check passes)", _verify_args),
+    ))
     return parser
 
 

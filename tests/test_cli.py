@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -718,8 +719,69 @@ def test_output_is_deterministic(capsys, g0_file):
     assert first == second
 
 
-def test_help_exits_zero(capsys):
-    assert run(capsys, "--help")[0] == 0
+COMMANDS = (
+    "element", "eval", "compose", "invert", "power", "member", "tuple-map", "rot", "word",
+    "verify",
+)
+WORD_ACTIONS = ("reduce", "trivial", "multiply", "invert", "project", "random")
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (("element", "g0"), ["plmonster", "plmonster element"]),
+        (("word", "random"), ["plmonster", "plmonster word", "plmonster word random"]),
+        (("--help",), ["plmonster"]),
+        (("word", "--help"), ["plmonster", "plmonster word"]),
+    ],
+    ids=["element g0", "word random", "--help", "word --help"],
+)
+def test_a_call_builds_only_the_parsers_on_its_path(capsys, monkeypatch, argv, built):
+    progs = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        progs.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    assert run(capsys, *argv)[0] == 0
+    assert progs == built
+
+
+@pytest.mark.parametrize(
+    "path", [(c,) for c in COMMANDS] + [("word", a) for a in WORD_ACTIONS], ids=" ".join
+)
+def test_every_command_and_action_answers_help(capsys, path):
+    code, out, err = run(capsys, *path, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: plmonster %s " % " ".join(path))
+
+
+def test_help_lists_every_command_and_action(capsys):
+    def listed(text):
+        # argparse starts each choice's line with exactly four spaces
+        return [
+            line.split()[0]
+            for line in text.splitlines()
+            if line.startswith("    ") and not line.startswith("     ")
+        ]
+
+    for argv, names in ((("--help",), COMMANDS), (("word", "--help"), WORD_ACTIONS)):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert listed(out) == list(names)
+
+
+def test_unknown_commands_and_actions_are_usage_errors(capsys):
+    for argv, names in ((("frobnicate",), COMMANDS), (("word", "frobnicate"), WORD_ACTIONS)):
+        code, out, err = run(capsys, *argv)
+        error = json.loads(err)["error"]
+        assert (code, out, error["kind"]) == (2, "", "usage")
+        assert "invalid choice: 'frobnicate'" in error["message"]
+        # argparse quotes the choices on some releases and not on others
+        choices = error["message"].partition("choose from")[2]
+        assert re.findall(r"[\w-]+", choices) == list(names)
 
 
 @pytest.mark.parametrize("error", [ContextError, SyllableError, ZeroBracketError])
@@ -803,6 +865,8 @@ IMPORT_SETS = [
     ("word invert w.json", NO_VERIFY, {"plmonster.amalgam"}),
     ("word project w.json", NO_VERIFY, {"plmonster.amalgam"}),
     ("verify --help", {"dataclasses"}, {"plmonster.verify"}),
+    ("--help", MAP_ONLY, {"plmonster.cli"}),
+    ("word --help", MAP_ONLY, {"plmonster.cli"}),
 ]
 
 
