@@ -364,12 +364,15 @@ class AmalgamWord:
 
     Construction validates every syllable: the element must be a line
     map whose underlying circle map belongs to the syllable's factor
-    group.  Words are stored as given; `reduce` returns the
-    Britton-reduced word, and `multiply`/`invert_word` reduce their
-    results.  Structural equality compares stored syllables; equality in
-    the group is `words_equal`, which reduces the quotient, because
-    reduced forms are canonical only up to shuffles of edge-subgroup
-    elements across syllables.
+    group.  `is_member` caches a positive verdict on the circle map, so
+    words over a fixed set of elements check each distinct element once
+    per descriptor, however many words repeat it.  Words are stored as
+    given, a `Syllable` already tagged with a `Factor` member as the same
+    object; `reduce` returns the Britton-reduced word, and
+    `multiply`/`invert_word` reduce their results.  Structural equality
+    compares stored syllables; equality in the group is `words_equal`,
+    which reduces the quotient, because reduced forms are canonical only
+    up to shuffles of edge-subgroup elements across syllables.
     """
 
     __slots__ = ("_context", "_syllables")
@@ -402,7 +405,9 @@ class AmalgamWord:
                     "syllable %d: element is not a member of factor %s (%s)"
                     % (i, factor.value, _violation_text(report))
                 )
-            cooked.append(Syllable(factor, element))
+            if raw.__class__ is not Syllable or raw.factor is not factor:
+                raw = Syllable(factor, element)
+            cooked.append(raw)
         self._context = context
         self._syllables = tuple(cooked)
 

@@ -192,7 +192,7 @@ def _descriptor_from_args(args) -> GroupDescriptor:
         try:
             descriptor = GroupDescriptor(*generators)
         except ValueError as exc:
-            raise _UsageError(str(exc))
+            raise _UsageError("--slopes %s: %s" % (args.slopes, exc))
         if args.lam is not None and args.lam != descriptor.lam:
             raise _UsageError(
                 "--lambda %s does not equal the product %d of --slopes"
@@ -200,10 +200,12 @@ def _descriptor_from_args(args) -> GroupDescriptor:
             )
         return descriptor
     if args.lam is not None:
+        if args.lam < 2:
+            raise _UsageError("--lambda must be an integer >= 2; got %s" % _shown(args.lam, str))
         try:
             return GroupDescriptor(args.lam)
         except ValueError as exc:
-            raise _UsageError(str(exc))
+            raise _UsageError("--lambda %s: %s" % (_shown(args.lam, str), exc))
     raise _UsageError("a group is required: pass --slopes and/or --lambda")
 
 
@@ -306,8 +308,15 @@ def _cmd_rot(args) -> int:
     from .rotation import NonRationalCertificate, RationalRotation, rotation_number
 
     for flag, given in (("--max-denominator", args.max_denominator), ("--depth", args.depth)):
+        if given < 1:
+            raise _UsageError("%s must be a positive integer; got %s" % (flag, _shown(given, str)))
         if given > MAX_ROTATION_DEPTH:
             raise BudgetError("%s beyond the budget of %d" % (flag, MAX_ROTATION_DEPTH))
+    if args.depth < args.max_denominator:
+        raise _UsageError(
+            "--depth %d is below --max-denominator %d; it must be at least that"
+            % (args.depth, args.max_denominator)
+        )
     value = _read(args.map, parse_map)
     result = rotation_number(value, args.max_denominator, args.depth)
     if isinstance(result, RationalRotation):

@@ -75,7 +75,9 @@ class PLCircleMap:
     interpolates affinely, wrapping once around the circle.
     """
 
-    __slots__ = ("_xs", "_ys")
+    # _member_of is the last descriptor `stein.is_member` found this map a
+    # member of, or None; only that function reads or writes it
+    __slots__ = ("_xs", "_ys", "_member_of")
 
     def __init__(self, breakpoints, images):
         breaks = [_pair(as_fraction(b)) for b in breakpoints]
@@ -127,12 +129,14 @@ class PLCircleMap:
                 grid_y = [(n + d, d) for n, d in grid_y]
 
         self._xs, self._ys = core.canon_grid(grid_x, grid_y)
+        self._member_of = None
 
     @classmethod
     def _from_grid(cls, xs, ys) -> "PLCircleMap":
         self = object.__new__(cls)
         self._xs = xs
         self._ys = ys
+        self._member_of = None
         return self
 
     @property

@@ -24,6 +24,9 @@ trial division.
 `is_member` works on the map's kernel grid of (numerator, denominator)
 pairs, one reduced pair per slope; it builds a Fraction only to report a
 violation.  The public descriptor methods convert their input at entry.
+Only positive verdicts are cached: each map remembers the one descriptor
+object it last passed the full check against (identity, not equality),
+so a word that repeats an element checks it once per descriptor.
 """
 
 from __future__ import annotations
@@ -221,8 +224,22 @@ class MembershipReport(NamedTuple):
         return self.member
 
 
+_MEMBER = MembershipReport(True, ())
+
+
 def is_member(f: PLCircleMap, descriptor: GroupDescriptor) -> MembershipReport:
-    """Exact membership of a circle map, with per-item violations."""
+    """Exact membership of a circle map, with per-item violations.
+
+    A positive verdict is cached on the map, keyed by the descriptor's
+    identity: asking again with the same descriptor object returns at
+    once, while an equal but distinct descriptor, or any other, runs the
+    full check.  Maps and descriptors are immutable, so a cached verdict
+    never goes stale, and threads racing on one map can only replace one
+    true verdict with another.  A non-member is never cached: every check
+    that finds violations reports them afresh.
+    """
+    if f._member_of is descriptor:
+        return _MEMBER
     xs, ys = f._xs, f._ys
     violations = []
     for j in range(core.first_breakpoint(xs, ys), len(xs) - 1):
@@ -235,7 +252,10 @@ def is_member(f: PLCircleMap, descriptor: GroupDescriptor) -> MembershipReport:
     for n, d in dict.fromkeys(core.slopes(xs, ys)):
         if not descriptor._has_slope(n, d):
             violations.append(Violation("slope-not-in-P", Fraction(n, d)))
-    return MembershipReport(not violations, tuple(violations))
+    if violations:
+        return MembershipReport(False, tuple(violations))
+    f._member_of = descriptor
+    return _MEMBER
 
 
 def _cyclic_rotation_to_increasing(values) -> int:

@@ -89,6 +89,61 @@ def test_syllable_membership_is_checked():
     AmalgamWord(c, [(Factor.G2, g2_only)])  # fine on the other side
 
 
+def word_pool():
+    """Two fresh elements per factor, none of them checked yet."""
+    c = ctx()
+    rng = random.Random(5)
+    return {
+        factor: [lift(random_member(c.descriptor(factor), rng, 4, 2), k) for k in (-1, 1)]
+        for factor in Factor
+    }
+
+
+def test_word_building_checks_each_element_once(monkeypatch):
+    from plmonster import stein
+
+    c = ctx()
+    pool = word_pool()
+    checked = []
+    slopes = stein.core.slopes
+
+    def counting(xs, ys):
+        checked.append((xs, ys))
+        return slopes(xs, ys)
+
+    monkeypatch.setattr(stein.core, "slopes", counting)
+    rng = random.Random(9)
+    built = []
+    for n in range(200):
+        factor = rng.choice(list(Factor))
+        sylls = []
+        for _ in range(1 + n % 8):
+            sylls.append(Syllable(factor, rng.choice(pool[factor])))
+            factor = factor.other
+        built.append((sylls, AmalgamWord(c, sylls)))
+    # the full grid check ran once per distinct (element, descriptor)
+    assert len(checked) == 4
+    # a syllable already tagged with a Factor member is kept as given
+    for sylls, word in built:
+        assert all(a is b for a, b in zip(word.syllables, sylls))
+
+
+def test_non_members_are_refused_after_many_valid_words():
+    c = ctx()
+    pool = word_pool()
+    g2_only = lift(irrational_candidate_g0(), 0)
+    for _ in range(50):
+        AmalgamWord(c, [(Factor.G2, g2_only)] + [(f, e) for f in Factor for e in pool[f]])
+    # a verdict cached for the right factor says nothing about the left one
+    for sylls in (
+        [(Factor.G1, g2_only)],
+        [(Factor.G1, pool[Factor.G2][0])],
+        [(Factor.G2, lift(rotation_map(F(1, 5)), 0))] * 2,
+    ):
+        with pytest.raises(SyllableError, match="not a member"):
+            AmalgamWord(c, sylls)
+
+
 def test_empty_word_is_trivial():
     w = word_from_syllables([], ctx())
     assert len(w) == 0 and w.is_trivial()

@@ -483,6 +483,40 @@ def test_usage_errors_exit_2(capsys, g0_file):
     assert code == 2
 
 
+def test_bad_rotation_flags_are_usage_errors_before_the_map_is_read(capsys, tmp_path):
+    missing = str(tmp_path / "no-such-map.json")
+    for flags, named in (
+        (("--depth", "-1"), "--depth"),
+        (("--depth", "0"), "--depth"),
+        (("--max-denominator", "0"), "--max-denominator"),
+        (("--max-denominator", "-7", "--depth", "5"), "--max-denominator"),
+        # below the default --max-denominator 50
+        (("--depth", "10"), "--depth 10 is below --max-denominator 50"),
+        (("--max-denominator", "300", "--depth", "299"), "--max-denominator 300"),
+    ):
+        code, out, err = run(capsys, "rot", "--map", missing, *flags)
+        error = json.loads(err)["error"]
+        assert (code, out, error["kind"]) == (2, "", "usage"), flags
+        assert named in error["message"], flags
+    # with valid flags the map is read, and a missing one is an io error
+    code, _, err = run(capsys, "rot", "--map", missing, "--depth", "50")
+    assert code == 2 and json.loads(err)["error"]["kind"] == "io"
+
+
+def test_bad_group_flags_name_the_flag_and_value(capsys, g0_file):
+    for flags, named in (
+        (("--lambda", "-6"), "--lambda must be an integer >= 2; got -6"),
+        (("--lambda", "1"), "--lambda must be an integer >= 2; got 1"),
+        (("--lambda", "4294967311"), "--lambda 4294967311: "),
+        (("--slopes", "1,3"), "--slopes 1,3: "),
+        (("--slopes", "2,0"), "--slopes 2,0: "),
+    ):
+        code, out, err = run(capsys, "member", "--map", g0_file, *flags)
+        error = json.loads(err)["error"]
+        assert (code, out, error["kind"]) == (2, "", "usage"), flags
+        assert named in error["message"], flags
+
+
 def test_parse_errors_exit_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"format": "plmonster.map/1"}')

@@ -1,6 +1,8 @@
 """Stein-Thompson descriptors, membership, and tuple transitivity."""
 
+import copy
 import math
+import pickle
 import random
 import time
 from fractions import Fraction as F
@@ -141,6 +143,43 @@ def test_membership_reports_every_violation_kind():
     assert "breakpoint-not-in-Y" in kinds
     assert "slope-not-in-P" in kinds
     assert not report.member
+
+
+def test_a_cached_member_verdict_is_per_descriptor():
+    # g0 lies in T_{2,3} but not in T_2 (its slope 2/3)
+    f = irrational_candidate_g0()
+    fresh = PLCircleMap(f.breakpoints, f.images)
+    expected = is_member(fresh, THOMPSON)
+    assert not expected.member and expected.violations
+    assert is_member(f, STEIN_2_3).member
+    assert is_member(f, THOMPSON) == expected
+    assert is_member(f, STEIN_2_3).member  # the failed check cached nothing
+    # an equal but distinct descriptor runs the full check, with one verdict
+    assert is_member(f, GroupDescriptor(2, 3)).member
+    assert is_member(f, GroupDescriptor(2)) == expected
+
+
+def test_a_non_member_reports_its_violations_every_time():
+    for f, d in (
+        (rotation_map(F(1, 5)), STEIN_2_3),
+        (PLCircleMap([0, F(1, 5)], [0, F(1, 2)]), THOMPSON),
+        (irrational_candidate_g0(), THOMPSON),
+    ):
+        first = is_member(f, d)
+        second = is_member(f, d)
+        assert not first.member and first.violations
+        assert second == first
+
+
+def test_a_checked_map_equals_an_unchecked_one():
+    f = random_member(STEIN_2_3, random.Random(11))
+    g = PLCircleMap(f.breakpoints, f.images)
+    assert is_member(f, STEIN_2_3).member
+    assert f == g and hash(f) == hash(g)
+    for h in (copy.copy(f), pickle.loads(pickle.dumps(f))):
+        assert h == f == g and hash(h) == hash(g)
+        assert is_member(h, STEIN_2_3).member
+        assert is_member(h, THOMPSON) == is_member(g, THOMPSON)
 
 
 def test_member_flag_iff_no_violations():
