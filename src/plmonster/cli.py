@@ -299,7 +299,15 @@ def _cmd_tuple_map(args) -> int:
             "a grid of %d**%d points is over the tuple-map budget of %d"
             % (descriptor.lam, q, MAX_TUPLE_GRID)
         )
-    report = tuple_map_report(xs, ys, descriptor)
+    try:
+        report = tuple_map_report(xs, ys, descriptor)
+    except ValueError as exc:
+        # the construction's own checks of its input, under the flags given
+        flags = ["--from", args.source, "--to", args.target]
+        for flag, given in (("--slopes", args.slopes), ("--lambda", args.lam)):
+            if given is not None:
+                flags += [flag, _shown(given, str)]
+        raise _UsageError("%s: %s" % (" ".join(flags), exc))
     _write(format_map(report.map, descriptor), args.out)
     return 0
 
@@ -380,6 +388,10 @@ def _cmd_word_project(args) -> int:
 def _cmd_word_random(args) -> int:
     from .amalgam import default_context, random_word
 
+    if args.length < 0:
+        raise _UsageError(
+            "--length must be a nonnegative integer; got %s" % _shown(args.length, str)
+        )
     if args.length > MAX_WORD_LENGTH:
         raise BudgetError("--length beyond the budget of %d" % MAX_WORD_LENGTH)
     word = random_word(default_context(), args.length, args.seed)
@@ -390,6 +402,10 @@ def _cmd_word_random(args) -> int:
 def _cmd_verify(args) -> int:
     from .verify import run_suite
 
+    if args.samples < 1:
+        raise _UsageError(
+            "--samples must be a positive integer; got %s" % _shown(args.samples, str)
+        )
     if args.samples > MAX_VERIFY_SAMPLES:
         raise BudgetError("--samples beyond the budget of %d" % MAX_VERIFY_SAMPLES)
     lines = []

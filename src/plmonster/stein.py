@@ -11,7 +11,10 @@ both tuples are embedded in the grid of multiples of lam**-q, arcs between
 consecutive marked points are equalized by inserting midpoints (halving
 the leftmost largest gap of the arc with fewer points), and the result
 interpolates linearly.  Midpoints stay inside Y and keep gap ratios in P
-exactly when 2 lies in P, which holds for the shipped descriptors.
+exactly when 2 lies in P, which holds for the shipped descriptors.  The
+construction emits the result's kernel grid itself, in x order from the
+grid point 0 with integer unit shifts, so its points are never reduced
+mod 1, sorted or checked again by the map constructor.
 
 Each descriptor builds an echelon basis of its slope lattice once, and a
 slope query reduces its prime exponent vector against it in one pass.
@@ -32,7 +35,9 @@ so a word that repeats an element checks it once per descriptor.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import _core as core
@@ -368,14 +373,30 @@ def tuple_map_report(xtuple, ytuple, descriptor: GroupDescriptor) -> TupleMapRep
             hi = ys_lin[i + 1] if i + 1 < p else ys_lin[0] + 1
             equalize(yarcs[i], lo, hi, cx)
 
-    pairs = []
+    # the graph's points in x order, from (xs[0], ys[0]) up to the last
+    # arc's wrap past 1
+    pts = []
     for i in range(p):
-        pairs.append((xs[i], ys_lin[i]))
-        for (xv, _), (yv, _) in zip(xarcs[i], yarcs[i]):
-            pairs.append((xv, yv))
-    pairs = [(x % 1, y % 1) for x, y in pairs]
-    pairs.sort()
-    result = PLCircleMap([x for x, _ in pairs], [y for _, y in pairs])
+        pts.append((xs[i], ys_lin[i]))
+        pts += [(xv, yv) for (xv, _), (yv, _) in zip(xarcs[i], yarcs[i])]
+    # the kernel grid starts at the lam**-q grid point x = 1, which is 0 on
+    # the circle: a point inside the last arc, or, when xs[0] is 0, the
+    # first point plus 1.  The points from x = 1 on (the head) move down by
+    # 1 in x and by k in y, where k is the floor of the graph's value y1
+    # at x = 1, so y(0) lies in [0, 1); the points before x = 1 (the tail)
+    # move down by k - 1 in y.  A Fraction's pair stays in lowest terms
+    # under an integer shift, and the emitted grid is already sorted.
+    w = bisect_left(pts, 1, key=itemgetter(0))
+    head, tail = pts[w:], pts[:w]
+    y1 = head[0][1] if head else ys_lin[0] + 1
+    k = y1.numerator // y1.denominator
+    gx = [(x.numerator - x.denominator, x.denominator) for x, _ in head]
+    gx += [(x.numerator, x.denominator) for x, _ in tail]
+    gx.append(core.ONE)
+    gy = [(y.numerator - k * y.denominator, y.denominator) for _, y in head]
+    gy += [(y.numerator - (k - 1) * y.denominator, y.denominator) for _, y in tail]
+    gy.append((gy[0][0] + gy[0][1], gy[0][1]))
+    result = PLCircleMap._from_grid(*core.canon_grid(gx, gy))
     return TupleMapReport(result, depth_used)
 
 

@@ -237,8 +237,8 @@ def test_negative_rationals_are_values(capsys, tmp_path):
     )
     assert code == 2
     assert json.loads(err)["error"] == {
-        "kind": "runtime",
-        "message": "tuple entries live in [0, 1); got -1/2",
+        "kind": "usage",
+        "message": "--from -1/2,1/4 --to 0,1/2 --lambda 2: tuple entries live in [0, 1); got -1/2",
     }
     # a word that only starts with a minus sign is still an option
     code, _, err = run(capsys, "eval", "--map", str(z), "--point", "-x")
@@ -273,10 +273,10 @@ def test_flag_rationals_follow_one_grammar(capsys, g0_file):
     for flag, other in (("--from", "--to"), ("--to", "--from")):
         code, _, err = run(capsys, "tuple-map", "--lambda", "2", flag, "0,-0.5", other, "0,1/2")
         assert code == 2
-        assert json.loads(err)["error"] == {
-            "kind": "runtime",
-            "message": "tuple entries live in [0, 1); got -1/2",
-        }
+        error = json.loads(err)["error"]
+        assert error["kind"] == "usage"
+        assert error["message"].endswith(": tuple entries live in [0, 1); got -1/2")
+        assert "%s 0,-0.5" % flag in error["message"]
 
 
 def test_integer_flags_ignore_the_host_digit_limit(capsys, tmp_path):
@@ -456,21 +456,41 @@ def test_usage_errors_exit_2(capsys, g0_file):
             "--lambda 5 does not equal the product 6",
         ),
         (("element", "rotation"), "usage", "requires --angle"),
-        # the tuple construction's own argument checks
+        # the tuple construction's own argument checks, under the flags given
         (
             ("tuple-map", "--from", "0,1/3", "--to", "0,2/3", "--slopes", "3"),
-            "runtime",
-            "2 is not a product of the generators",
+            "usage",
+            "--from 0,1/3 --to 0,2/3 --slopes 3: descriptor T_{3} cannot halve",
+        ),
+        (
+            ("tuple-map", "--from", "0,1/2", "--to", "0,1/4", "--slopes", "4"),
+            "usage",
+            "--slopes 4: descriptor T_{4} cannot halve grid gaps",
         ),
         (
             ("tuple-map", "--from", "0,1/4,1/2", "--to", "0,1/2,1/4", "--slopes", "2,3"),
-            "runtime",
-            "target tuple is not positively cyclically ordered",
+            "usage",
+            "--to 0,1/2,1/4 --slopes 2,3: target tuple is not positively cyclically ordered",
         ),
         (
             ("tuple-map", "--from", "0,0", "--to", "0,1/2", "--slopes", "2"),
-            "runtime",
-            "source tuple is not positively cyclically ordered",
+            "usage",
+            "--from 0,0 --to 0,1/2 --slopes 2: source tuple is not positively cyclically",
+        ),
+        (
+            ("tuple-map", "--from", "0,1/2", "--to", "0", "--lambda", "2"),
+            "usage",
+            "--from 0,1/2 --to 0 --lambda 2: tuples must have equal length",
+        ),
+        (
+            ("tuple-map", "--from", "0,1/7", "--to", "0,1/2", "--lambda", "6"),
+            "usage",
+            "--from 0,1/7 --to 0,1/2 --lambda 6: 1/7 is not a Z[1/6] point",
+        ),
+        (
+            ("tuple-map", "--from", "0,3/2", "--to", "0,1/2", "--slopes", "2,3", "--lambda", "6"),
+            "usage",
+            "--slopes 2,3 --lambda 6: tuple entries live in [0, 1); got 3/2",
         ),
     ):
         code, out, err = run(capsys, *argv)
@@ -596,18 +616,20 @@ def test_document_and_word_length_budgets_exit_2_before_parsing(
     for name in ("parse_map", "parse_word", "_parse_map_with_descriptor"):
         monkeypatch.setattr(cli, name, refuse)
     monkeypatch.setattr(amalgam, "random_word", refuse)
-    for argv, kind in (
-        (("eval", "--map", big, "--point", "1/3"), "budget"),
-        (("invert", big), "budget"),
-        (("compose", big, big), "budget"),
-        (("word", "trivial", big), "budget"),
-        (("word", "multiply", big, big), "budget"),
-        (("word", "random", "--length", str(serialize.MAX_WORD_LENGTH + 1)), "budget"),
+    for argv, kind, message in (
+        (("eval", "--map", big, "--point", "1/3"), "budget", "budget"),
+        (("invert", big), "budget", "budget"),
+        (("compose", big, big), "budget", "budget"),
+        (("word", "trivial", big), "budget", "budget"),
+        (("word", "multiply", big, big), "budget", "budget"),
+        (("word", "random", "--length", str(serialize.MAX_WORD_LENGTH + 1)), "budget", "budget"),
+        # a negative length is a usage error, refused before any work
+        (("word", "random", "--length", "-3"), "usage", "--length must be a nonnegative"),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         error = json.loads(err)["error"]
-        assert error["kind"] == kind and "budget" in error["message"], argv
+        assert error["kind"] == kind and message in error["message"], argv
     monkeypatch.undo()
     assert run(capsys, "eval", "--map", at_budget, "--point", "1/8") == (0, "3/4\n", "")
 
@@ -627,6 +649,13 @@ def test_verify_samples_budget_exits_2_before_any_suite(capsys, monkeypatch):
         assert (code, out) == (2, "")
         error = json.loads(err)["error"]
         assert error["kind"] == "budget" and "budget" in error["message"]
+    # no samples, or fewer, would pass with nothing checked: a usage error
+    for flags in (("--samples", "0"), ("--samples=-1",), ("--samples", "-1")):
+        code, out, err = run(capsys, "verify", "--suite", "arith", *flags)
+        assert (code, out) == (2, ""), flags
+        error = json.loads(err)["error"]
+        assert error["kind"] == "usage", flags
+        assert "--samples must be a positive integer" in error["message"], flags
     assert runs == []
     # the budget itself is accepted and handed on
     code, out, err = run(

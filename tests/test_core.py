@@ -22,8 +22,10 @@ from plmonster.maps import compose, invert, rotation_map
 from plmonster.stein import (
     STEIN_2_3,
     THOMPSON,
+    GroupDescriptor,
     irrational_candidate_g0,
     random_member,
+    random_tuple_pair,
     tuple_map,
 )
 
@@ -148,6 +150,25 @@ def test_kernel_matches_reference_on_member_grids(descriptor):
     for f in grids:
         for g in grids[:6]:
             check_kernel(f, g)
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    [THOMPSON, STEIN_2_3, GroupDescriptor(2, 5), GroupDescriptor(2, 3, 5)],
+    ids=["thompson", "stein23", "stein25", "stein235"],
+)
+def test_tuple_maps_are_canonical_grids(descriptor):
+    # tuple_map builds its kernel grid itself, with no constructor checks
+    rng = random.Random(descriptor.lam)
+    starts = set()
+    for _ in range(40):
+        xs, ys, _ = random_tuple_pair(descriptor, rng, max_len=6, max_depth=2)
+        f = tuple_map(xs, ys, descriptor)
+        assert_canonical(f._xs, f._ys)
+        assert _core.canon_grid(f._xs, f._ys) == (f._xs, f._ys)
+        starts.add(min(xs) == 0)
+    # sources through 0 and sources whose grid starts inside the last arc
+    assert starts == {True, False}
 
 
 def test_kernel_matches_reference_on_g0_iterates():

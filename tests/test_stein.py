@@ -1,6 +1,7 @@
 """Stein-Thompson descriptors, membership, and tuple transitivity."""
 
 import copy
+import heapq
 import math
 import pickle
 import random
@@ -443,6 +444,87 @@ def test_tuple_map_random_pairs_exact():
         for a, b in zip(xs, ys):
             assert evaluate_circle(f, a) == b
         assert is_member(f, d).member
+
+
+def reference_tuple_map(xtuple, ytuple, descriptor):
+    """The tuple construction in Fractions only: (map, refinement depth).
+
+    Embeds both tuples in the lam**-q grid, equalizes each arc pair by
+    halving the leftmost largest gap of the shorter one with a heap, then
+    reduces every point mod 1, sorts the points and hands them to the
+    `PLCircleMap` constructor, which unrolls and checks them.  The input
+    must be valid; no check is repeated here.
+    """
+    xs = [F(x) for x in xtuple]
+    ys = [F(y) for y in ytuple]
+    p = len(xs)
+    q = max([1] + [descriptor.coordinate_depth(e) for e in xs + ys])
+    r = xs.index(min(xs))
+    xs = xs[r:] + xs[:r]
+    ys = ys[r:] + ys[:r]
+    ys = [ys[0]] + [v if v > ys[0] else v + 1 for v in ys[1:]]
+    n = descriptor.lam**q
+
+    def arcs(points):
+        out = []
+        for i in range(p):
+            hi = points[i + 1] if i + 1 < p else points[0] + 1
+            out.append([(F(k, n), q) for k in range(int(points[i] * n) + 1, int(hi * n))])
+        return out
+
+    xarcs, yarcs = arcs(xs), arcs(ys)
+    depth = q
+    for i in range(p):
+        for short, other, ends in ((xarcs, yarcs, xs), (yarcs, xarcs, ys)):
+            need = len(other[i]) - len(short[i])
+            if need <= 0:
+                continue
+            hi = ends[i + 1] if i + 1 < p else ends[0] + 1
+            pts = [(ends[i], q)] + short[i] + [(hi, q)]
+            heap = [(a - b, a, b, da, db) for (a, da), (b, db) in zip(pts, pts[1:])]
+            heapq.heapify(heap)
+            for _ in range(need):
+                _, a, b, da, db = heapq.heappop(heap)
+                mid, d = (a + b) / 2, max(da, db) + 1
+                depth = max(depth, d)
+                short[i].append((mid, d))
+                heapq.heappush(heap, (a - mid, a, mid, da, d))
+                heapq.heappush(heap, (mid - b, mid, b, d, db))
+            short[i].sort()
+    pairs = []
+    for i in range(p):
+        pairs.append((xs[i], ys[i]))
+        pairs += [(x, y) for (x, _), (y, _) in zip(xarcs[i], yarcs[i])]
+    pairs = sorted((x % 1, y % 1) for x, y in pairs)
+    return PLCircleMap([x for x, _ in pairs], [y for _, y in pairs]), depth
+
+
+# each descriptor with the largest q whose lam**-q grid has at most 1,296 points
+TUPLE_GRIDS = ((THOMPSON, 10), (STEIN_2_3, 4), (GroupDescriptor(2, 5), 3),
+               (GroupDescriptor(2, 3, 5), 2))
+
+
+@st.composite
+def tuple_pairs(draw):
+    """(descriptor, source, target): cyclically ordered tuples on one grid."""
+    descriptor, top = draw(st.sampled_from(TUPLE_GRIDS))
+    n = descriptor.lam ** draw(st.integers(1, top))
+    count = draw(st.integers(1, min(6, n)))
+    points = st.sets(st.integers(0, n - 1), min_size=count, max_size=count)
+    tuples = []
+    for _ in range(2):
+        ks = sorted(draw(points))
+        cut = draw(st.integers(0, count - 1))
+        tuples.append(tuple(F(k, n) for k in ks[cut:] + ks[:cut]))
+    return descriptor, tuples[0], tuples[1]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(case=tuple_pairs())
+def test_tuple_map_matches_the_fraction_reference(case):
+    descriptor, xs, ys = case
+    report = tuple_map_report(xs, ys, descriptor)
+    assert (report.map, report.refinement_depth) == reference_tuple_map(xs, ys, descriptor)
 
 
 def test_g0_definition_and_sanity():
