@@ -395,7 +395,7 @@ class AmalgamWord:
                 factor = Factor(factor)
             except ValueError:
                 raise SyllableError(
-                    "syllable %d: unknown factor %r" % (i, factor)
+                    "syllable %d: unknown factor %s" % (i, _shown(factor))
                 ) from None
             if not isinstance(element, PLLineMap):
                 raise SyllableError("syllable %d: element must be a line map" % i)

@@ -45,6 +45,7 @@ from .maps import (
     PLCircleMap,
     PLLineMap,
     RationalLike,
+    _shown,
     as_fraction,
     compose,
     identity_map,
@@ -161,7 +162,7 @@ class GroupDescriptor:
         """Least q with x a multiple of lam**-q (x must lie in Y)."""
         den = as_fraction(x).denominator
         if not self._divides_power(den):
-            raise ValueError("%s is not a Z[1/%d] point" % (x, self._lam))
+            raise ValueError("%s is not a Z[1/%d] point" % (_shown(x, str), self._lam))
         q = 0
         power = 1
         while power % den:
@@ -297,7 +298,7 @@ def tuple_map_report(xtuple, ytuple, descriptor: GroupDescriptor) -> TupleMapRep
     q = 1
     for e in xs + ys:
         if not 0 <= e < 1:
-            raise ValueError("tuple entries live in [0, 1); got %s" % e)
+            raise ValueError("tuple entries live in [0, 1); got %s" % _shown(e, str))
         q = max(q, descriptor.coordinate_depth(e))  # refuses a point off Y
     if not descriptor.slope_in_group(2):
         raise ValueError(
@@ -440,7 +441,7 @@ def torsion_rotation(descriptor: GroupDescriptor, p: int, q: int) -> PLCircleMap
     if not descriptor.contains_coordinate(r):
         raise ValueError(
             "%s is not a Z[1/%d] point, so this rotation is not a member"
-            % (r, descriptor.lam)
+            % (_shown(r, str), descriptor.lam)
         )
     return rotation_map(r)
 

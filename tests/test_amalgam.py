@@ -1,6 +1,5 @@
 """Amalgam words, Britton reduction, the word problem, and the oracle."""
 
-import functools
 import itertools
 import random
 from fractions import Fraction as F
@@ -31,8 +30,10 @@ from plmonster import (
     words_equal,
 )
 from plmonster.amalgam import FiniteAmalgamInstance, britton_reduce
-from plmonster.stein import STEIN_2_3, THOMPSON
+from plmonster.stein import STEIN_2_3, THOMPSON, GroupDescriptor
 from plmonster.verify import perturb_word, planted_trivial_word
+from pools import pl_word_pool, word_pool
+from reference import britton_reduce as reference_britton_reduce
 
 
 def ctx():
@@ -87,16 +88,9 @@ def test_syllable_membership_is_checked():
     with pytest.raises(SyllableError):
         AmalgamWord(c, [(Factor.G1, g2_only)])
     AmalgamWord(c, [(Factor.G2, g2_only)])  # fine on the other side
-
-
-def word_pool():
-    """Two fresh elements per factor, none of them checked yet."""
-    c = ctx()
-    rng = random.Random(5)
-    return {
-        factor: [lift(random_member(c.descriptor(factor), rng, 4, 2), k) for k in (-1, 1)]
-        for factor in Factor
-    }
+    # a factor past the host's int/str digit limit is named, not shown
+    with pytest.raises(SyllableError, match="^syllable 0: unknown factor a value too large"):
+        AmalgamWord(c, [(10**5000, zline(0))])
 
 
 def test_word_building_checks_each_element_once(monkeypatch):
@@ -333,6 +327,20 @@ def test_random_word_determinism_and_shape():
     assert not w.is_trivial()
 
 
+def test_word_product_operator_and_reprs():
+    c = ctx()
+    u, v = random_word(c, 3, 1), random_word(c, 3, 2)
+    assert u * v == u.multiply(v)
+    with pytest.raises(TypeError):
+        u * 3
+    assert repr(c) == (
+        "AmalgamContext(left=T_{2}, right=T_{2,3}, "
+        "edge=PLLineMap(base=PLCircleMap([0, 1/4] -> [1/2, 0]), offset=0))"
+    )
+    assert (repr(u), repr(AmalgamWord(c))) == ("AmalgamWord(G1 G2 G1)", "AmalgamWord(empty)")
+    assert repr(GroupDescriptor(2, 3)) == "GroupDescriptor(2, 3)"
+
+
 def test_word_equality_is_structural():
     c = ctx()
     a = AmalgamWord(c, [(Factor.G1, zline())])
@@ -388,61 +396,6 @@ def test_finite_oracle_reports_mismatches(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # britton_reduce against a reference algorithm
-
-
-def reference_britton_reduce(ops, syllables):
-    """Britton reduction as whole-word passes, independent of the library.
-
-    Each pass merges adjacent same-factor syllables and drops identity
-    syllables over the whole word; once a pass changes nothing, the
-    leftmost edge-subgroup syllable is flipped into the other factor and
-    the passes start again from the first syllable.
-    """
-    sylls = list(syllables)
-    while True:
-        merged = []
-        changed = False
-        for s in sylls:
-            if ops.is_identity(s.factor, s.element):
-                changed = True
-                continue
-            if merged and merged[-1].factor == s.factor:
-                merged[-1] = Syllable(
-                    s.factor, ops.compose(s.factor, merged[-1].element, s.element)
-                )
-                changed = True
-            else:
-                merged.append(s)
-        sylls = merged
-        if changed:
-            continue
-        if len(sylls) < 2:
-            return tuple(sylls)
-        flipped = False
-        for i, s in enumerate(sylls):
-            k = ops.edge_coefficient(s.factor, s.element)
-            if k is not None:
-                other = s.factor.other
-                sylls[i] = Syllable(other, ops.edge_element(other, k))
-                flipped = True
-                break
-        if not flipped:
-            return tuple(sylls)
-
-
-@functools.lru_cache(maxsize=1)
-def pl_word_pool():
-    """Random PL words of 1 to 12 syllables, as syllable tuples.
-
-    Building words is bound by tuple maps, so the pool is built once and
-    reused in concatenations.
-    """
-    c = ctx()
-    return tuple(
-        random_word(c, length, seed).syllables
-        for length in range(1, 13)
-        for seed in range(12)
-    )
 
 
 def inverse_syllables(syllables):

@@ -46,6 +46,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def failure(capsys, *argv):
+    """The error object of a call that must exit 2 and print nothing else."""
+    code, out, err = run(capsys, *argv)
+    doc = json.loads(err)
+    assert (code, out, list(doc)) == (2, "", ["error"]), argv
+    return doc["error"]
+
+
 @pytest.fixture
 def g0_file(tmp_path):
     path = tmp_path / "g0.json"
@@ -232,17 +240,13 @@ def test_negative_rationals_are_values(capsys, tmp_path):
     assert run(capsys, "eval", "--map", str(z), "--point", "-9/4") == (0, "-5/4\n", "")
     spaced = run(capsys, "element", "rotation", "--angle", "-1/3")
     assert spaced[0] == 0 and spaced == run(capsys, "element", "rotation", "--angle=-1/3")
-    code, _, err = run(
-        capsys, "tuple-map", "--from", "-1/2,1/4", "--to", "0,1/2", "--lambda", "2"
-    )
-    assert code == 2
-    assert json.loads(err)["error"] == {
+    error = failure(capsys, "tuple-map", "--from", "-1/2,1/4", "--to", "0,1/2", "--lambda", "2")
+    assert error == {
         "kind": "usage",
         "message": "--from -1/2,1/4 --to 0,1/2 --lambda 2: tuple entries live in [0, 1); got -1/2",
     }
     # a word that only starts with a minus sign is still an option
-    code, _, err = run(capsys, "eval", "--map", str(z), "--point", "-x")
-    assert code == 2 and json.loads(err)["error"]["kind"] == "usage"
+    assert failure(capsys, "eval", "--map", str(z), "--point", "-x")["kind"] == "usage"
 
 
 def test_flag_rationals_follow_one_grammar(capsys, g0_file):
@@ -258,9 +262,8 @@ def test_flag_rationals_follow_one_grammar(capsys, g0_file):
     )
     for argv in flags:
         for text in ("1e400", "1e30000000", "1_0", "1 /2", "+1", "1/0", "2" * 100_001):
-            code, out, err = run(capsys, *argv, text)
-            error = json.loads(err)["error"]
-            assert (code, out, error["kind"]) == (2, "", "usage")
+            error = failure(capsys, *argv, text)
+            assert error["kind"] == "usage"
             assert error["message"].startswith(argv[-1] + " expects a rational")
     same = (
         (("element", "rotation", "--angle"), ("-0.25", "3/4"), ("0.25", "1/4"), ("2/4", "1/2")),
@@ -271,9 +274,7 @@ def test_flag_rationals_follow_one_grammar(capsys, g0_file):
             assert run(capsys, *argv, text)[:2] == run(capsys, *argv, value)[:2]
             assert run(capsys, *argv, text)[0] == 0
     for flag, other in (("--from", "--to"), ("--to", "--from")):
-        code, _, err = run(capsys, "tuple-map", "--lambda", "2", flag, "0,-0.5", other, "0,1/2")
-        assert code == 2
-        error = json.loads(err)["error"]
+        error = failure(capsys, "tuple-map", "--lambda", "2", flag, "0,-0.5", other, "0,1/2")
         assert error["kind"] == "usage"
         assert error["message"].endswith(": tuple entries live in [0, 1); got -1/2")
         assert "%s 0,-0.5" % flag in error["message"]
@@ -492,15 +493,23 @@ def test_usage_errors_exit_2(capsys, g0_file):
             "usage",
             "--slopes 2,3 --lambda 6: tuple entries live in [0, 1); got 3/2",
         ),
+        # a value past the host's int/str digit limit is named, not shown
+        (
+            ("tuple-map", "--from", "0,1" + "0" * 5000, "--to", "0,1/2", "--slopes", "2"),
+            "usage",
+            ": tuple entries live in [0, 1); got a value too large to show",
+        ),
+        (
+            ("tuple-map", "--from", "0,1/3" + "0" * 5000 + "1", "--to", "0,1/2", "--slopes", "2"),
+            "usage",
+            ": a value too large to show is not a Z[1/2] point",
+        ),
     ):
-        code, out, err = run(capsys, *argv)
-        error = json.loads(err)["error"]
-        assert (code, out, error["kind"]) == (2, "", kind)
-        assert message in error["message"]
-    code, _, err = run(capsys, "no-such-command")
-    assert code == 2
-    code, _, err = run(capsys, "verify", "--suite", "bogus")
-    assert code == 2
+        error = failure(capsys, *argv)
+        assert error["kind"] == kind
+        assert message in error["message"] and "set_int_max_str_digits" not in error["message"]
+    assert run(capsys, "no-such-command")[0] == 2
+    assert run(capsys, "verify", "--suite", "bogus")[0] == 2
 
 
 def test_bad_rotation_flags_are_usage_errors_before_the_map_is_read(capsys, tmp_path):
@@ -514,13 +523,10 @@ def test_bad_rotation_flags_are_usage_errors_before_the_map_is_read(capsys, tmp_
         (("--depth", "10"), "--depth 10 is below --max-denominator 50"),
         (("--max-denominator", "300", "--depth", "299"), "--max-denominator 300"),
     ):
-        code, out, err = run(capsys, "rot", "--map", missing, *flags)
-        error = json.loads(err)["error"]
-        assert (code, out, error["kind"]) == (2, "", "usage"), flags
-        assert named in error["message"], flags
+        error = failure(capsys, "rot", "--map", missing, *flags)
+        assert error["kind"] == "usage" and named in error["message"], flags
     # with valid flags the map is read, and a missing one is an io error
-    code, _, err = run(capsys, "rot", "--map", missing, "--depth", "50")
-    assert code == 2 and json.loads(err)["error"]["kind"] == "io"
+    assert failure(capsys, "rot", "--map", missing, "--depth", "50")["kind"] == "io"
 
 
 def test_bad_group_flags_name_the_flag_and_value(capsys, g0_file):
@@ -531,23 +537,19 @@ def test_bad_group_flags_name_the_flag_and_value(capsys, g0_file):
         (("--slopes", "1,3"), "--slopes 1,3: "),
         (("--slopes", "2,0"), "--slopes 2,0: "),
     ):
-        code, out, err = run(capsys, "member", "--map", g0_file, *flags)
-        error = json.loads(err)["error"]
-        assert (code, out, error["kind"]) == (2, "", "usage"), flags
-        assert named in error["message"], flags
+        error = failure(capsys, "member", "--map", g0_file, *flags)
+        assert error["kind"] == "usage" and named in error["message"], flags
 
 
 def test_parse_errors_exit_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"format": "plmonster.map/1"}')
-    code, _, err = run(capsys, "eval", "--map", str(bad), "--point", "0")
-    assert code == 2 and json.loads(err)["error"]["kind"] == "parse"
+    assert failure(capsys, "eval", "--map", str(bad), "--point", "0")["kind"] == "parse"
     # nesting past the interpreter's recursion limit is a parse error too,
     # not a crash with exit 1, which `word trivial` reads as "nontrivial"
     bad.write_text("[" * 100_000 + "]" * 100_000)
     for argv in (("eval", "--map", str(bad), "--point", "0"), ("word", "trivial", str(bad))):
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, "") and json.loads(err)["error"]["kind"] == "parse"
+        assert failure(capsys, *argv)["kind"] == "parse"
 
 
 def test_power_and_rot_budgets_exit_2_before_computing(capsys, g0_file, tmp_path, monkeypatch):
@@ -574,9 +576,7 @@ def test_power_and_rot_budgets_exit_2_before_computing(capsys, g0_file, tmp_path
         ("tuple-map", "--from", "0,1/2", "--to", "0,1/1048576", "--slopes", "2"),
         ("tuple-map", "--from", "0", "--to", "0", "--slopes", "65537"),
     ):
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, ""), argv
-        error = json.loads(err)["error"]
+        error = failure(capsys, *argv)
         assert error["kind"] == "budget" and "budget" in error["message"], argv
     # a rigid rotation's power grows with the exponent's digits only
     monkeypatch.undo()
@@ -626,9 +626,7 @@ def test_document_and_word_length_budgets_exit_2_before_parsing(
         # a negative length is a usage error, refused before any work
         (("word", "random", "--length", "-3"), "usage", "--length must be a nonnegative"),
     ):
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, ""), argv
-        error = json.loads(err)["error"]
+        error = failure(capsys, *argv)
         assert error["kind"] == kind and message in error["message"], argv
     monkeypatch.undo()
     assert run(capsys, "eval", "--map", at_budget, "--point", "1/8") == (0, "3/4\n", "")
@@ -645,15 +643,11 @@ def test_verify_samples_budget_exits_2_before_any_suite(capsys, monkeypatch):
 
     monkeypatch.setattr(verify, "run_suite", record)
     for over in (serialize.MAX_VERIFY_SAMPLES + 1, 10**12):
-        code, out, err = run(capsys, "verify", "--suite", "arith", "--samples", str(over))
-        assert (code, out) == (2, "")
-        error = json.loads(err)["error"]
+        error = failure(capsys, "verify", "--suite", "arith", "--samples", str(over))
         assert error["kind"] == "budget" and "budget" in error["message"]
     # no samples, or fewer, would pass with nothing checked: a usage error
     for flags in (("--samples", "0"), ("--samples=-1",), ("--samples", "-1")):
-        code, out, err = run(capsys, "verify", "--suite", "arith", *flags)
-        assert (code, out) == (2, ""), flags
-        error = json.loads(err)["error"]
+        error = failure(capsys, "verify", "--suite", "arith", *flags)
         assert error["kind"] == "usage", flags
         assert "--samples must be a positive integer" in error["message"], flags
     assert runs == []
@@ -686,9 +680,7 @@ def test_writers_refuse_documents_over_the_budget(capsys, g0_file, tmp_path, mon
         monkeypatch.setattr(serialize, "MAX_DOCUMENT_BYTES", budget)
         out_file = tmp_path / "out.json"
         for extra in ((), ("-o", str(out_file))):
-            code, out, err = run(capsys, *argv, *extra)
-            assert (code, out) == (2, ""), argv
-            error = json.loads(err)["error"]
+            error = failure(capsys, *argv, *extra)
             assert error["kind"] == "budget" and "budget" in error["message"], argv
             assert not out_file.exists(), argv
         monkeypatch.undo()
@@ -714,8 +706,7 @@ def test_budget_errors_exit_2(capsys, tmp_path):
     doc["images"] = ["1/" + "3" * 100_001, "0"]
     bad = tmp_path / "huge.json"
     bad.write_text(json.dumps(doc))
-    code, _, err = run(capsys, "eval", "--map", str(bad), "--point", "0")
-    assert code == 2 and json.loads(err)["error"]["kind"] == "budget"
+    assert failure(capsys, "eval", "--map", str(bad), "--point", "0")["kind"] == "budget"
 
 
 def test_offsets_past_the_default_digit_limit(capsys, tmp_path):
@@ -735,12 +726,10 @@ def test_offsets_past_the_default_digit_limit(capsys, tmp_path):
     assert code == 0 and '"offset": -99' + "0" * 4299 + "\n" in out
     over = tmp_path / "over.json"
     over.write_text(text.replace('"offset": 99', '"offset": 1' + "0" * 100_000))
-    code, _, err = run(capsys, "eval", "--map", str(over), "--point", "0")
-    assert code == 2 and json.loads(err)["error"]["kind"] == "budget"
+    assert failure(capsys, "eval", "--map", str(over), "--point", "0")["kind"] == "budget"
     bad = tmp_path / "bad.json"
     bad.write_text(text[:-5])
-    code, _, err = run(capsys, "eval", "--map", str(bad), "--point", "0")
-    assert code == 2 and json.loads(err)["error"]["kind"] == "parse"
+    assert failure(capsys, "eval", "--map", str(bad), "--point", "0")["kind"] == "parse"
 
 
 def test_non_members_with_long_breakpoints_are_parse_errors(capsys, tmp_path):
@@ -755,22 +744,19 @@ def test_non_members_with_long_breakpoints_are_parse_errors(capsys, tmp_path):
             doc["context"]["edge"] = serialize.map_to_document(long)
         path = tmp_path / (place + ".json")
         path.write_text(json.dumps(doc, indent=2))
-        code, out, err = run(capsys, "word", "trivial", str(path))
-        error = json.loads(err)["error"]
-        assert (code, out, error["kind"]) == (2, "", "parse"), place
-        assert error["message"].startswith(start), place
+        error = failure(capsys, "word", "trivial", str(path))
+        assert error["kind"] == "parse" and error["message"].startswith(start), place
 
 
 def test_missing_file_exit_2(capsys, tmp_path):
-    code, _, err = run(capsys, "eval", "--map", str(tmp_path / "no.json"), "--point", "0")
-    assert code == 2 and json.loads(err)["error"]["kind"] == "io"
+    missing = str(tmp_path / "no.json")
+    assert failure(capsys, "eval", "--map", missing, "--point", "0")["kind"] == "io"
 
 
 def test_mixed_compose_rejected(capsys, g0_file, tmp_path):
     zf = tmp_path / "z.json"
     run(capsys, "element", "z", "-o", str(zf))
-    code, _, err = run(capsys, "compose", g0_file, str(zf))
-    assert code == 2 and json.loads(err)["error"]["kind"] == "usage"
+    assert failure(capsys, "compose", g0_file, str(zf))["kind"] == "usage"
 
 
 def test_output_is_deterministic(capsys, g0_file):
@@ -838,10 +824,8 @@ def test_help_lists_every_command_and_action(capsys):
 
 def test_unknown_commands_and_actions_are_usage_errors(capsys):
     for argv, names in ((("frobnicate",), COMMANDS), (("word", "frobnicate"), WORD_ACTIONS)):
-        code, out, err = run(capsys, *argv)
-        error = json.loads(err)["error"]
-        assert (code, out, error["kind"]) == (2, "", "usage")
-        assert "invalid choice: 'frobnicate'" in error["message"]
+        error = failure(capsys, *argv)
+        assert error["kind"] == "usage" and "invalid choice: 'frobnicate'" in error["message"]
         # argparse quotes the choices on some releases and not on others
         choices = error["message"].partition("choose from")[2]
         assert re.findall(r"[\w-]+", choices) == list(names)
@@ -853,11 +837,8 @@ def test_library_value_errors_are_runtime_errors(capsys, monkeypatch, error):
         raise error("raised by the handler")
 
     monkeypatch.setattr(cli, "_cmd_element", handler)
-    code, out, err = run(capsys, "element", "z")
-    assert (code, out) == (2, "")
-    assert json.loads(err) == {
-        "error": {"kind": "runtime", "message": "raised by the handler"}
-    }
+    error = failure(capsys, "element", "z")
+    assert error == {"kind": "runtime", "message": "raised by the handler"}
 
 
 def test_package_exports_resolve_once_and_are_not_modules():

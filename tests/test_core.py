@@ -1,12 +1,12 @@
 """The grid kernel against an independent Fraction reference.
 
-The reference below shares no code with the kernel: it evaluates anchored
-lifts with `Fraction`, finds the corners of composites and inverses by
-solving for preimages of breakpoints, and keeps exactly the points where
-the slope changes.  Each kernel grid must equal it tuple for tuple,
-which also pins lowest terms and positive denominators, and must satisfy
-the grid invariants of `plmonster._core`; displacement extremes, which
-the kernel leaves unreduced, must equal it in value.
+The reference (`reference.py`) shares no code with the kernel: it
+evaluates lifts with `Fraction`, finds the corners of composites and
+inverses by solving for preimages of breakpoints, and keeps exactly the
+points where the slope changes.  Each kernel grid must equal it tuple for
+tuple, which also pins lowest terms and positive denominators, and must
+satisfy the grid invariants of `plmonster._core`; displacement extremes,
+which the kernel leaves unreduced, must equal it in value.
 """
 
 import random
@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference as ref
 from plmonster import _core
 from plmonster.maps import compose, invert, rotation_map
 from plmonster.stein import (
@@ -28,6 +29,9 @@ from plmonster.stein import (
     random_tuple_pair,
     tuple_map,
 )
+from pools import certify_conjugator, member_grids
+from reference import pairs_of as pairs
+
 
 def fracs(pairs):
     return [F(n, d) for n, d in pairs]
@@ -35,68 +39,6 @@ def fracs(pairs):
 
 def pair(q):
     return (q.numerator, q.denominator)
-
-
-def pairs(values):
-    return tuple(pair(q) for q in values)
-
-
-def lift_at(xs, ys, t):
-    """Anchored lift of the grid (Fractions) at any rational t."""
-    k = floor(t)
-    x = t - k
-    for j in range(len(xs) - 1):
-        if xs[j] <= x <= xs[j + 1]:
-            s = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
-            return ys[j] + (x - xs[j]) * s + k
-    raise AssertionError("grid does not cover %s" % x)
-
-
-def ref_canon(xs, ys):
-    keep = [0]
-    for j in range(1, len(xs) - 1):
-        left = (ys[j] - ys[j - 1]) / (xs[j] - xs[j - 1])
-        right = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
-        if left != right:
-            keep.append(j)
-    keep.append(len(xs) - 1)
-    return [xs[j] for j in keep], [ys[j] for j in keep]
-
-
-def lift_inverse_at(xs, ys, v):
-    """The t with lift_at(xs, ys, t) == v, for any rational v."""
-    m = floor(v - ys[0])
-    v -= m
-    for j in range(len(xs) - 1):
-        if ys[j] <= v <= ys[j + 1]:
-            return xs[j] + (v - ys[j]) * (xs[j + 1] - xs[j]) / (ys[j + 1] - ys[j]) + m
-    raise AssertionError("grid does not cover %s" % v)
-
-
-def ref_compose(f, g):
-    fx, fy = f
-    gx, gy = g
-    # corners of g(f(x)): those of f, and where f's lift meets one of g's
-    cuts = set(fx)
-    for m in range(floor(fy[0]), floor(fy[-1]) + 1):
-        for b in gx:
-            if fy[0] < b + m < fy[-1]:
-                cuts.add(lift_inverse_at(fx, fy, b + m))
-    xs = sorted(cuts)
-    hs = [lift_at(gx, gy, lift_at(fx, fy, x)) for x in xs]
-    carry = floor(hs[0])
-    xs, ys = ref_canon(xs, [h - carry for h in hs])
-    return xs, ys, carry
-
-
-def ref_invert(f):
-    fx, fy = f
-    # corners of the inverse: f's grid values brought back into [0, 1]
-    xs = sorted({y - floor(y) for y in fy} | {F(0), F(1)})
-    inv = [lift_inverse_at(fx, fy, x) for x in xs]
-    carry = floor(inv[0])
-    xs, ys = ref_canon(xs, [v - carry for v in inv])
-    return xs, ys, carry
 
 
 def assert_canonical(xs, ys):
@@ -107,7 +49,7 @@ def assert_canonical(xs, ys):
     assert 0 <= fy[0] < 1 and fy[-1] == fy[0] + 1
     assert all(a < b for a, b in zip(fx, fx[1:]))
     assert all(a < b for a, b in zip(fy, fy[1:]))
-    assert ref_canon(fx, fy) == (fx, fy)
+    assert ref.canon(fx, fy) == (fx, fy)
 
 
 def check_kernel(f, g):
@@ -115,33 +57,27 @@ def check_kernel(f, g):
     gx, gy = g
     assert _core.canon_grid(fx, fy) == (fx, fy)
 
+    rf, rg = (fracs(fx), fracs(fy)), (fracs(gx), fracs(gy))
     xs, ys, carry = _core.compose(fx, fy, gx, gy)
     assert_canonical(xs, ys)
-    rx, ry, rc = ref_compose((fracs(fx), fracs(fy)), (fracs(gx), fracs(gy)))
+    rx, ry, rc = ref.anchored(ref.compose(rf, rg))
     assert (xs, ys, carry) == (pairs(rx), pairs(ry), rc)
     assert _core.compose(fx, fy, gx, gy, window=_core.window(gx, gy)) == (xs, ys, carry)
 
     xs, ys, carry = _core.invert(fx, fy)
     assert_canonical(xs, ys)
-    rx, ry, rc = ref_invert((fracs(fx), fracs(fy)))
+    rx, ry, rc = ref.anchored(ref.invert(rf))
     assert (xs, ys, carry) == (pairs(rx), pairs(ry), rc)
 
     # displacement extremes are exact values over positive denominators,
     # not lowest-terms pairs
     lo, hi = _core.displacement(fx, fy)
-    d = [y - x for x, y in zip(fracs(fx), fracs(fy))]
     assert lo[1] > 0 and hi[1] > 0
-    assert (F(*lo), F(*hi)) == (min(d), max(d))
+    assert (F(*lo), F(*hi)) == ref.displacement(rf)
 
     for x in fracs(fx + gx + gy[:-1]):
         x -= floor(x)
-        assert _core.eval_lift(fx, fy, pair(x)) == pair(lift_at(fracs(fx), fracs(fy), x))
-
-
-def member_grids(descriptor, count, seed):
-    rng = random.Random(seed)
-    maps = [random_member(descriptor, rng, max_len=6, max_depth=3) for _ in range(count)]
-    return [(f._xs, f._ys) for f in maps]
+        assert _core.eval_lift(fx, fy, pair(x)) == pair(ref.at(rf, x))
 
 
 @pytest.mark.parametrize("descriptor", [THOMPSON, STEIN_2_3], ids=["thompson", "stein23"])
@@ -202,11 +138,11 @@ def big_grids(draw):
     )
     ys = [F(v, 3 * m) for v in sorted(vals)]
     ys.append(ys[0] + 1)
-    xs, ys = ref_canon(xs, ys)
+    xs, ys = ref.canon(xs, ys)
     return pairs(xs), pairs(ys)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(f=big_grids(), g=big_grids())
 def test_kernel_matches_reference_on_big_grids(f, g):
     check_kernel(f, g)
@@ -222,7 +158,7 @@ def hitting_grid(rng, g, t0):
     window |= {t0 + F(rng.randint(1, 98), 99) for _ in range(2)}
     ys = [t0] + sorted(window) + [t0 + 1]
     cuts = sorted(rng.sample(range(1, 1000), len(ys) - 2))
-    xs, ys = ref_canon([F(0)] + [F(c, 1000) for c in cuts] + [F(1)], ys)
+    xs, ys = ref.canon([F(0)] + [F(c, 1000) for c in cuts] + [F(1)], ys)
     return pairs(xs), pairs(ys)
 
 
@@ -232,7 +168,7 @@ def rigid(value):
 
 def test_compose_matches_reference_on_breakpoint_hits():
     rng = random.Random(11)
-    gs = member_grids(STEIN_2_3, 6, seed=5) + member_grids(THOMPSON, 6, seed=6)
+    gs = list(member_grids(STEIN_2_3, 6, seed=5) + member_grids(THOMPSON, 6, seed=6))
     gs += [rigid(F(0)), rigid(F(1, 3)), rigid(F(3, 4))]
     for g in gs:
         # t0 == 0, t0 on each of g's breakpoints, and t0 between them
@@ -245,15 +181,7 @@ def test_compose_matches_reference_on_breakpoint_hits():
 
 def conjugate_of_g0(rng, descriptor, depth, length):
     """h^-1 g0 h for a tuple map h of `length` points on the lam^-depth grid."""
-    n = descriptor.lam**depth
-    xs = sorted(rng.sample(range(n), length))
-    ys = sorted(rng.sample(range(n), length))
-    shift = rng.randrange(length)
-    h = tuple_map(
-        [F(k, n) for k in xs[shift:] + xs[:shift]],
-        [F(k, n) for k in ys[shift:] + ys[:shift]],
-        descriptor,
-    )
+    h = certify_conjugator(rng, descriptor, depth, length)
     c = compose(compose(invert(h), irrational_candidate_g0()), h)
     return c._xs, c._ys
 
@@ -306,7 +234,6 @@ def test_kernel_matches_reference_on_straight_anchors_and_fixed_zero():
         # check_kernel also inverts f
         for g in gs[::4]:
             check_kernel(f, g)
-
 
 
 def shifted_to(grid, t0):

@@ -124,19 +124,19 @@ def parses_or_rejects(parse, doc):
         pass
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(text=st.one_of(st.text(alphabet="-+0123456789/. e_", max_size=12), SCALARS))
 def test_fraction_strings_raise_only_document_errors(text):
     parses_or_rejects(str_to_fraction, text)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(doc=mutated(MAP_DOCS))
 def test_mutated_map_documents_raise_only_document_errors(doc):
     parses_or_rejects(map_from_document, doc)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(doc=mutated(WORD_DOCS))
 def test_mutated_word_documents_raise_only_document_errors(doc):
     parses_or_rejects(word_from_document, doc)
@@ -193,7 +193,7 @@ def document_text(draw, docs):
     return text
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(data=st.data())
 def test_cli_on_mutated_map_documents_exits_cleanly(data):
     argv = data.draw(st.sampled_from(MAP_COMMANDS))
@@ -201,7 +201,7 @@ def test_cli_on_mutated_map_documents_exits_cleanly(data):
     check_exit(*run_on_file(argv, text), len(text) > MAX_DOCUMENT_BYTES)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(data=st.data())
 def test_cli_on_mutated_word_documents_exits_cleanly(data):
     argv = data.draw(st.sampled_from(WORD_COMMANDS))

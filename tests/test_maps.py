@@ -5,11 +5,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from plmonster import _core as core
+import reference as ref
 from plmonster import (
     DisplacementInterval,
     PLCircleMap,
-    PLLineMap,
     as_fraction,
     compose,
     displacement_interval,
@@ -22,19 +21,9 @@ from plmonster import (
     project,
     rotation_map,
 )
-from plmonster.stein import STEIN_2_3, THOMPSON, irrational_candidate_g0, random_member
-
-
-def g0():
-    return irrational_candidate_g0()
-
-
-def g0bar():
-    return lift(irrational_candidate_g0(), 0)
-
-
-def z():
-    return PLLineMap(identity_map(), 1)
+from plmonster.stein import STEIN_2_3, random_member
+from plmonster.stein import irrational_candidate_g0 as g0
+from pools import g0bar, random_maps, z
 
 
 def test_evaluate_circle_identity():
@@ -242,69 +231,6 @@ def test_constructor_validation():
         lift(g0(), F(1, 2))  # offsets are integers
 
 
-def reference_circle_grid(breakpoints, images):
-    """The constructor's validation and unrolling on Fractions, as a reference.
-
-    Returns the canonical kernel grid that `PLCircleMap` must build from
-    the same input, or raises the same exception with the same message.
-    """
-    breaks = [as_fraction(b) for b in breakpoints]
-    imgs = [as_fraction(v) for v in images]
-    if len(breaks) != len(imgs):
-        raise ValueError("breakpoints and images must have equal length")
-    if not breaks:
-        raise ValueError("a map needs at least one breakpoint")
-    for b in breaks:
-        if not 0 <= b < 1:
-            raise ValueError("breakpoint %s outside [0, 1)" % b)
-    for v in imgs:
-        if not 0 <= v < 1:
-            raise ValueError("image %s outside [0, 1)" % v)
-    for i in range(len(breaks) - 1):
-        if breaks[i + 1] <= breaks[i]:
-            raise ValueError("breakpoints must be strictly increasing")
-    m = len(breaks)
-    if m == 1:
-        tilde = imgs[:]
-    else:
-        descents = []
-        for i in range(m - 1):
-            if imgs[i + 1] == imgs[i]:
-                raise ValueError("images must be distinct")
-            if imgs[i + 1] < imgs[i]:
-                descents.append(i)
-        if len(descents) > 1:
-            raise ValueError("images are not cyclically increasing (winding != 1)")
-        if descents:
-            if imgs[0] <= imgs[-1]:
-                raise ValueError("images are not cyclically increasing (winding != 1)")
-            i = descents[0]
-            tilde = imgs[: i + 1] + [v + 1 for v in imgs[i + 1 :]]
-        else:
-            tilde = imgs[:]
-    if breaks[0] == 0:
-        grid_x = breaks + [F(1)]
-        grid_y = tilde + [tilde[0] + 1]
-    else:
-        slope = (tilde[0] + 1 - tilde[-1]) / (breaks[0] + 1 - breaks[-1])
-        h1 = tilde[-1] + (1 - breaks[-1]) * slope
-        grid_x = [F(0)] + breaks + [F(1)]
-        grid_y = [h1 - 1] + tilde + [h1]
-    if grid_y[0] < 0:
-        grid_y = [v + 1 for v in grid_y]
-    return core.canon_grid(
-        [(x.numerator, x.denominator) for x in grid_x],
-        [(y.numerator, y.denominator) for y in grid_y],
-    )
-
-
-def _constructor_outcome(build, breakpoints, images):
-    try:
-        return build(breakpoints, images)
-    except (ValueError, TypeError) as exc:
-        return type(exc), str(exc)
-
-
 def _random_constructor_input(rng):
     # small denominators make ties common, and now and then a coordinate
     # falls outside [0, 1), the order is shuffled or the lengths differ,
@@ -332,13 +258,13 @@ def test_constructor_matches_fraction_reference():
     rejected = 0
     for _ in range(4000):
         breaks, imgs = _random_constructor_input(rng)
-        expected = _constructor_outcome(reference_circle_grid, breaks, imgs)
-        got = _constructor_outcome(PLCircleMap, breaks, imgs)
+        expected = ref.outcome(ref.circle_grid, breaks, imgs)
+        got = ref.outcome(PLCircleMap, breaks, imgs)
         if isinstance(expected[0], type):
             rejected += 1
             assert got == expected
         else:
-            assert (got._xs, got._ys) == expected
+            assert (got._xs, got._ys) == tuple(map(ref.pairs_of, expected))
     assert 500 < rejected < 3500
     # every message the constructor raises, and the inexact-type errors
     for breaks, imgs in (
@@ -353,9 +279,9 @@ def test_constructor_matches_fraction_reference():
         ([0, F(1, 2)], [0.5, 0]),
         ([True], [0]),
     ):
-        expected = _constructor_outcome(reference_circle_grid, breaks, imgs)
+        expected = ref.outcome(ref.circle_grid, breaks, imgs)
         assert isinstance(expected[0], type)
-        assert _constructor_outcome(PLCircleMap, breaks, imgs) == expected
+        assert ref.outcome(PLCircleMap, breaks, imgs) == expected
 
 
 def test_as_fraction_rejects_inexact_types():
@@ -377,22 +303,14 @@ def test_graph_vertices_of_g0_lift():
 
 def test_maps_are_hashable_and_comparable():
     table = {g0(): "edge", identity_map(): "id"}
-    assert table[irrational_candidate_g0()] == "edge"
+    assert table[g0()] == "edge"
     assert g0() != g0bar()
     assert lift(g0(), 0) != lift(g0(), 1)
 
 
-def _random_maps(rng, count):
-    out = []
-    for i in range(count):
-        d = THOMPSON if i % 2 == 0 else STEIN_2_3
-        out.append(random_member(d, rng))
-    return out
-
-
 def test_associativity_on_random_triples():
     rng = random.Random(101)
-    pool = _random_maps(rng, 12)
+    pool = random_maps(rng, 12)
     for _ in range(30):
         f, g, h = rng.choice(pool), rng.choice(pool), rng.choice(pool)
         assert compose(compose(f, g), h) == compose(f, compose(g, h))
@@ -400,20 +318,20 @@ def test_associativity_on_random_triples():
 
 def test_inverse_law_on_random_maps():
     rng = random.Random(102)
-    for f in _random_maps(rng, 30):
+    for f in random_maps(rng, 30):
         assert compose(f, invert(f)).is_identity()
 
 
 def test_power_addition_on_random_maps():
     rng = random.Random(103)
-    for f in _random_maps(rng, 10):
+    for f in random_maps(rng, 10):
         m, n = rng.randint(-4, 4), rng.randint(-4, 4)
         assert power(f, m + n) == compose(power(f, m), power(f, n))
 
 
 def test_breakpoint_subadditivity():
     rng = random.Random(104)
-    pool = _random_maps(rng, 20)
+    pool = random_maps(rng, 20)
     for _ in range(30):
         f, g = rng.choice(pool), rng.choice(pool)
         fg = compose(f, g)
@@ -433,7 +351,7 @@ def test_lift_coherence_on_random_points():
 
 def test_displacement_contains_random_displacements():
     rng = random.Random(106)
-    for f in _random_maps(rng, 10):
+    for f in random_maps(rng, 10):
         fbar = lift(f, rng.choice((-1, 0, 1)))
         d = displacement_interval(fbar)
         for _ in range(20):
@@ -443,7 +361,7 @@ def test_displacement_contains_random_displacements():
 
 def test_centrality_of_unit_translation():
     rng = random.Random(107)
-    for f in _random_maps(rng, 20):
+    for f in random_maps(rng, 20):
         fbar = lift(f, rng.choice((-1, 0, 1)))
         assert compose(z(), fbar) == compose(fbar, z())
 

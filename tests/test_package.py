@@ -1,9 +1,11 @@
 """The lazy package namespace and the immutable result records."""
 
+import ast
 import copy
 import importlib
 import pickle
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -198,3 +200,22 @@ def test_displacement_interval_contains_the_closed_range():
     assert F(2, 3) + F(1, 100) not in interval and 0 not in interval
     with pytest.raises(TypeError):
         0.6 in interval
+
+
+def test_the_reference_module_imports_no_code_it_checks():
+    # what an oracle in tests/reference.py may take from the library: the
+    # types and exceptions it must return or match, and the message helper
+    allowed = {
+        "DisplacementInterval", "DocumentError", "MembershipReport", "NonRationalCertificate",
+        "RationalRotation", "Syllable", "Violation", "_shown",
+    }
+    tree = ast.parse(Path(__file__).with_name("reference.py").read_text(encoding="utf-8"))
+    taken = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not [a.name for a in node.names if a.name.split(".")[0] == "plmonster"]
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "plmonster":
+            assert node.module in ("plmonster", "plmonster.maps"), node.module
+            taken |= {a.name for a in node.names}
+    assert taken <= allowed, taken - allowed
+    assert not taken & {"_core", "rotation", "stein", "compose", "invert", "power"}

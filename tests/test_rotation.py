@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference as ref
 from plmonster import (
-    Factor,
     NonRationalCertificate,
-    PLLineMap,
     PowerDetector,
     RationalRotation,
     ZeroBracketError,
@@ -27,7 +26,6 @@ from plmonster import (
     log_ratio_bounds,
     power,
     random_member,
-    random_word,
     rational_rotation_test,
     rotation_map,
     rotation_number,
@@ -35,17 +33,21 @@ from plmonster import (
     tuple_map,
 )
 from plmonster import rotation
-from plmonster.maps import DisplacementInterval, displacement_interval
+from plmonster.maps import displacement_interval
 from plmonster.rotation import _candidates, _crossing_point
-from plmonster.stein import STEIN_2_3, THOMPSON, random_tuple_pair, torsion_rotation
-
-
-def g0bar():
-    return lift(irrational_candidate_g0(), 0)
-
-
-def z():
-    return PLLineMap(identity_map(), 1)
+from plmonster.stein import STEIN_2_3, THOMPSON, random_tuple_pair
+from pools import (
+    CERTIFY_CONJUGATORS,
+    certify_conjugator,
+    default_edge_pool,
+    g0bar,
+    random_maps,
+    small_rotation_bases,
+    small_rotation_pool,
+    stein_members,
+    z,
+)
+from reference import fraction_candidates
 
 
 def test_translation_bracket_of_center():
@@ -271,16 +273,6 @@ def test_detector_finds_every_edge_power():
         assert detector.detect(power(g0bar(), k)) == k
 
 
-def stein_members():
-    """Stein (2,3) members with rational rotation numbers, none the identity."""
-    return [
-        torsion_rotation(STEIN_2_3, 1, 2),
-        torsion_rotation(STEIN_2_3, 5, 6),
-        tuple_map([0, F(1, 4)], [0, F(1, 2)], STEIN_2_3),
-        tuple_map([0, F(1, 3), F(1, 2)], [0, F(1, 6), F(2, 3)], STEIN_2_3),
-    ]
-
-
 def test_detector_rejects_edge_powers_times_stein_members():
     # each member has a rational rotation number and is not the identity,
     # so no edge power times it is an edge power again
@@ -298,22 +290,20 @@ def test_detector_refines_past_the_candidate_limit(monkeypatch):
     # a limit of one exponent forces the refinement loop on every power
     monkeypatch.setattr(rotation, "CANDIDATE_LIMIT", 1)
     detector = PowerDetector(g0bar())
-    reference = PowerDetector(g0bar())
+    reference = ref.PowerReference(ref.lift_of(g0bar()))
     for k in (-17, -2, 3, 29):
         assert detector.detect(power(g0bar(), k)) == k
-        assert reference_detect(reference, power(g0bar(), k)) == k
+        assert reference.detect(ref.lift_of(power(g0bar(), k))) == k
     assert detector.detect(z()) is None
-    assert reference_detect(reference, z()) is None
+    assert reference.detect(ref.lift_of(z())) is None
 
 
 def test_detector_on_negative_bases():
     # a base with negative translation number is detected through the
     # negated bracket
-    members = [
-        lift(torsion_rotation(STEIN_2_3, 1, 2), 0),
-        lift(tuple_map([0, F(1, 4)], [0, F(1, 2)], STEIN_2_3), 1),
-        lift(tuple_map([0, F(1, 3), F(1, 2)], [0, F(1, 6), F(2, 3)], STEIN_2_3), -1),
-    ]
+    # the half turn and the two tuple maps among the Stein members
+    m = stein_members()
+    members = [lift(m[0], 0), lift(m[2], 1), lift(m[3], -1)]
     for offset in (-3, -2, -1):
         base = lift(irrational_candidate_g0(), offset)
         detector = PowerDetector(base)
@@ -335,105 +325,28 @@ def test_power_cache_is_bounded():
     assert -3 in detector._powers and 150 not in detector._powers
 
 
-def reference_detect(detector, candidate):
-    """The displacement-first detector, as a reference.
-
-    Brackets the candidate by its displacement interval from the start
-    and squares both brackets while more than CANDIDATE_LIMIT exponents
-    survive; `PowerDetector.detect` starts from fbar(0) +- 1 instead and
-    must give the same answers.  Pass a detector of its own: the loop
-    refines the detector's base bracket in place, as `detect` does.
-    """
-    if candidate.is_identity():
-        return 0
-    ref = detector._ref
-    wref = rotation._BracketRefiner(candidate)
-    while True:
-        a, b = ref.lo, ref.hi
-        if detector._sign < 0:
-            a, b = (-b[0], b[1]), (-a[0], a[1])
-        positive, negative = _candidates(a, b, wref.lo, wref.hi)
-        if len(positive) + len(negative) <= rotation.CANDIDATE_LIMIT:
-            break
-        if wref.n >= rotation.REFINE_LIMIT:
-            raise ValueError("cannot isolate candidate exponents")
-        wref.refine()
-        ref.refine()
-    for k in sorted((*positive, *negative), key=abs):
-        if detector.power(detector._sign * k) == candidate:
-            return detector._sign * k
-    return None
-
-
-@pytest.fixture(scope="module")
-def default_edge_pool():
-    """(candidate, k) pairs against the default context's edge.
-
-    Edge powers k in -70..70, past POWER_CACHE_LIMIT, come with their k;
-    edge powers times Stein (2,3) members in both orders and every G2
-    syllable of 200 random words come with None (not known).
-    """
-    context = default_context()
-    edge = context.edge
-    pool = [(power(edge, k), k) for k in range(-70, 71)]
-    for m in stein_members():
-        for offset in range(-3, 4):
-            h = lift(m, offset)
-            for k in (-25, -3, 0, 1, 4, 31):
-                pool.append((compose(power(edge, k), h), None))
-                pool.append((compose(h, power(edge, k)), None))
-    for seed in range(200):
-        for s in random_word(context, 6, seed).syllables:
-            if s.factor is Factor.G2:
-                pool.append((s.element, None))
-    return pool
-
-
-def small_rotation_bases():
-    """Two bases with translation number 1/40, below 2/31.
-
-    fbar(0) +- 1 leaves about 80 exponents against them, so detection
-    reaches the displacement rung; the conjugate's grid is wide enough
-    that large powers also reach the squaring rung.
-    """
-    r = rotation_map(F(1, 40))
-    h = tuple_map([0, F(1, 2)], [0, F(1, 6)], STEIN_2_3)
-    return [lift(r, 0), lift(compose(compose(invert(h), r), h), 0)]
-
-
-def small_rotation_pool(base):
-    pool = [(power(base, k), k) for k in (-80, -50, -7, -1, 1, 3, 40, 80)]
-    for m in stein_members():
-        for offset in (-1, 0, 1):
-            h = lift(m, offset)
-            for k in (-3, 0, 5):
-                pool.append((compose(power(base, k), h), None))
-                pool.append((compose(h, power(base, k)), None))
-    return pool
-
-
 def assert_detects_as_reference(base, pool, sign=1):
     detector = PowerDetector(base)
-    reference = PowerDetector(base)
+    reference = ref.PowerReference(ref.lift_of(base))
     hits = 0
     for candidate, k in pool:
         found = detector.detect(candidate)
-        assert found == reference_detect(reference, candidate)
+        assert found == reference.detect(ref.lift_of(candidate))
         if k is not None:
             assert found == sign * k
         hits += found is not None
     return hits
 
 
-def test_detector_matches_reference_on_the_default_edge(default_edge_pool):
-    hits = assert_detects_as_reference(default_context().edge, default_edge_pool)
+def test_detector_matches_reference_on_the_default_edge():
+    hits = assert_detects_as_reference(default_context().edge, default_edge_pool())
     assert hits > 141  # every power, and the random words' edge syllables
 
 
-def test_detector_matches_reference_on_the_inverse_edge(default_edge_pool):
+def test_detector_matches_reference_on_the_inverse_edge():
     # a negative base: edge**k is its (-k)-th power
     base = invert(default_context().edge)
-    assert assert_detects_as_reference(base, default_edge_pool, -1) > 141
+    assert assert_detects_as_reference(base, default_edge_pool(), -1) > 141
 
 
 @pytest.mark.parametrize("which", [0, 1])
@@ -444,7 +357,7 @@ def test_detector_matches_reference_on_small_rotation_bases(which):
     assert assert_detects_as_reference(base, small_rotation_pool(base)) >= 8
 
 
-def test_default_edge_detection_reads_no_grid(monkeypatch, default_edge_pool):
+def test_default_edge_detection_reads_no_grid(monkeypatch):
     # fbar(0) +- 1 against the edge bracket of the 64th iterate (width
     # about 0.004) leaves at most CANDIDATE_LIMIT exponents, so no grid is
     # walked for any cached power, their products with Stein members or
@@ -455,7 +368,7 @@ def test_default_edge_detection_reads_no_grid(monkeypatch, default_edge_pool):
         raise AssertionError("core.displacement was called")
 
     monkeypatch.setattr(rotation.core, "displacement", no_grid)
-    for candidate, k in default_edge_pool:
+    for candidate, k in default_edge_pool():
         if k is None or abs(k) <= rotation.POWER_CACHE_LIMIT:
             detector.detect(candidate)
     monkeypatch.undo()
@@ -495,22 +408,11 @@ def test_default_edge_detection_reads_no_grid(monkeypatch, default_edge_pool):
     assert seen[1]["refine"] == 0 and seen[2]["refine"] > 0
 
 
-def fraction_candidates(a, b, lo, hi):
-    """The exponent ranges of the detector, computed on Fractions."""
-    k_lo = max(1, math.ceil(lo / b))
-    k_hi = math.floor(hi / a) if hi > 0 else 0
-    positive = range(k_lo, k_hi + 1)
-    k_lo = math.ceil(lo / a) if lo < 0 else 0
-    k_hi = min(-1, math.floor(hi / b))
-    negative = range(k_lo, k_hi + 1)
-    return positive, negative
-
-
 def pairs(numerators):
     return st.tuples(numerators, st.integers(1, 10**6))
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
+@settings(max_examples=400)
 @given(
     a=pairs(st.integers(1, 10**6)),
     b_extra=pairs(st.integers(0, 10**6)),
@@ -528,76 +430,26 @@ def test_integer_candidates_match_fraction_formula(a, b_extra, lo, width):
     assert _candidates(a, b, lo, hi) == fraction_candidates(fa, fb, flo, fhi)
 
 
-def reference_crossing_point(gbar, p):
-    """The witness search on Fraction graph vertices, as a reference."""
-    verts = gbar.graph_vertices()
-    for i in range(len(verts) - 1):
-        x0, y0 = verts[i]
-        x1, y1 = verts[i + 1]
-        d0 = y0 - x0
-        d1 = y1 - x1
-        if d0 == p:
-            return x0
-        if (d0 - p) * (d1 - p) < 0:
-            t = (p - d0) / (d1 - d0)
-            return x0 + t * (x1 - x0)
-    raise ValueError("%d is outside the displacement interval" % p)
-
-
-def crossing_outcome(crossing, *args):
-    try:
-        return crossing(*args)
-    except ValueError as exc:
-        return str(exc)
-
-
 def test_crossing_point_matches_reference():
     rng = random.Random(311)
     maps = [irrational_candidate_g0(), rotation_map(F(2, 7)), identity_map()]
-    maps += [random_member(STEIN_2_3 if i % 2 else THOMPSON, rng) for i in range(40)]
+    maps += random_maps(rng, 40)
     found = 0
     for f in maps:
         for n in (1, 2, 3, 5):
             g = power(lift(f, rng.randint(-2, 2)), n)
             d = displacement_interval(g)
             for p in range(math.floor(d.lo) - 1, math.ceil(d.hi) + 2):
-                expected = crossing_outcome(reference_crossing_point, g, p)
-                got = crossing_outcome(_crossing_point, g.base._xs, g.base._ys, g.offset, p)
+                expected = ref.outcome(ref.crossing_point, ref.lift_of(g), p)
+                got = ref.outcome(_crossing_point, g.base._xs, g.base._ys, g.offset, p)
                 assert got == expected
-                found += not isinstance(expected, str)
+                found += not isinstance(expected, tuple)
     assert found > 50
-
-
-def reference_rotation_number(f, max_denominator, depth):
-    """The certificate loop on Fractions, as a reference.
-
-    The n-th iterate is `power(fbar, n)`, built by repeated squaring and
-    not as the running product `rotation_number` keeps; its bracket is the
-    min and max of y - x over its graph vertices, and the certificate's
-    bracket is the running intersection of those brackets over n.  No
-    kernel displacement and no base window is used.
-    """
-    fbar = f if isinstance(f, PLLineMap) else lift(f, 0)
-    lo = hi = None
-    for n in range(1, depth + 1):
-        g = power(fbar, n)
-        d = [y - x for x, y in g.graph_vertices()]
-        dlo, dhi = min(d), max(d)
-        p = math.ceil(dlo)
-        if p <= dhi:
-            return RationalRotation(F(p, n), reference_crossing_point(g, p))
-        if dlo == dhi:
-            value = dlo / n
-            g = power(fbar, value.denominator)
-            return RationalRotation(value, reference_crossing_point(g, value.numerator))
-        lo = dlo / n if lo is None else max(lo, dlo / n)
-        hi = dhi / n if hi is None else min(hi, dhi / n)
-    return NonRationalCertificate(max_denominator, DisplacementInterval(lo, hi))
 
 
 def assert_matches_reference(f, max_denominator, depth):
     result = rotation_number(f, max_denominator, depth)
-    expected = reference_rotation_number(f, max_denominator, depth)
+    expected = ref.rotation_number(ref.lift_of(f), max_denominator, depth)
     assert result == expected and repr(result) == repr(expected)
     return result
 
@@ -631,23 +483,6 @@ def test_rotation_number_matches_reference_at_bracket_ends():
     for g in (f, invert(f), compose(f, rotation_map(F(1, 2)))):
         for k in range(-2, 3):
             assert_matches_reference(lift(g, k), 10, 20)
-
-
-# the rotation-certify benchmark's conjugators: tuple maps of 3 points on
-# the 2**-3 grid in T_2, and of 2 points on the 6**-2 grid in T_{2,3}
-CERTIFY_CONJUGATORS = ((THOMPSON, 3, 3), (STEIN_2_3, 2, 2))
-
-
-def certify_conjugator(rng, descriptor, depth, length):
-    n = descriptor.lam**depth
-    xs = sorted(rng.sample(range(n), length))
-    ys = sorted(rng.sample(range(n), length))
-    shift = rng.randrange(length)
-    return tuple_map(
-        [F(x, n) for x in xs[shift:] + xs[:shift]],
-        [F(y, n) for y in ys[shift:] + ys[:shift]],
-        descriptor,
-    )
 
 
 def test_rotation_number_matches_reference_on_g0_lifts():
