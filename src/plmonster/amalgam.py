@@ -391,12 +391,13 @@ class AmalgamWord:
                     raise SyllableError(
                         "syllable %d: expected Syllable or (factor, element)" % i
                     ) from None
-            try:
-                factor = Factor(factor)
-            except ValueError:
-                raise SyllableError(
-                    "syllable %d: unknown factor %s" % (i, _shown(factor))
-                ) from None
+            if factor.__class__ is not Factor:
+                try:
+                    factor = Factor(factor)
+                except ValueError:
+                    raise SyllableError(
+                        "syllable %d: unknown factor %s" % (i, _shown(factor))
+                    ) from None
             if not isinstance(element, PLLineMap):
                 raise SyllableError("syllable %d: element must be a line map" % i)
             report = is_member(element.base, context.descriptor(factor))
@@ -464,11 +465,12 @@ class AmalgamWord:
         to a homomorphism of the whole amalgam onto the left circle
         group.
         """
-        acc = identity_map()
+        acc = None
         for s in self._syllables:
             if s.factor is Factor.G1:
-                acc = compose(acc, project(s.element))
-        return acc
+                f = project(s.element)
+                acc = f if acc is None else compose(acc, f)
+        return identity_map() if acc is None else acc
 
     def __mul__(self, other):
         if isinstance(other, AmalgamWord):

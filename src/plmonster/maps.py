@@ -339,24 +339,25 @@ def invert(f):
 def power(f, n: int):
     """f composed with itself n times (negative n inverts first).
 
-    Repeated squaring; every intermediate product is canonicalized by the
-    kernel, which keeps conjugate-shaped powers from blowing up.
+    Repeated squaring from the first factor (the identity only for n = 0);
+    every intermediate product is canonicalized by the kernel, which keeps
+    conjugate-shaped powers from blowing up.
     """
     if isinstance(n, bool) or not isinstance(n, int):
         raise TypeError("exponent must be an int")
-    if isinstance(f, PLCircleMap):
-        acc = identity_map()
-    elif isinstance(f, PLLineMap):
-        acc = PLLineMap(identity_map(), 0)
-    else:
+    if not isinstance(f, (PLCircleMap, PLLineMap)):
         raise TypeError("power needs a circle map or a line map")
+    if n == 0:
+        one = identity_map()
+        return one if isinstance(f, PLCircleMap) else PLLineMap(one, 0)
     if n < 0:
         f = invert(f)
         n = -n
+    acc = None
     base = f
     while n:
         if n & 1:
-            acc = compose(acc, base)
+            acc = base if acc is None else compose(acc, base)
         n >>= 1
         if n:
             base = compose(base, base)

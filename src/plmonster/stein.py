@@ -10,11 +10,15 @@ breakpoints and their images lie in Y and every slope lies in P.
 both tuples are embedded in the grid of multiples of lam**-q, arcs between
 consecutive marked points are equalized by inserting midpoints (halving
 the leftmost largest gap of the arc with fewer points), and the result
-interpolates linearly.  Midpoints stay inside Y and keep gap ratios in P
-exactly when 2 lies in P, which holds for the shipped descriptors.  The
-construction emits the result's kernel grid itself, in x order from the
-grid point 0 with integer unit shifts, so its points are never reduced
-mod 1, sorted or checked again by the map constructor.
+interpolates linearly.  Every starting gap is lam**-q, and halving a gap
+leaves two gaps one level deeper, so a gap whose deeper end has depth t
+has size lam**-q / 2**(t - q): the halving order is a heap keyed by that
+integer depth and the left end, and no Fraction difference is taken.
+Midpoints stay inside Y and keep gap ratios in P exactly when 2 lies in
+P, which holds for the shipped descriptors.  The construction emits the
+result's kernel grid itself, in x order from the grid point 0 with
+integer unit shifts, so its points are never reduced mod 1, sorted or
+checked again by the map constructor.
 
 Each descriptor builds an echelon basis of its slope lattice once, and a
 slope query reduces its prime exponent vector against it in one pass.
@@ -340,26 +344,27 @@ def tuple_map_report(xtuple, ytuple, descriptor: GroupDescriptor) -> TupleMapRep
 
     def equalize(short, short_lo, short_hi, want):
         # halve the leftmost largest gap until the arc has `want` interior
-        # points, more than it has; a heap keyed by (-gap, left endpoint)
-        # realizes exactly that order, since gaps are disjoint and only
-        # ever split
+        # points, more than it has.  A gap is keyed by t, the depth of its
+        # deeper end: starting gaps are lam**-q with ends of depth q, and
+        # halving a gap keyed t leaves two halves keyed t + 1 (the
+        # midpoint's depth), so its size is lam**-q / 2**(t - q) and a heap
+        # on (t, left endpoint) pops in exactly that order.  Gaps are
+        # disjoint and only ever split, so no two entries tie on both.
         nonlocal depth_used
         need = want - len(short)
-        pts = [(short_lo, q)] + [tuple(e) for e in short] + [(short_hi, q)]
-        heap = [
-            (a - b, a, b, da, db) for (a, da), (b, db) in zip(pts, pts[1:])
-        ]
+        pts = [short_lo] + [v for v, _ in short] + [short_hi]
+        heap = [(q, a, b) for a, b in zip(pts, pts[1:])]
         heapq.heapify(heap)
         added = []
         for _ in range(need):
-            _, a, b, da, db = heapq.heappop(heap)
+            t, a, b = heapq.heappop(heap)
             mid = (a + b) / 2
-            d = max(da, db) + 1
+            d = t + 1
             if d > depth_used:
                 depth_used = d
             added.append([mid, d])
-            heapq.heappush(heap, (a - mid, a, mid, da, d))
-            heapq.heappush(heap, (mid - b, mid, b, d, db))
+            heapq.heappush(heap, (d, a, mid))
+            heapq.heappush(heap, (d, mid, b))
         short[:] = sorted(short + added)
 
     for i in range(p):

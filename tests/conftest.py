@@ -1,5 +1,11 @@
 """One hypothesis profile for tier 1: no deadline, and derandomized, so
-every run draws the same examples.  Tests set only their `max_examples`."""
+every run draws the same examples.  Tests set only their `max_examples`.
+
+Each property test also pins its sample with `@seed(...)`.  A
+derandomized test draws from a hash of its own source, so without the pin
+any edit to its body would silently draw new examples; each pinned seed
+is the one that hash gave when the pin was added, so the examples stayed
+the same."""
 
 from hypothesis import settings
 

@@ -93,6 +93,16 @@ def test_syllable_membership_is_checked():
         AmalgamWord(c, [(10**5000, zline(0))])
 
 
+def test_word_stores_each_factor_as_its_member():
+    c = ctx()
+    tagged = Syllable(Factor.G1, zline())
+    w = AmalgamWord(c, [tagged, ("G2", c.edge), Syllable("G1", zline(1))])
+    assert w.syllables[0] is tagged
+    assert [s.factor for s in w.syllables] == [Factor.G1, Factor.G2, Factor.G1]
+    assert all(s.factor.__class__ is Factor for s in w.syllables)
+    assert w.syllables[1:] == (Syllable(Factor.G2, c.edge), Syllable(Factor.G1, zline(1)))
+
+
 def test_word_building_checks_each_element_once(monkeypatch):
     from plmonster import stein
 
@@ -278,6 +288,12 @@ def test_words_equal():
 
 def test_project_relator_to_identity():
     assert relator_word(ctx(), 1).project_to_g1().is_identity()
+
+
+def test_project_words_without_left_syllables_to_identity():
+    c = ctx()
+    assert AmalgamWord(c).project_to_g1() == identity_map()
+    assert AmalgamWord(c, [(Factor.G2, c.edge)]).project_to_g1() == identity_map()
 
 
 def test_project_kills_offsets():

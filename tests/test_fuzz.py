@@ -18,7 +18,7 @@ import os
 import tempfile
 from fractions import Fraction as F
 
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from plmonster import (
@@ -124,18 +124,21 @@ def parses_or_rejects(parse, doc):
         pass
 
 
+@seed(0xede564d43f6bd49ee50c329402233fdbabd71f344b223a90a44fe85722884eaa2083c739f08b5a2d36d1f12fa7744f9e)
 @settings(max_examples=100)
 @given(text=st.one_of(st.text(alphabet="-+0123456789/. e_", max_size=12), SCALARS))
 def test_fraction_strings_raise_only_document_errors(text):
     parses_or_rejects(str_to_fraction, text)
 
 
+@seed(0xf29bac15af95789c7cef7e26c829865afca4e649060eb679e9e33d3580b81872c00b96d10957d6e840e35c8876aa74d0)
 @settings(max_examples=150)
 @given(doc=mutated(MAP_DOCS))
 def test_mutated_map_documents_raise_only_document_errors(doc):
     parses_or_rejects(map_from_document, doc)
 
 
+@seed(0xb37b5fd03e271c971871c266595ee99469f8bfefa7333710138f0949ecfba16b7c841b6553f860e2b75c9e9ddff6943a)
 @settings(max_examples=60)
 @given(doc=mutated(WORD_DOCS))
 def test_mutated_word_documents_raise_only_document_errors(doc):
@@ -193,6 +196,7 @@ def document_text(draw, docs):
     return text
 
 
+@seed(0xe143250226e17b1ee4a9c9e33b1eb6db681b39afda066251539d26e2626c788e09409280faf906daaf94945b728d1efd)
 @settings(max_examples=40)
 @given(data=st.data())
 def test_cli_on_mutated_map_documents_exits_cleanly(data):
@@ -201,6 +205,7 @@ def test_cli_on_mutated_map_documents_exits_cleanly(data):
     check_exit(*run_on_file(argv, text), len(text) > MAX_DOCUMENT_BYTES)
 
 
+@seed(0xe09e1c34b2bd0d06713ee255ab4c491f2149bc1dc26f09d5b143bf1b37bef7e0758b4f9a0b5fbf66e9a22d1e22641d8b)
 @settings(max_examples=40)
 @given(data=st.data())
 def test_cli_on_mutated_word_documents_exits_cleanly(data):

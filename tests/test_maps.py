@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 import reference as ref
+from plmonster import _core as core
 from plmonster import (
     DisplacementInterval,
     PLCircleMap,
@@ -327,6 +328,33 @@ def test_power_addition_on_random_maps():
     for f in random_maps(rng, 10):
         m, n = rng.randint(-4, 4), rng.randint(-4, 4)
         assert power(f, m + n) == compose(power(f, m), power(f, n))
+
+
+def test_power_starts_from_its_first_factor(monkeypatch):
+    calls = []
+    kernel_compose = core.compose
+
+    def counted(*args):
+        calls.append(args)
+        return kernel_compose(*args)
+
+    monkeypatch.setattr(core, "compose", counted)
+    rng = random.Random(105)
+    for f in [g0(), g0bar()] + random_maps(rng, 6):
+        if isinstance(f, PLCircleMap) and rng.randrange(2):
+            f = lift(f, rng.randint(-3, 3))
+        for n, composes in ((0, 0), (1, 0), (-1, 0), (2, 1), (3, 2), (4, 2)):
+            product = power(f, n)
+            calls.clear()
+            assert power(f, n) == product
+            assert len(calls) == composes, (f, n)
+        # the same grids as a running product from the identity
+        one = identity_map() if isinstance(f, PLCircleMap) else lift(identity_map(), 0)
+        for n in (-3, 5):
+            running = one
+            for _ in range(abs(n)):
+                running = compose(running, f if n > 0 else invert(f))
+            assert power(f, n) == running
 
 
 def test_breakpoint_subadditivity():

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import reference as ref
@@ -412,6 +412,7 @@ def pairs(numerators):
     return st.tuples(numerators, st.integers(1, 10**6))
 
 
+@seed(0x7e0629b78c416efd4374855a00d44bb9da07ab34daceba94f5aae8df41321387e46699f1421589b3915e71e0bf956a3d)
 @settings(max_examples=400)
 @given(
     a=pairs(st.integers(1, 10**6)),

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import reference as ref
@@ -240,6 +240,7 @@ def rational_maps(draw):
     return PLCircleMap([F(x, den) for x in xs], [F(y, den) for y in ys])
 
 
+@seed(0x9e397adaf0fc5f028d50284ae81cc4a470e9c017137e33c730f80501f8403a1b9c9898b86e5dca4491d78a0b0331b55b)
 @settings(max_examples=300)
 @given(value=smooth_rationals(), f=rational_maps())
 def test_membership_matches_trial_division(value, f):
@@ -393,6 +394,7 @@ def tuple_pairs(draw):
     return descriptor, tuples[0], tuples[1]
 
 
+@seed(0xadb239c74a350a20f8fdc7ae01fcc7b552a2421cd8a989d429aef8aef0616ca474762ba88d046ec5e437be6da5735f96)
 @settings(max_examples=120)
 @given(case=tuple_pairs())
 def test_tuple_map_matches_the_fraction_reference(case):
@@ -400,6 +402,19 @@ def test_tuple_map_matches_the_fraction_reference(case):
     report = tuple_map_report(xs, ys, descriptor)
     expected = ref.tuple_map(xs, ys, descriptor.lam)
     assert (ref.lift_of(report.map), report.refinement_depth) == expected
+
+
+def test_tuple_map_matches_the_fraction_reference_on_the_verify_pool():
+    # the first pairs that `verify --suite tuple` draws, in its order: one
+    # Random(42), descriptors alternating from Thompson, up to 6 points
+    # at depth up to 4
+    rng = random.Random(42)
+    for i in range(140):
+        d = (THOMPSON, STEIN_2_3)[i % 2]
+        xs, ys, _ = random_tuple_pair(d, rng, 6, 4)
+        report = tuple_map_report(xs, ys, d)
+        expected = ref.tuple_map(xs, ys, d.lam)
+        assert (ref.lift_of(report.map), report.refinement_depth) == expected, (i, xs, ys)
 
 
 def test_g0_definition_and_sanity():
