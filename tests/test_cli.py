@@ -39,6 +39,8 @@ from plmonster.stein import (
     tuple_map,
 )
 
+import golden
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -774,6 +776,16 @@ COMMANDS = (
 )
 WORD_ACTIONS = ("reduce", "trivial", "multiply", "invert", "project", "random")
 
+
+
+def test_golden_transcript(tmp_path):
+    # every row of tests/golden.txt, replayed in order (see tests/golden.py)
+    rows = golden.load()
+    heads = [argv.split()[:2] for _, _, argv in rows]
+    assert {head[0] for head in heads} == set(COMMANDS)
+    assert {head[1] for head in heads if head[0] == "word"} == set(WORD_ACTIONS)
+    assert {head[1] for head in heads if head[0] == "element"} == {"g0", "z", "identity", "rotation"}
+    assert golden.mismatches(rows, tmp_path) == []
 
 @pytest.mark.parametrize(
     "argv, built",
