@@ -133,11 +133,15 @@ def _read(path: str, parse):
 
     At most MAX_DOCUMENT_BYTES + 1 bytes are read, and a file over the
     budget is refused.  The bytes are decoded as a text-mode read would:
-    UTF-8 with universal newlines.
+    UTF-8 with universal newlines; other bytes are a DocumentError.
     """
     with open(path, "rb") as handle:
         data = check_document_size(handle.read(MAX_DOCUMENT_BYTES + 1), path)
-    return parse(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
+    try:
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    except UnicodeDecodeError:
+        raise DocumentError("%s is not UTF-8 text" % path) from None
+    return parse(text)
 
 
 def _parse_map_with_descriptor(text: str):

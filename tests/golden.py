@@ -55,6 +55,7 @@ FIXTURES = {
     "noncanonical.json": _line_map("2/4", "0"),
     "truncated.json": b'{"format": "plmonster.map/1", "breakpoints": ["0"',
     "too-big.json": b" " * (MAX_DOCUMENT_BYTES + 1),
+    "not-utf8.json": b"\xff\xfe",
 }
 
 _REPEAT_RE = re.compile(r"\{(\d)\*(\d+)\}")

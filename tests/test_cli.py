@@ -755,6 +755,13 @@ def test_missing_file_exit_2(capsys, tmp_path):
     assert failure(capsys, "eval", "--map", missing, "--point", "0")["kind"] == "io"
 
 
+
+def test_a_document_that_is_not_utf8_is_a_parse_error(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"format": "\xff\xfe"}')
+    for argv in (("word", "trivial", str(bad)), ("eval", "--map", str(bad), "--point", "0")):
+        assert failure(capsys, *argv) == {"kind": "parse", "message": "%s is not UTF-8 text" % bad}
+
 def test_mixed_compose_rejected(capsys, g0_file, tmp_path):
     zf = tmp_path / "z.json"
     run(capsys, "element", "z", "-o", str(zf))
