@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import re
 import sys
 from fractions import Fraction
@@ -42,6 +41,7 @@ from .serialize import (
     MAX_WORD_LENGTH,
     BudgetError,
     DocumentError,
+    _dump_json,
     _load_json,
     _int,
     _map_and_descriptor,
@@ -108,10 +108,10 @@ class _Lazy:
         return getattr(self._parser, name)
 
 
-def _emit_error(kind: str, message: str) -> None:
-    sys.stderr.write(
-        json.dumps({"error": {"kind": kind, "message": message}}, indent=2) + "\n"
-    )
+def _emit_error(kind: str, message: str) -> int:
+    """Write the error object to standard error; 2, every error's exit code."""
+    sys.stderr.write(_dump_json({"error": {"kind": kind, "message": message}}))
+    return 2
 
 
 def _write(text: str, out_path) -> None:
@@ -286,7 +286,7 @@ def _cmd_member(args) -> int:
             for v in report.violations
         ],
     }
-    _write(json.dumps(doc, indent=2) + "\n", args.out)
+    _write(_dump_json(doc), args.out)
     return 0 if report.member else 1
 
 
@@ -356,7 +356,7 @@ def _cmd_rot(args) -> int:
             "summary": "no rational with denominator <= %d; bracket %sof width %.3e"
             % (result.max_denominator, ends, float(hi - lo)),
         }
-    _write(json.dumps(doc, indent=2) + "\n", args.out)
+    _write(_dump_json(doc), args.out)
     return 0
 
 
@@ -602,27 +602,21 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
-        _emit_error("usage", str(exc))
-        return 2
+        return _emit_error("usage", str(exc))
     except SystemExit as exc:  # --help prints and exits 0
         return int(exc.code or 0)
     try:
         return args.handler(args)
     except _UsageError as exc:
-        _emit_error("usage", str(exc))
-        return 2
+        return _emit_error("usage", str(exc))
     except BudgetError as exc:
-        _emit_error("budget", str(exc))
-        return 2
+        return _emit_error("budget", str(exc))
     except DocumentError as exc:
-        _emit_error("parse", str(exc))
-        return 2
+        return _emit_error("parse", str(exc))
     except (ValueError, TypeError) as exc:
-        _emit_error("runtime", str(exc))
-        return 2
+        return _emit_error("runtime", str(exc))
     except OSError as exc:
-        _emit_error("io", str(exc))
-        return 2
+        return _emit_error("io", str(exc))
 
 
 def console_main() -> None:

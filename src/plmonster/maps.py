@@ -18,9 +18,9 @@ which coincides with equality as functions.
 
 Inside, a map is its kernel grid of (numerator, denominator) pairs: the
 constructor turns each input into a pair once and validates and unrolls
-on pairs.  Fractions exist only at the API edge: `as_fraction` for input,
-the breakpoint, image, slope and vertex views, evaluation results, and
-error messages.
+on pairs, as the document reader does on the pairs it parses.  Fractions
+exist only at the API edge: `as_fraction` for input, the breakpoint,
+image, slope and vertex views, evaluation results, and error messages.
 """
 
 from __future__ import annotations
@@ -66,6 +66,58 @@ def _shown(value, render=repr) -> str:
         return "a value too large to show"
 
 
+def _checked_grid(breaks, imgs):
+    """The canonical grid through lowest-terms breakpoint and image pairs
+    (d > 0); the one validator of the constructor and the document reader."""
+    if len(breaks) != len(imgs):
+        raise ValueError("breakpoints and images must have equal length")
+    if not breaks:
+        raise ValueError("a map needs at least one breakpoint")
+    # lowest-terms pairs, d > 0: 0 <= n/d < 1 is 0 <= n < d, equality
+    # is tuple equality, and order is cross-multiplication
+    for b in breaks:
+        if not 0 <= b[0] < b[1]:
+            raise ValueError("breakpoint %s outside [0, 1)" % _shown(_frac(b), str))
+    for v in imgs:
+        if not 0 <= v[0] < v[1]:
+            raise ValueError("image %s outside [0, 1)" % _shown(_frac(v), str))
+    for (an, ad), (bn, bd) in zip(breaks, breaks[1:]):
+        if bn * ad <= an * bd:
+            raise ValueError("breakpoints must be strictly increasing")
+
+    tilde = imgs
+    if len(imgs) > 1:
+        descents = []
+        for i, ((an, ad), (bn, bd)) in enumerate(zip(imgs, imgs[1:])):
+            if an == bn and ad == bd:
+                raise ValueError("images must be distinct")
+            if bn * ad < an * bd:
+                descents.append(i)
+        if descents:
+            (fn, fd), (ln, ld) = imgs[0], imgs[-1]
+            if len(descents) > 1 or fn * ld <= ln * fd:
+                raise ValueError("images are not cyclically increasing (winding != 1)")
+            i = descents[0] + 1
+            tilde = imgs[:i] + [(n + d, d) for n, d in imgs[i:]]
+
+    tn, td = tilde[0]
+    if breaks[0] == core.ZERO:
+        grid_x = breaks + [core.ONE]
+        grid_y = tilde + [(tn + td, td)]
+    else:
+        # value of the unrolled graph at x = 1, inside the closing segment
+        bn, bd = breaks[0]
+        hn, hd = core._interp(
+            breaks[-1], (bn + bd, bd), tilde[-1], (tn + td, td), core.ONE
+        )
+        grid_x = [core.ZERO] + breaks + [core.ONE]
+        grid_y = [(hn - hd, hd)] + tilde + [(hn, hd)]
+        if hn < hd:
+            grid_y = [(n + d, d) for n, d in grid_y]
+
+    return core.canon_grid(grid_x, grid_y)
+
+
 class PLCircleMap:
     """Orientation preserving PL bijection of the circle R/Z.
 
@@ -81,54 +133,7 @@ class PLCircleMap:
 
     def __init__(self, breakpoints, images):
         breaks = [_pair(as_fraction(b)) for b in breakpoints]
-        imgs = [_pair(as_fraction(v)) for v in images]
-        if len(breaks) != len(imgs):
-            raise ValueError("breakpoints and images must have equal length")
-        if not breaks:
-            raise ValueError("a map needs at least one breakpoint")
-        # lowest-terms pairs, d > 0: 0 <= n/d < 1 is 0 <= n < d, equality
-        # is tuple equality, and order is cross-multiplication
-        for b in breaks:
-            if not 0 <= b[0] < b[1]:
-                raise ValueError("breakpoint %s outside [0, 1)" % _shown(_frac(b), str))
-        for v in imgs:
-            if not 0 <= v[0] < v[1]:
-                raise ValueError("image %s outside [0, 1)" % _shown(_frac(v), str))
-        for (an, ad), (bn, bd) in zip(breaks, breaks[1:]):
-            if bn * ad <= an * bd:
-                raise ValueError("breakpoints must be strictly increasing")
-
-        tilde = imgs
-        if len(imgs) > 1:
-            descents = []
-            for i, ((an, ad), (bn, bd)) in enumerate(zip(imgs, imgs[1:])):
-                if an == bn and ad == bd:
-                    raise ValueError("images must be distinct")
-                if bn * ad < an * bd:
-                    descents.append(i)
-            if descents:
-                (fn, fd), (ln, ld) = imgs[0], imgs[-1]
-                if len(descents) > 1 or fn * ld <= ln * fd:
-                    raise ValueError("images are not cyclically increasing (winding != 1)")
-                i = descents[0] + 1
-                tilde = imgs[:i] + [(n + d, d) for n, d in imgs[i:]]
-
-        tn, td = tilde[0]
-        if breaks[0] == core.ZERO:
-            grid_x = breaks + [core.ONE]
-            grid_y = tilde + [(tn + td, td)]
-        else:
-            # value of the unrolled graph at x = 1, inside the closing segment
-            bn, bd = breaks[0]
-            hn, hd = core._interp(
-                breaks[-1], (bn + bd, bd), tilde[-1], (tn + td, td), core.ONE
-            )
-            grid_x = [core.ZERO] + breaks + [core.ONE]
-            grid_y = [(hn - hd, hd)] + tilde + [(hn, hd)]
-            if hn < hd:
-                grid_y = [(n + d, d) for n, d in grid_y]
-
-        self._xs, self._ys = core.canon_grid(grid_x, grid_y)
+        self._xs, self._ys = _checked_grid(breaks, [_pair(as_fraction(v)) for v in images])
         self._member_of = None
 
     @classmethod
@@ -139,21 +144,21 @@ class PLCircleMap:
         self._member_of = None
         return self
 
+    def _corners(self):
+        """Pairs of the canonical breakpoints and of their images in [0, 1)."""
+        xs, ys = self._xs, self._ys
+        i = core.first_breakpoint(xs, ys)
+        return xs[i:-1], [(n - d, d) if n >= d else (n, d) for n, d in ys[i:-1]]
+
     @property
     def breakpoints(self) -> tuple:
         """Canonical breakpoints: genuine corners, or (0,) for a rotation."""
-        xs = self._xs
-        return tuple(_frac(x) for x in xs[core.first_breakpoint(xs, self._ys) : -1])
+        return tuple(map(_frac, self._corners()[0]))
 
     @property
     def images(self) -> tuple:
         """Circle images of the canonical breakpoints."""
-        ys = self._ys
-        vals = []
-        for y in ys[core.first_breakpoint(self._xs, ys) : -1]:
-            f = _frac(y)
-            vals.append(f - 1 if f >= 1 else f)
-        return tuple(vals)
+        return tuple(map(_frac, self._corners()[1]))
 
     def segment_slopes(self) -> tuple:
         """Slopes of the grid segments (duplicates possible across x = 0)."""

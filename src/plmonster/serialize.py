@@ -7,20 +7,22 @@ optional descriptor annotation (lambda and slope generators); a present
 integer "offset" field marks a line map.  Word documents embed a context
 block (the two descriptors and the edge map) and a syllable list.
 
-Parsing is strict: unknown formats, non-canonical fraction strings, and
-invariant violations all raise DocumentError with the offending field.
+Documents are read and written as the maps' (numerator, denominator)
+pairs, checked by PLCircleMap's own validator: no Fraction is built but
+for an error message.  `_dump_json` is the one JSON writer.  Parsing is
+strict: unknown formats, non-canonical fraction strings, and invariant
+violations all raise DocumentError with the offending field.
 
-Integers in fraction strings and JSON integers (a line map's offset)
-may have up to MAX_DIGITS decimal digits, far past CPython's default
-int/str conversion limit, so every value the library computes at a
-practical size serializes and parses back.  This module converts them
-itself and never reads or sets that limit: a digit run is counted before
-it is converted, and an integer's bit length is checked before it is
-formatted and its digits counted exactly after, so a value beyond
-MAX_DIGITS raises BudgetError, a DocumentError, and exactly the values
-that parse back are written.  Runs and integers longer than a few hundred
-digits, which a host's limit could refuse, convert by halves (hi * 10**k
-+ lo each way); near MAX_DIGITS that beats CPython's quadratic conversion.
+Integers in fraction strings and JSON integers (a line map's offset) may
+have up to MAX_DIGITS decimal digits, far past CPython's default int/str
+conversion limit.  This module converts them itself and never reads or
+sets that limit: a digit run is counted before it is converted, and an
+integer's bit length is checked before it is formatted and its digits
+counted exactly after, so a value beyond MAX_DIGITS raises BudgetError, a
+DocumentError, and exactly the values that parse back are written.  Runs
+and integers longer than a few hundred digits convert by halves (hi *
+10**k + lo each way); near MAX_DIGITS that beats CPython's quadratic
+conversion.
 
 The command line's budgets sit beside it: MAX_DOCUMENT_BYTES bounds the
 documents it reads and writes, both checked by `check_document_size`, so
@@ -36,9 +38,10 @@ import json
 import math
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quoted
 from typing import TYPE_CHECKING, Optional, Union
 
-from .maps import PLCircleMap, PLLineMap, _shown, lift
+from .maps import PLCircleMap, PLLineMap, _checked_grid, _shown, lift
 from .stein import GroupDescriptor
 
 if TYPE_CHECKING:
@@ -84,9 +87,6 @@ _BUDGET_BITS = math.floor(MAX_DIGITS * math.log2(10)) + 1
 # digits, and integers below 2**_SHORT_BITS (at most 603 digits)
 _SHORT_DIGITS = 600
 _SHORT_BITS = 2000
-# a marker of _dump_json as json.dumps writes it: a whole string "\x00" and
-# an index (a quote after a backslash is an escaped one, inside a string)
-_MARKER_RE = re.compile(r'(?<!\\)"\\u0000(\d+)"')
 
 
 class DocumentError(ValueError):
@@ -143,15 +143,22 @@ def _digits(n: int) -> str:
     return text
 
 
+def _pair_to_str(n: int, d: int) -> str:
+    return _digits(n) if d == 1 else _digits(n) + "/" + _digits(d)
+
+
 def fraction_to_str(value: Fraction) -> str:
     """Lowest-terms string form: "p" for integers, "p/q" otherwise."""
-    if value.denominator == 1:
-        return _digits(value.numerator)
-    return _digits(value.numerator) + "/" + _digits(value.denominator)
+    return _pair_to_str(value.numerator, value.denominator)
 
 
 def str_to_fraction(text: str) -> Fraction:
     """Parse a canonical fraction string; anything non-canonical fails."""
+    return Fraction(*_str_to_pair(text))
+
+
+def _str_to_pair(text: str):
+    """The lowest-terms (numerator, denominator) of a canonical fraction string."""
     match = _FRACTION_RE.match(text) if isinstance(text, str) else None
     if match is None:
         raise DocumentError(
@@ -162,14 +169,12 @@ def str_to_fraction(text: str) -> Fraction:
     denominator = 1 if den is None else _int(den)
     if denominator == 0:
         raise DocumentError("zero denominator in %r" % text)
-    value = Fraction(numerator, denominator)
-    # canonical, and in lowest terms when Fraction reduced nothing
-    if not _CANONICAL_RE.match(text) or den == "1" or value.denominator != denominator:
+    if not _CANONICAL_RE.match(text) or den == "1" or math.gcd(numerator, denominator) != 1:
         raise DocumentError(
             "%r is not in canonical lowest-terms form (expected %r)"
-            % (text, fraction_to_str(value))
+            % (text, fraction_to_str(Fraction(numerator, denominator)))
         )
-    return value
+    return numerator, denominator
 
 
 def _checked_descriptor(generators, lam, where: Optional[str], key: str, noun: str):
@@ -202,9 +207,7 @@ def document_descriptor(doc: dict) -> Optional[GroupDescriptor]:
     slopes = doc.get("slopes")
     if slopes is None:
         return None
-    return _checked_descriptor(
-        slopes, doc.get("lambda"), None, "'slopes'", "slope generator"
-    )
+    return _checked_descriptor(slopes, doc.get("lambda"), None, "'slopes'", "slope generator")
 
 
 def map_to_document(
@@ -218,12 +221,13 @@ def map_to_document(
         value = value.base
     if not isinstance(value, PLCircleMap):
         raise TypeError("expected a circle map or a line map")
+    breaks, images = value._corners()
     doc = {
         "format": MAP_FORMAT,
         "lambda": None if descriptor is None else descriptor.lam,
         "slopes": None if descriptor is None else list(descriptor.generators),
-        "breakpoints": [fraction_to_str(b) for b in value.breakpoints],
-        "images": [fraction_to_str(v) for v in value.images],
+        "breakpoints": [_pair_to_str(*b) for b in breaks],
+        "images": [_pair_to_str(*v) for v in images],
     }
     if offset is not None:
         _digits(offset)  # refused here, as the fractions are
@@ -231,14 +235,14 @@ def map_to_document(
     return doc
 
 
-def _fraction_list(doc: dict, key: str):
+def _pair_list(doc: dict, key: str):
     values = doc.get(key)
     if not isinstance(values, list) or not values:
         raise DocumentError("'%s' must be a nonempty list" % key)
     out = []
     for i, text in enumerate(values):
         try:
-            out.append(str_to_fraction(text))
+            out.append(_str_to_pair(text))
         except DocumentError as exc:
             raise type(exc)("%s[%d]: %s" % (key, i, exc)) from None
     return out
@@ -258,11 +262,11 @@ def _map_and_descriptor(doc: dict):
         raise DocumentError(
             "unsupported map format %s (expected %r)" % (_shown(fmt), MAP_FORMAT)
         )
-    breaks = _fraction_list(doc, "breakpoints")
-    images = _fraction_list(doc, "images")
+    breaks = _pair_list(doc, "breakpoints")
+    images = _pair_list(doc, "images")
     descriptor = document_descriptor(doc)
     try:
-        base = PLCircleMap(breaks, images)
+        base = PLCircleMap._from_grid(*_checked_grid(breaks, images))
     except ValueError as exc:
         raise DocumentError("invalid map data: %s" % exc) from None
     offset = doc.get("offset")
@@ -273,32 +277,25 @@ def _map_and_descriptor(doc: dict):
     return lift(base, offset), descriptor
 
 
-def _dump_json(doc: dict) -> str:
-    """json.dumps(doc, indent=2) and a newline, long integers by _digits."""
-    # each long integer goes in as a marker string, "\x00" and its index in
-    # `pieces`, which its digits replace in the text; so does each document
-    # string starting with "\x00", put back as json.dumps writes it
-    pieces = []
+def _dump_json(doc) -> str:
+    """doc as json.dumps writes it with a two-space indent, then a newline."""
+    return _json_text(doc, "\n") + "\n"
 
-    def marked(node):
-        if isinstance(node, str):
-            if node[:1] != "\x00":
-                return node
-            pieces.append(json.dumps(node))
-        elif isinstance(node, dict):
-            return {marked(k) if isinstance(k, str) else k: marked(v) for k, v in node.items()}
-        elif isinstance(node, (list, tuple)):
-            return [marked(item) for item in node]
-        elif isinstance(node, int) and node.bit_length() > _SHORT_BITS:
-            pieces.append(_digits(node))
-        else:
-            return node
-        return "\x00%d" % (len(pieces) - 1)
 
-    text = json.dumps(marked(doc), indent=2)
-    if pieces:
-        text = _MARKER_RE.sub(lambda m: pieces[int(m[1])], text)
-    return text + "\n"
+def _json_text(node, newline: str) -> str:
+    # newline is "\n" and the indent of the line that node starts on
+    if isinstance(node, str):
+        return _quoted(node)
+    if isinstance(node, int) and not isinstance(node, bool):
+        return _digits(node)
+    inner = newline + "  "
+    if isinstance(node, dict):
+        items, ends = [_quoted(k) + ": " + _json_text(v, inner) for k, v in node.items()], "{}"
+    elif isinstance(node, (list, tuple)):
+        items, ends = [_json_text(v, inner) for v in node], "[]"
+    else:
+        return "null" if node is None else json.dumps(node)  # true, false or a float
+    return ends[0] + inner + ("," + inner).join(items) + newline + ends[1] if items else ends
 
 
 def format_map(
