@@ -38,7 +38,7 @@ import json
 import math
 import re
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _quoted
+from json.encoder import encode_basestring_ascii as _quoted  # json.dumps's quoting
 from typing import TYPE_CHECKING, Optional, Union
 
 from .maps import PLCircleMap, PLLineMap, _checked_grid, _shown, lift
