@@ -14,6 +14,7 @@ interpolates linearly.  Every starting gap is lam**-q, and halving a gap
 leaves two gaps one level deeper, so a gap whose deeper end has depth t
 has size lam**-q / 2**(t - q): the halving order is a heap keyed by that
 integer depth and the left end, and no Fraction difference is taken.
+Arcs hold bare points: a midpoint's depth is only folded into the report.
 Midpoints stay inside Y and keep gap ratios in P exactly when 2 lies in
 P, which holds for the shipped descriptors.  The construction emits the
 result's kernel grid itself, in x order from the grid point 0 with
@@ -326,15 +327,14 @@ def tuple_map_report(xtuple, ytuple, descriptor: GroupDescriptor) -> TupleMapRep
 
     def grid_arcs(points):
         # per arc, the interior lam**-q grid points in linear coordinates,
-        # as mutable [value, depth] records; the final arc wraps past the
-        # first point plus 1
+        # as bare Fractions; the final arc wraps past the first point plus 1
         out = []
         for i in range(p):
             a = points[i]
             b = points[i + 1] if i + 1 < p else points[0] + 1
             ka = int(a * lam_q)  # entries are exact grid multiples
             kb = int(b * lam_q)
-            out.append([[Fraction(k, lam_q), q] for k in range(ka + 1, kb)])
+            out.append([Fraction(k, lam_q) for k in range(ka + 1, kb)])
         return out
 
     xarcs = grid_arcs(xs)
@@ -350,9 +350,10 @@ def tuple_map_report(xtuple, ytuple, descriptor: GroupDescriptor) -> TupleMapRep
         # midpoint's depth), so its size is lam**-q / 2**(t - q) and a heap
         # on (t, left endpoint) pops in exactly that order.  Gaps are
         # disjoint and only ever split, so no two entries tie on both.
+        # Arcs hold bare points: a midpoint's depth only feeds depth_used.
         nonlocal depth_used
         need = want - len(short)
-        pts = [short_lo] + [v for v, _ in short] + [short_hi]
+        pts = [short_lo, *short, short_hi]
         heap = [(q, a, b) for a, b in zip(pts, pts[1:])]
         heapq.heapify(heap)
         added = []
@@ -362,7 +363,7 @@ def tuple_map_report(xtuple, ytuple, descriptor: GroupDescriptor) -> TupleMapRep
             d = t + 1
             if d > depth_used:
                 depth_used = d
-            added.append([mid, d])
+            added.append(mid)
             heapq.heappush(heap, (d, a, mid))
             heapq.heappush(heap, (d, mid, b))
         short[:] = sorted(short + added)
@@ -384,7 +385,7 @@ def tuple_map_report(xtuple, ytuple, descriptor: GroupDescriptor) -> TupleMapRep
     pts = []
     for i in range(p):
         pts.append((xs[i], ys_lin[i]))
-        pts += [(xv, yv) for (xv, _), (yv, _) in zip(xarcs[i], yarcs[i])]
+        pts += zip(xarcs[i], yarcs[i])
     # the kernel grid starts at the lam**-q grid point x = 1, which is 0 on
     # the circle: a point inside the last arc, or, when xs[0] is 0, the
     # first point plus 1.  The points from x = 1 on (the head) move down by
@@ -421,9 +422,7 @@ def irrational_candidate_g0() -> PLCircleMap:
     exact finite facts about it: translation brackets and the absence of
     small rational rotation numbers.
     """
-    return PLCircleMap(
-        (Fraction(0), Fraction(1, 4)), (Fraction(1, 2), Fraction(0))
-    )
+    return PLCircleMap._from_grid(((0, 1), (1, 4), (1, 1)), ((1, 2), (1, 1), (3, 2)))
 
 
 def center_generator_z() -> PLLineMap:

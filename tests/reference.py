@@ -389,6 +389,35 @@ def tuple_map(xtuple, ytuple, lam):
     return _unroll([x for x, _ in points], [y for _, y in points]), depth
 
 
+def closed_form_depth(xtuple, ytuple, lam):
+    """`tuple_map`'s refinement depth in O(p) integer steps, with no walk.
+
+    On the lam**-q grid an arc pair has N gaps on its short side and M on
+    its long one.  When M > N, halving the leftmost largest gap takes all
+    N gaps r = floor(log2(M / N)) levels down and then splits m = M - 2**r N
+    of them once more, so the arc reaches depth q + r, plus 1 when m > 0.
+    """
+    pairs = [(F(e).numerator, F(e).denominator) for e in (*xtuple, *ytuple)]
+    q = 1
+    while any(lam**q % den for _, den in pairs):
+        q += 1
+    n = lam**q
+    ks = [num * (n // den) for num, den in pairs]
+    p = len(ks) // 2
+    s = ks.index(min(ks[:p]))
+    kx, ky = ks[s:p] + ks[:s], ks[p + s :] + ks[p : p + s]
+    kx = kx + [kx[0] + n]
+    ky = [ky[0]] + [k if k > ky[0] else k + n for k in ky[1:]] + [ky[0] + n]
+    depth = q
+    for i in range(p):
+        short, long = sorted((kx[i + 1] - kx[i], ky[i + 1] - ky[i]))
+        if long > short:
+            r = (long // short).bit_length() - 1
+            m = long - (short << r)
+            depth = max(depth, q + r + (m > 0))
+    return depth
+
+
 def britton_reduce(ops, syllables):
     """Britton reduction by whole-word passes.
 

@@ -18,7 +18,7 @@ from plmonster import (
     relator_word,
     rotation_map,
 )
-from plmonster import serialize
+from plmonster import maps, serialize, stein
 from plmonster.serialize import _dump_json, word_to_document
 from test_fuzz import MAP_DOCS, WORD_DOCS
 
@@ -43,6 +43,20 @@ def test_documents_round_trip_without_fractions(monkeypatch):
     text = format_word(word)
     assert parse_word(text) == word
     assert format_word(parse_word(text)) == text
+
+
+def test_a_word_document_finds_its_context_without_fractions(monkeypatch):
+    context = default_context()
+    text = format_word(relator_word(context, 1))
+
+    def refuse(*args):
+        raise AssertionError("a Fraction was built")
+
+    for module in (serialize, stein, maps):
+        monkeypatch.setattr(module, "Fraction", refuse)
+    word = parse_word(text)
+    assert word.context is context
+    assert word.is_trivial()
 
 
 def test_the_writer_writes_what_json_dumps_writes():

@@ -401,6 +401,7 @@ def test_tuple_map_matches_the_fraction_reference(case):
     descriptor, xs, ys = case
     report = tuple_map_report(xs, ys, descriptor)
     expected = ref.tuple_map(xs, ys, descriptor.lam)
+    assert report.refinement_depth == ref.closed_form_depth(xs, ys, descriptor.lam)
     assert (ref.lift_of(report.map), report.refinement_depth) == expected
 
 
@@ -414,6 +415,7 @@ def test_tuple_map_matches_the_fraction_reference_on_the_verify_pool():
         xs, ys, _ = random_tuple_pair(d, rng, 6, 4)
         report = tuple_map_report(xs, ys, d)
         expected = ref.tuple_map(xs, ys, d.lam)
+        assert report.refinement_depth == ref.closed_form_depth(xs, ys, d.lam), (i, xs, ys)
         assert (ref.lift_of(report.map), report.refinement_depth) == expected, (i, xs, ys)
 
 
