@@ -18,6 +18,7 @@ import io
 import re
 import sys
 from fractions import Fraction
+from math import lcm
 
 from .maps import (
     PLCircleMap,
@@ -295,9 +296,13 @@ def _cmd_tuple_map(args) -> int:
     xs = _parse_fraction_list(args.source, "--from")
     ys = _parse_fraction_list(args.target, "--to")
     # the construction builds every lam**-q grid point, so q is bounded
-    # first; an entry off Y is left for it to refuse
-    on_grid = [e for e in xs + ys if descriptor.contains_coordinate(e)]
-    q = max([1] + [descriptor.coordinate_depth(e) for e in on_grid])
+    # first, by one depth for the lcm of the denominators on Y; an entry
+    # off Y is left for the construction to refuse
+    den = 1
+    for e in xs + ys:
+        if descriptor.contains_coordinate(e):
+            den = lcm(den, e.denominator)
+    q = max(1, descriptor._depth(den))
     if descriptor.lam**q > MAX_TUPLE_GRID:
         raise BudgetError(
             "a grid of %d**%d points is over the tuple-map budget of %d"

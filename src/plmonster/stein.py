@@ -10,16 +10,20 @@ breakpoints and their images lie in Y and every slope lies in P.
 both tuples are embedded in the grid of multiples of lam**-q, arcs between
 consecutive marked points are equalized by inserting midpoints (halving
 the leftmost largest gap of the arc with fewer points), and the result
-interpolates linearly.  Every starting gap is lam**-q, and halving a gap
-leaves two gaps one level deeper, so a gap whose deeper end has depth t
-has size lam**-q / 2**(t - q): the halving order is a heap keyed by that
-integer depth and the left end, and no Fraction difference is taken.
-Arcs hold bare points: a midpoint's depth is only folded into the report.
-Midpoints stay inside Y and keep gap ratios in P exactly when 2 lies in
-P, which holds for the shipped descriptors.  The construction emits the
-result's kernel grid itself, in x order from the grid point 0 with
-integer unit shifts, so its points are never reduced mod 1, sorted or
-checked again by the map constructor.
+interpolates linearly.  Each entry becomes its integer index on that grid,
+and the cyclic-order checks, the common rotation, the target's unwrap and
+every arc's bounds run on those indices.  Only the short side of an arc
+that needs midpoints is made of Fractions: every starting gap is lam**-q,
+and halving a gap leaves two gaps one level deeper, so a gap whose deeper
+end has depth t has size lam**-q / 2**(t - q): the halving order is a heap
+keyed by that integer depth and the left end, and no Fraction difference
+is taken.  Arcs hold bare points: a midpoint's depth is only folded into
+the report.  Midpoints stay inside Y and keep gap ratios in P exactly when
+2 lies in P, which holds for the shipped descriptors.  Every other point
+goes from its index to a lowest-terms kernel pair with one gcd, and the
+construction emits the result's kernel grid itself, in x order from the
+grid point 0 with integer unit shifts on pairs, so its points are never
+reduced mod 1, sorted or checked again by the map constructor.
 
 Each descriptor builds an echelon basis of its slope lattice once, and a
 slope query reduces its prime exponent vector against it in one pass.
@@ -40,9 +44,8 @@ so a word that repeats an element checks it once per descriptor.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
 from fractions import Fraction
-from operator import itemgetter
+from math import gcd, lcm
 from typing import NamedTuple
 
 from . import _core as core
@@ -168,6 +171,10 @@ class GroupDescriptor:
         den = as_fraction(x).denominator
         if not self._divides_power(den):
             raise ValueError("%s is not a Z[1/%d] point" % (_shown(x, str), self._lam))
+        return self._depth(den)
+
+    def _depth(self, den: int) -> int:
+        # least q with den dividing lam**q; den must divide a power of lam
         q = 0
         power = 1
         while power % den:
@@ -300,45 +307,40 @@ def tuple_map_report(xtuple, ytuple, descriptor: GroupDescriptor) -> TupleMapRep
     p = len(xs)
     if p == 0:
         raise ValueError("tuples must be nonempty")
-    q = 1
+    lam = descriptor.lam
+    den = 1
     for e in xs + ys:
-        if not 0 <= e < 1:
+        num, d = e.numerator, e.denominator
+        if not 0 <= num < d:
             raise ValueError("tuple entries live in [0, 1); got %s" % _shown(e, str))
-        q = max(q, descriptor.coordinate_depth(e))  # refuses a point off Y
-    if not descriptor.slope_in_group(2):
+        if not descriptor._divides_power(d):
+            raise ValueError("%s is not a Z[1/%d] point" % (_shown(e, str), lam))
+        den = lcm(den, d)
+    q = max(1, descriptor._depth(den))
+    if not descriptor._has_slope(2, 1):
         raise ValueError(
             "descriptor %s cannot halve grid gaps (2 is not a product of the "
             "generators), so the tuple construction is unavailable" % descriptor
         )
-    rx = _cyclic_rotation_to_increasing(xs)
+    # every entry as its index on the lam**-q grid
+    n = lam**q
+    kx = [e.numerator * (n // e.denominator) for e in xs]
+    ky = [e.numerator * (n // e.denominator) for e in ys]
+    rx = _cyclic_rotation_to_increasing(kx)
     if rx < 0:
         raise ValueError("source tuple is not positively cyclically ordered")
-    if _cyclic_rotation_to_increasing(ys) < 0:
+    if _cyclic_rotation_to_increasing(ky) < 0:
         raise ValueError("target tuple is not positively cyclically ordered")
     # rotate both by the same index shift: pairing x_i -> y_i is preserved,
     # and the source becomes strictly increasing
-    xs = xs[rx:] + xs[:rx]
-    ys = ys[rx:] + ys[:rx]
+    kx = kx[rx:] + kx[:rx]
+    ky = ky[rx:] + ky[:rx]
     # the target is then a rotation of an increasing sequence; unwrap it to
-    # linear coordinates on [ys[0], ys[0] + 1) so arcs are plain intervals
-    ys_lin = [ys[0]] + [v if v > ys[0] else v + 1 for v in ys[1:]]
-
-    lam_q = descriptor.lam**q
-
-    def grid_arcs(points):
-        # per arc, the interior lam**-q grid points in linear coordinates,
-        # as bare Fractions; the final arc wraps past the first point plus 1
-        out = []
-        for i in range(p):
-            a = points[i]
-            b = points[i + 1] if i + 1 < p else points[0] + 1
-            ka = int(a * lam_q)  # entries are exact grid multiples
-            kb = int(b * lam_q)
-            out.append([Fraction(k, lam_q) for k in range(ka + 1, kb)])
-        return out
-
-    xarcs = grid_arcs(xs)
-    yarcs = grid_arcs(ys_lin)
+    # linear coordinates on [ky[0], ky[0] + n) so arcs are plain intervals,
+    # and close both with the first point plus 1
+    ky = [ky[0]] + [k if k > ky[0] else k + n for k in ky[1:]]
+    kx.append(kx[0] + n)
+    ky.append(ky[0] + n)
 
     depth_used = q
 
@@ -350,7 +352,8 @@ def tuple_map_report(xtuple, ytuple, descriptor: GroupDescriptor) -> TupleMapRep
         # midpoint's depth), so its size is lam**-q / 2**(t - q) and a heap
         # on (t, left endpoint) pops in exactly that order.  Gaps are
         # disjoint and only ever split, so no two entries tie on both.
-        # Arcs hold bare points: a midpoint's depth only feeds depth_used.
+        # Only this short side of an arc is made of Fractions, and its
+        # points are bare: a midpoint's depth only feeds depth_used.
         nonlocal depth_used
         need = want - len(short)
         pts = [short_lo, *short, short_hi]
@@ -368,40 +371,36 @@ def tuple_map_report(xtuple, ytuple, descriptor: GroupDescriptor) -> TupleMapRep
             heapq.heappush(heap, (d, mid, b))
         short[:] = sorted(short + added)
 
-    for i in range(p):
-        cx = len(xarcs[i])
-        cy = len(yarcs[i])
-        if cx < cy:
-            lo = xs[i]
-            hi = xs[i + 1] if i + 1 < p else xs[0] + 1
-            equalize(xarcs[i], lo, hi, cy)
-        elif cy < cx:
-            lo = ys_lin[i]
-            hi = ys_lin[i + 1] if i + 1 < p else ys_lin[0] + 1
-            equalize(yarcs[i], lo, hi, cx)
+    def side(lo, hi, want):
+        # kernel pairs of one side of an arc between grid indices lo < hi:
+        # its start and `want` interior points, the grid points in between
+        # plus midpoints when the side has fewer
+        if hi - lo - 1 == want:
+            return [(k // (g := gcd(k, n)), n // g) for k in range(lo, hi)]
+        short = [Fraction(k, n) for k in range(lo + 1, hi)]
+        equalize(short, Fraction(lo, n), Fraction(hi, n), want)
+        g = gcd(lo, n)
+        return [(lo // g, n // g)] + [(f.numerator, f.denominator) for f in short]
 
-    # the graph's points in x order, from (xs[0], ys[0]) up to the last
-    # arc's wrap past 1
-    pts = []
+    # the graph's points in x order and linear coordinates, from
+    # (kx[0], ky[0]) up to the last arc's wrap past 1
+    gx, gy = [], []
     for i in range(p):
-        pts.append((xs[i], ys_lin[i]))
-        pts += zip(xarcs[i], yarcs[i])
-    # the kernel grid starts at the lam**-q grid point x = 1, which is 0 on
-    # the circle: a point inside the last arc, or, when xs[0] is 0, the
-    # first point plus 1.  The points from x = 1 on (the head) move down by
-    # 1 in x and by k in y, where k is the floor of the graph's value y1
-    # at x = 1, so y(0) lies in [0, 1); the points before x = 1 (the tail)
-    # move down by k - 1 in y.  A Fraction's pair stays in lowest terms
-    # under an integer shift, and the emitted grid is already sorted.
-    w = bisect_left(pts, 1, key=itemgetter(0))
-    head, tail = pts[w:], pts[:w]
-    y1 = head[0][1] if head else ys_lin[0] + 1
-    k = y1.numerator // y1.denominator
-    gx = [(x.numerator - x.denominator, x.denominator) for x, _ in head]
-    gx += [(x.numerator, x.denominator) for x, _ in tail]
+        want = max(kx[i + 1] - kx[i], ky[i + 1] - ky[i]) - 1
+        gx += side(kx[i], kx[i + 1], want)
+        gy += side(ky[i], ky[i + 1], want)
+    # the kernel grid starts at x = 1, which is 0 on the circle: a grid
+    # point inside the last arc, or, when kx[0] is 0, the first point plus
+    # 1, whose value has floor 1.  The points from x = 1 on (the head)
+    # move down by 1 in x and by k in y, where k is the floor of the
+    # graph's value at x = 1, so y(0) lies in [0, 1); the points before
+    # x = 1 (the tail) move down by k - 1 in y.  A pair stays in lowest
+    # terms under an integer shift, and the emitted grid is already sorted.
+    w = gx.index(core.ONE) if kx[0] else len(gx)
+    k = gy[w][0] // gy[w][1] if kx[0] else 1
+    gx = [(a - b, b) for a, b in gx[w:]] + gx[:w]
+    gy = [(a - k * b, b) for a, b in gy[w:]] + [(a - (k - 1) * b, b) for a, b in gy[:w]]
     gx.append(core.ONE)
-    gy = [(y.numerator - k * y.denominator, y.denominator) for _, y in head]
-    gy += [(y.numerator - (k - 1) * y.denominator, y.denominator) for _, y in tail]
     gy.append((gy[0][0] + gy[0][1], gy[0][1]))
     result = PLCircleMap._from_grid(*core.canon_grid(gx, gy))
     return TupleMapReport(result, depth_used)

@@ -34,6 +34,7 @@ from plmonster import (
     tuple_map,
     tuple_map_report,
 )
+from plmonster import stein
 from plmonster.serialize import BudgetError, map_from_document, map_to_document
 from plmonster.stein import center_power, random_tuple_pair
 
@@ -349,6 +350,18 @@ def test_tuple_map_errors():
         tuple_map([0, F(1, 2), F(1, 4)], [0, F(1, 4), F(1, 2)], THOMPSON)
     with pytest.raises(ValueError):
         tuple_map([], [], THOMPSON)
+    # entries are checked in order, source then target, each for its range
+    # and then for Y; both come before the cyclic order
+    for xs, ys, message in (
+        ([F(1, 5), F(3, 2)], [0, F(1, 2)], r"^1/5 is not a Z\[1/2\] point$"),
+        ([F(3, 2), F(1, 5)], [0, F(1, 2)], r"^tuple entries live in \[0, 1\); got 3/2$"),
+        ([0, F(1, 2)], [F(1, 5), F(-1, 2)], r"^1/5 is not a Z\[1/2\] point$"),
+        ([0, F(1, 2)], [F(-1, 2), F(1, 5)], r"^tuple entries live in \[0, 1\); got -1/2$"),
+        ([F(1, 2), F(1, 5), 0], [0, F(1, 4), F(1, 2)], r"^1/5 is not a Z\[1/2\] point$"),
+        ([0, F(1, 4), F(1, 2)], [F(1, 2), F(1, 5), 0], r"^1/5 is not a Z\[1/2\] point$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            tuple_map(xs, ys, THOMPSON)
     # a repeated entry, wherever it sits, leaves no cyclic shift of its
     # tuple strictly increasing
     half, quarter = F(1, 2), F(1, 4)
@@ -417,6 +430,26 @@ def test_tuple_map_matches_the_fraction_reference_on_the_verify_pool():
         expected = ref.tuple_map(xs, ys, d.lam)
         assert report.refinement_depth == ref.closed_form_depth(xs, ys, d.lam), (i, xs, ys)
         assert (ref.lift_of(report.map), report.refinement_depth) == expected, (i, xs, ys)
+
+
+def test_tuple_map_builds_no_fraction_when_no_arc_needs_midpoints(monkeypatch):
+    # every arc holds equally many grid points on both sides exactly when
+    # the target is a rotation of the source; then no gap is halved
+    cases = [
+        ((0, F(1, 4), F(1, 2)), (F(1, 4), F(1, 2), F(3, 4)), THOMPSON),
+        ((F(1, 2), F(3, 4)), (F(3, 4), 0), THOMPSON),
+        ((0, F(1, 3)), (F(1, 6), F(1, 2)), STEIN_2_3),
+        ((F(5, 6), F(1, 3)), (0, F(1, 2)), STEIN_2_3),
+    ]
+    expected = [ref.tuple_map(xs, ys, d.lam) for xs, ys, d in cases]
+
+    def refuse(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(stein, "Fraction", refuse)
+    for (xs, ys, d), want in zip(cases, expected):
+        report = tuple_map_report(xs, ys, d)
+        assert (ref.lift_of(report.map), report.refinement_depth) == want, (xs, ys)
 
 
 def test_g0_definition_and_sanity():
