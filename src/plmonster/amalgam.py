@@ -132,9 +132,9 @@ class AmalgamContext:
     Construction validates two gates: the edge map's underlying circle
     map must belong to the right factor's group, and its translation
     number must not be rational with denominator up to
-    EDGE_ROTATION_DEPTH (`rotation_number` tests every iterate up to that
-    depth, so the gate is stricter than the EDGE_MAX_DENOMINATOR its
-    certificate states).  The second gate also makes power detection
+    EDGE_ROTATION_DEPTH (`rotation_number` finds every rational value
+    with a denominator up to that depth, so the gate is stricter than the
+    EDGE_MAX_DENOMINATOR its certificate states).  The second gate also makes power detection
     conclusive: at the first iterate it rejects every edge whose
     displacement interval holds an integer or is pinched, so an accepted
     edge's first bracket excludes 0, and the `PowerDetector` built on it

@@ -10,6 +10,16 @@ test gives either an exact rational value with a periodic witness or a
 certificate that no small-denominator rational is the value, together
 with a shrinking bracket around it.
 
+`rotation_number` first descends the Stern-Brocot tree toward the value:
+between Farey neighbours a/b < tau < c/d every fraction has a
+denominator of at least b + d, and the mediant's test needs the
+(b+d)-th iterate, one composition of the two ends' iterates.  So the
+descent finds a value p/q with q <= max_denominator, or proves that there
+is none, in compositions that follow the path (a run of steps to one side
+is searched by doubling), not q.  When it proves there is none, the
+iterate loop runs the test for every q up to depth and builds the
+certificate's bracket.
+
 The same brackets drive `PowerDetector`, which decides whether a map is
 an integer power of a fixed base map: brackets isolate finitely many
 plausible exponents and exact structural equality confirms or rejects
@@ -159,18 +169,116 @@ def _rational(fbar: PLLineMap, value: Fraction) -> RationalRotation:
     )
 
 
+def _side(node) -> int:
+    """Where the translation number lies against a node's fraction.
+
+    A node is (m, n, xs, ys, k): the fraction m/n and the lift's n-th
+    iterate, a kernel grid with offset k.  Returns 1 when the iterate's
+    displacement interval lies above m (the value is above m/n), -1 when
+    it lies below, and 0 when it holds m, which makes the value m/n.
+    """
+    m, _, xs, ys, k = node
+    (ln, ld), (hn, hd) = core.displacement(xs, ys)
+    t = m - k
+    if ln > t * ld:
+        return 1
+    if hn < t * hd:
+        return -1
+    return 0
+
+
+def _mediant(u, v) -> tuple:
+    """The node of the mediant of nodes u and v: one composition of iterates."""
+    xs, ys, carry = core.compose(u[2], u[3], v[2], v[3])
+    return (u[0] + v[0], u[1] + v[1], xs, ys, u[4] + v[4] + carry)
+
+
+def _farey_descent(fxs, fys, fk: int, max_denominator: int) -> Optional[RationalRotation]:
+    """The translation number p/q with q <= max_denominator, if there is one.
+
+    A Stern-Brocot descent over Farey pairs a/b < tau < c/d of the lift
+    (fxs, fys, fk), with nodes as in `_side`: the mediant (a+c)/(b+d) is
+    tested with the (b+d)-th iterate, one `core.compose` of the two ends'
+    iterates, and replaces the end on its side of tau, until b + d passes
+    max_denominator.  Every fraction strictly between Farey neighbours
+    has a denominator of at least b + d, so none up to max_denominator is
+    then the value.  A run of steps that moves the same end, u + j v for
+    the other end v, is searched one step at a time up to j = 4, then by
+    doubling and bisection over the iterates of v**(2**i), so the
+    compositions follow the logarithms of the value's partial quotients,
+    not q.
+
+    A hit is the reduced p/q with the q-th iterate, so it returns what the
+    iterate loop of `rotation_number` returns at its first hit.  Returns
+    None when the first iterate decides (its displacement interval holds
+    an integer or is pinched), which the loop does at once, and when no
+    p/q with q <= max_denominator is the value.
+    """
+    (ln, ld), (hn, hd) = _bracket(fxs, fys, fk)
+    a = ln // ld
+    if max_denominator < 2 or a * ld == ln or (a + 1) * hd <= hn or (ln, ld) == (hn, hd):
+        return None
+    # a/1 < tau < (a + 1)/1, both ends with the lift itself
+    left, right = (a, 1, fxs, fys, fk), (a + 1, 1, fxs, fys, fk)
+    node = _mediant(left, right)
+    side = _side(node)
+    fixed = right if side > 0 else left
+    while side:
+        # node, on tau's side, is step 1 of a run that adds `fixed` to the
+        # moving end; step lo is on tau's side and step hi is not, or is
+        # past max_denominator while hi_node is None
+        lo, lo_node = 1, node
+        hi, hi_node = (max_denominator - node[1]) // fixed[1] + 2, None
+        powers = [fixed]  # the nodes of 2**i times fixed
+        i = 0
+        while hi - lo > 1:
+            if lo + (1 << i) >= hi:
+                i = (hi - lo - 1).bit_length() - 1
+            elif i == len(powers):
+                powers.append(_mediant(powers[-1], powers[-1]))
+            node = _mediant(lo_node, powers[i])
+            found = _side(node)
+            if found == side:
+                lo, lo_node = lo + (1 << i), node
+                # the first steps go one at a time: most partial quotients
+                # are small, and a square pays only in a longer run
+                i += lo >= 4
+            elif found:
+                hi, hi_node = lo + (1 << i), node
+            else:
+                return _node_rotation(node)
+        if hi_node is None:
+            return None
+        # tau lies between steps lo and lo + 1, so step lo + 1 is step 1
+        # of a run the other way, which adds step lo
+        fixed, node, side = lo_node, hi_node, -side
+    return _node_rotation(node)
+
+
+def _node_rotation(node) -> RationalRotation:
+    """The value m/n of a node whose iterate's interval holds m, witnessed."""
+    m, n, xs, ys, k = node
+    return RationalRotation(Fraction(m, n), _crossing_point(xs, ys, k, m))
+
+
 def rotation_number(
     f, max_denominator: int = 50, depth: int = 200
 ) -> Union[RationalRotation, NonRationalCertificate]:
     """Certified translation number (rotation number for circle maps).
 
-    Runs the denominator-q test for q = 1, 2, ..., depth on the lift
-    (offset 0 for a circle map).  The first hit returns an exact
-    RationalRotation; a pinched (width zero) bracket also resolves the
-    value exactly.  Otherwise the result is a NonRationalCertificate for
-    ``max_denominator`` whose bracket intersects all depth iterate
-    brackets.  Requires depth >= max_denominator so the certificate's
-    claim is actually checked.
+    On the lift (offset 0 for a circle map), `_farey_descent` first
+    decides whether a rational p/q with q <= ``max_denominator`` is the
+    value: it composes one iterate per Stern-Brocot node on the path to
+    the value (runs searched by doubling), not one per denominator, and
+    a hit returns an exact RationalRotation.  When the first iterate
+    already decides, or the descent proves no such p/q, the iterate loop
+    runs the denominator-q test for q = 1, 2, ..., depth.  Its first hit
+    returns an exact RationalRotation (with ``max_denominator`` < q <=
+    depth after a descent that found none); a pinched (width zero)
+    bracket also resolves the value exactly.  Otherwise the result is a
+    NonRationalCertificate for ``max_denominator`` whose bracket
+    intersects all depth iterate brackets.  Requires depth >=
+    max_denominator so the certificate's claim is actually checked.
 
     The loop runs on kernel grids: the n-th iterate is a grid and an
     integer offset, composed with `core.compose`, and its displacement
@@ -191,6 +299,9 @@ def rotation_number(
     fxs = fbar.base._xs
     fys = fbar.base._ys
     fk = fbar.offset
+    found = _farey_descent(fxs, fys, fk, max_denominator)
+    if found is not None:
+        return found
     xs, ys, k = fxs, fys, fk
     window = core.window(fxs, fys)
     for n in range(1, depth + 1):

@@ -83,6 +83,23 @@ def _prime_factors(n: int) -> dict:
     return out
 
 
+def _valuation(n: int, p: int) -> int:
+    """The exponent of the prime p in n > 0, in O(log) big divisions."""
+    if p == 2:
+        return (n & -n).bit_length() - 1
+    # p**(2**i) while it divides n; the exponent is below 2**i for the
+    # last i, and its binary digits come off the ladder from the top
+    ladder = [p]
+    while n % ladder[-1] == 0:
+        ladder.append(ladder[-1] * ladder[-1])
+    e = 0
+    for i in range(len(ladder) - 2, -1, -1):
+        if n % ladder[i] == 0:
+            n //= ladder[i]
+            e += 1 << i
+    return e
+
+
 def _lattice_basis(factors, primes):
     """(prime index, pivot) pairs of an echelon basis of the exponent lattice.
 
@@ -174,12 +191,13 @@ class GroupDescriptor:
         return self._depth(den)
 
     def _depth(self, den: int) -> int:
-        # least q with den dividing lam**q; den must divide a power of lam
+        # least q with den dividing lam**q; den must divide a power of lam,
+        # so q is the largest ceil(v_p(den) / v_p(lam)) over lam's primes p
         q = 0
-        power = 1
-        while power % den:
-            power *= self._lam
-            q += 1
+        for p in self._primes:
+            e = _valuation(den, p)
+            if e:
+                q = max(q, -(-e // _valuation(self._lam, p)))
         return q
 
     def slope_in_group(self, s: RationalLike) -> bool:

@@ -564,6 +564,8 @@ def test_power_and_rot_budgets_exit_2_before_computing(capsys, g0_file, tmp_path
     monkeypatch.setattr(rotation, "rotation_number", refuse)
     monkeypatch.setattr(cli, "tuple_map_report", refuse)
     over = str(serialize.MAX_EXPONENT + 1)
+    deep = "0,1/" + serialize._digits(3**40000)
+    deeper = "0,1/" + serialize._digits(2**332190)
     for argv in (
         ("power", g0_file, over),
         ("power", g0_file, "-" + over),
@@ -577,6 +579,11 @@ def test_power_and_rot_budgets_exit_2_before_computing(capsys, g0_file, tmp_path
         ("tuple-map", "--from", "0,1/65536", "--to", "0,1/2", "--slopes", "2,3"),
         ("tuple-map", "--from", "0,1/2", "--to", "0,1/1048576", "--slopes", "2"),
         ("tuple-map", "--from", "0", "--to", "0", "--slopes", "65537"),
+        # entries 1/3**40000 (19,085 digits) and 1/2**332190 (100,000),
+        # inside the digit budget: the depth comes from the denominators'
+        # prime valuations, not from a loop over the depth
+        ("tuple-map", "--from", deep, "--to", deep, "--slopes", "2,3"),
+        ("tuple-map", "--from", deeper, "--to", deeper, "--slopes", "2"),
     ):
         error = failure(capsys, *argv)
         assert error["kind"] == "budget" and "budget" in error["message"], argv

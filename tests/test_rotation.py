@@ -466,6 +466,61 @@ def test_rotation_number_matches_reference_on_conjugated_rationals():
         result = assert_matches_reference(lift(f, k), 40, 45)
         hits += result.value == F(p, q) + k
     assert hits == 39
+    # powers of the lifts; values past Q, which the iterate loop finds
+    # after the descent missed; and 1/q, (q - 1)/q and 2/q, whose
+    # Stern-Brocot paths are one long run
+    rng = random.Random(304)
+    for q in range(3, 201, 7):
+        h = tuple_map(*random_tuple_pair(STEIN_2_3, rng, 4, 2)[:2], STEIN_2_3)
+        hinv = invert(h)
+        for p in (1, q - 1, 2 if q % 2 else rng.choice([1, q - 1])):
+            fbar = lift(compose(compose(hinv, rotation_map(F(p, q))), h), rng.randint(-3, 3))
+            assert assert_matches_reference(fbar, 200, 200).value == F(p, q) + fbar.offset
+        if q <= 60:
+            e = rng.choice([2, -2, 3, -3])
+            fbar = power(lift(compose(compose(hinv, rotation_map(F(2, q))), h), 1), e)
+            result = assert_matches_reference(fbar, q, q + 5)
+            assert result.value == e * (F(2, q) + 1)
+            assert assert_matches_reference(fbar, max(1, q // 2), 2 * q) == result
+
+
+def test_farey_descent_finds_each_value_up_to_q_and_none_past_it():
+    # the descent alone, without the iterate loop that would mask a miss:
+    # it returns p/q with a periodic witness when q <= Q, and None below q;
+    # g0 in the conjugator keeps every conjugate bent, and a rigid one
+    # would be decided at the first iterate
+    rng = random.Random(305)
+    g0 = irrational_candidate_g0()
+    for q in range(2, 201, 3):
+        h = compose(tuple_map(*random_tuple_pair(THOMPSON, rng, 4, 3)[:2], THOMPSON), g0)
+        for p in sorted({1, q - 1, rng.choice([p for p in range(1, q) if math.gcd(p, q) == 1])}):
+            fbar = lift(compose(compose(invert(h), rotation_map(F(p, q))), h), rng.randint(-2, 2))
+            assert not is_translation(fbar)
+            grid = (fbar.base._xs, fbar.base._ys, fbar.offset)
+            value = F(p, q) + fbar.offset
+            found = rotation._farey_descent(*grid, rng.randint(q, 200))
+            assert found is not None and found.value == value, (p, q)
+            assert evaluate_line(power(fbar, q), found.witness) == found.witness + value * q
+            assert rotation._farey_descent(*grid, q - 1) is None, (p, q)
+
+
+def test_farey_descent_composes_along_the_path_not_q(monkeypatch):
+    # 1234/4001 = [0; 3, 4, 7, 1, 6, 1, 1, 2]: the iterate loop composes
+    # 4,000 times before its hit, the descent a few times per partial
+    # quotient
+    g0 = irrational_candidate_g0()
+    f = compose(compose(invert(g0), rotation_map(F(1234, 4001))), g0)
+    calls = []
+    compose_grids = rotation.core.compose
+
+    def counted(*args):
+        calls.append(None)
+        return compose_grids(*args)
+
+    monkeypatch.setattr(rotation.core, "compose", counted)
+    result = rotation_number(f, 5000, 5000)
+    assert result.value == F(1234, 4001)
+    assert len(calls) <= 64
 
 
 def test_rotation_number_matches_reference_on_rigid_translations():

@@ -71,6 +71,29 @@ def test_coordinate_membership_and_depth():
         THOMPSON.coordinate_depth(F(1, 3 * 10**5000 + 1))
 
 
+def test_coordinate_depth_reads_prime_valuations():
+    five = GroupDescriptor(2, 3, 5)
+    for d, den in (
+        (STEIN_2_3, 3**400),
+        (STEIN_2_3, 2**5 * 3**2),
+        (THOMPSON, 2**3000),
+        (five, 2**7 * 3**40 * 5**333),
+        (five, 5**999),
+        (five, 30**12),
+    ):
+        assert d.coordinate_depth(F(1, den)) == ref.coordinate_depth(F(1, den), d.lam), (d, den)
+    # the tuple-map entries that the budget refuses, tens of thousands of
+    # digits deep: the reference takes minutes there, so q is checked
+    # against its definition, the least q with den dividing lam**q
+    for d, den, q in (
+        (STEIN_2_3, 3**40000, 40000),
+        (THOMPSON, 2**332190, 332190),
+        (five, 2**9 * 3**5000 * 5**70, 5000),
+    ):
+        assert d.coordinate_depth(F(1, den)) == q
+        assert d.lam**q % den == 0 and d.lam ** (q - 1) % den != 0
+
+
 def test_slope_membership_in_shipped_descriptors():
     for s in (F(2), F(3), F(2, 3), F(4, 9), F(6), F(1), F(9, 8)):
         assert STEIN_2_3.slope_in_group(s)
