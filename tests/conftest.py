@@ -5,11 +5,27 @@ Each property test also pins its sample with `@seed(...)`.  A
 derandomized test draws from a hash of its own source, so without the pin
 any edit to its body would silently draw new examples; each pinned seed
 is the one that hash gave when the pin was added, so the examples stayed
-the same.  A small share of draws still come from the literal constants
-of the local modules loaded when a test runs, so a session that loads
-other modules (one test file alone, say) can draw other examples."""
+the same.
+
+A share of draws also comes from the literal constants of every local
+module loaded when a test runs, and `plmonster` loads its submodules on
+first use, so the pool would depend on which tests ran before.  Every
+`plmonster` submodule and every test module is imported here, before the
+first test, so a test draws the same examples alone and in the full
+session."""
+
+import importlib
+import pkgutil
+from pathlib import Path
 
 from hypothesis import settings
 
+import plmonster
+
 settings.register_profile("tier1", deadline=None, derandomize=True)
 settings.load_profile("tier1")
+
+for module in pkgutil.walk_packages(plmonster.__path__, "plmonster."):
+    importlib.import_module(module.name)
+for path in sorted(Path(__file__).parent.glob("test_*.py")):
+    importlib.import_module(path.stem)

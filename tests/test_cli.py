@@ -793,13 +793,31 @@ WORD_ACTIONS = ("reduce", "trivial", "multiply", "invert", "project", "random")
 
 
 def test_golden_transcript(tmp_path):
-    # every row of tests/golden.txt, replayed in order (see tests/golden.py)
+    # every fast row of tests/golden.txt, replayed in order (see tests/golden.py)
     rows = golden.load()
-    heads = [argv.split()[:2] for _, _, argv in rows]
+    heads = [row.argv.split()[:2] for row in rows]
     assert {head[0] for head in heads} == set(COMMANDS)
     assert {head[1] for head in heads if head[0] == "word"} == set(WORD_ACTIONS)
     assert {head[1] for head in heads if head[0] == "element"} == {"g0", "z", "identity", "rotation"}
-    assert golden.mismatches(rows, tmp_path) == []
+    assert golden.mismatches([row for row in rows if not row.slow], tmp_path) == []
+
+
+def test_golden_rows_are_well_formed():
+    rows = golden.load()
+    ids = [row.id for row in rows]
+    assert len(set(ids)) == len(ids), sorted({i for i in ids if ids.count(i) > 1})
+    sha = re.compile(r"[0-9a-f]{64}\Z")
+    for row in rows:
+        code, out, err, written = row.expected
+        assert code in ("0", "1", "2"), row.id
+        assert sha.match(out) and sha.match(err), row.id
+        assert sha.match(written) or written in ("-", "absent"), row.id
+
+
+def test_ci_pins_no_bytes_outside_the_golden_transcript():
+    # a new pin goes into tests/golden.txt, which the install job replays
+    workflow = Path(__file__).parents[1] / ".github" / "workflows" / "tier1.yml"
+    assert re.findall(r"\b[0-9a-fA-F]{64}\b", workflow.read_text()) == []
 
 @pytest.mark.parametrize(
     "argv, built",

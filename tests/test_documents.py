@@ -28,7 +28,8 @@ def test_documents_round_trip_without_fractions(monkeypatch):
         (irrational_candidate_g0(), STEIN_2_3),
         (lift(rotation_map(F(1, 3)), 10**5000), None),  # a 5,001-digit offset
     ]
-    word = random_word(default_context(), 6, 3)
+    # a short word, and a long one whose elements come from the tuple construction
+    words = [random_word(default_context(), 6, 3), random_word(default_context(), 500, 1)]
 
     def refuse(*args):
         raise AssertionError("a Fraction was built")
@@ -40,9 +41,10 @@ def test_documents_round_trip_without_fractions(monkeypatch):
         text = format_map(value, descriptor)
         assert parse_map(text) == value
         assert format_map(parse_map(text), descriptor) == text
-    text = format_word(word)
-    assert parse_word(text) == word
-    assert format_word(parse_word(text)) == text
+    for word in words:
+        text = format_word(word)
+        assert parse_word(text) == word
+        assert format_word(parse_word(text)) == text
 
 
 def test_a_word_document_finds_its_context_without_fractions(monkeypatch):
