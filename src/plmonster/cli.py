@@ -183,6 +183,18 @@ def _parse_fraction_list(text: str, flag: str):
     return [_parse_fraction_arg(e, flag) for e in text.split(",")]
 
 
+def _bounded(flag: str, value: int, least: int, budget: int) -> int:
+    """value, refused below least (0 or 1) as usage and past budget as budget."""
+    if value < least:
+        raise _UsageError(
+            "%s must be a %s integer; got %s"
+            % (flag, "positive" if least else "nonnegative", _shown(value, str))
+        )
+    if value > budget:
+        raise BudgetError("%s beyond the budget of %d" % (flag, budget))
+    return value
+
+
 def _descriptor_from_args(args) -> GroupDescriptor:
     """Build the group descriptor named by --slopes and/or --lambda.
 
@@ -324,11 +336,8 @@ def _cmd_tuple_map(args) -> int:
 def _cmd_rot(args) -> int:
     from .rotation import NonRationalCertificate, RationalRotation, rotation_number
 
-    for flag, given in (("--max-denominator", args.max_denominator), ("--depth", args.depth)):
-        if given < 1:
-            raise _UsageError("%s must be a positive integer; got %s" % (flag, _shown(given, str)))
-        if given > MAX_ROTATION_DEPTH:
-            raise BudgetError("%s beyond the budget of %d" % (flag, MAX_ROTATION_DEPTH))
+    _bounded("--max-denominator", args.max_denominator, 1, MAX_ROTATION_DEPTH)
+    _bounded("--depth", args.depth, 1, MAX_ROTATION_DEPTH)
     if args.depth < args.max_denominator:
         raise _UsageError(
             "--depth %d is below --max-denominator %d; it must be at least that"
@@ -397,13 +406,8 @@ def _cmd_word_project(args) -> int:
 def _cmd_word_random(args) -> int:
     from .amalgam import default_context, random_word
 
-    if args.length < 0:
-        raise _UsageError(
-            "--length must be a nonnegative integer; got %s" % _shown(args.length, str)
-        )
-    if args.length > MAX_WORD_LENGTH:
-        raise BudgetError("--length beyond the budget of %d" % MAX_WORD_LENGTH)
-    word = random_word(default_context(), args.length, args.seed)
+    length = _bounded("--length", args.length, 0, MAX_WORD_LENGTH)
+    word = random_word(default_context(), length, args.seed)
     _write(format_word(word), args.out)
     return 0
 
@@ -411,15 +415,10 @@ def _cmd_word_random(args) -> int:
 def _cmd_verify(args) -> int:
     from .verify import run_suite
 
-    if args.samples < 1:
-        raise _UsageError(
-            "--samples must be a positive integer; got %s" % _shown(args.samples, str)
-        )
-    if args.samples > MAX_VERIFY_SAMPLES:
-        raise BudgetError("--samples beyond the budget of %d" % MAX_VERIFY_SAMPLES)
+    samples = _bounded("--samples", args.samples, 1, MAX_VERIFY_SAMPLES)
     lines = []
     all_passed = True
-    for suite, check in run_suite(args.suite, args.samples, args.seed):
+    for suite, check in run_suite(args.suite, samples, args.seed):
         all_passed = all_passed and check.passed
         status = "PASS" if check.passed else "FAIL"
         detail = " (%s)" % check.detail if check.detail else ""

@@ -53,17 +53,31 @@ def _frac(pair) -> Fraction:
     return Fraction(pair[0], pair[1])
 
 
+# an integer of more digits than this is named in a message, not shown:
+# 640 is the least int/str digit limit a host can set, so a message is
+# the same bytes under every limit
+_SHOWN_BOUND = 10**640
+
+
 def _shown(value, render=repr) -> str:
     """render(value) for an error message about value.
 
-    An integer past the host's int/str conversion limit, alone or inside
-    a Fraction or a list, has no str or repr there; the message names it
-    instead of failing.
+    A value holding an integer of more than 640 digits, alone or inside a
+    Fraction, a list or a dict, is named instead of shown.
     """
-    try:
-        return render(value)
-    except ValueError:
-        return "a value too large to show"
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, Fraction):
+            stack += (v.numerator, v.denominator)
+        elif isinstance(v, int):
+            if abs(v) >= _SHOWN_BOUND:
+                return "a value too large to show"
+        elif isinstance(v, dict):
+            stack += v.values()
+        elif isinstance(v, list):
+            stack += v
+    return render(value)
 
 
 def _checked_grid(breaks, imgs):

@@ -11,25 +11,39 @@ when the call wrote none, or "-" when the row has no `-o`.  ARGV is the
 argument list as shell words, where `{D*N}` stands for the digit D
 written N times.  The rows run in order in one directory that starts
 with FIXTURES and nothing else, so a row names its files by relative
-paths and may read what an earlier row wrote.  A row that starts with
-the word `slow` takes seconds rather than milliseconds; no fast row may
-read a file that a slow row writes.
+paths and may read what an earlier row wrote; no row writes over a
+fixture.  A row that starts with the word `slow` takes seconds rather
+than milliseconds; no fast row may read a file that a slow row writes.
+
+The transcript is the one oracle of what a call prints and writes: a
+check of the exit code, stdout, stderr or `-o` file of a call on fixed
+arguments is a row, not an assert in a test.  `tests/test_cli.py` keeps
+in Python only what a row cannot see: that a call refused an input
+before computing, decoded a document once or built one context (a
+monkeypatched library); failing verify checks; which parsers and modules
+a call loads; help text and argparse's own refusals, whose wording
+changes across Python releases; relations between two outputs; the host
+digit limit set inside a call; and a child process stopped on time.
+Its ROWS_OF table names, by test, the rows that pin a behaviour once
+checked there by hand.
 
 There are two runners, which share the fixtures, the row order, the
 `{D*N}` expansion and the four result fields:
 
 - in process, through `cli.main`.  `tests/test_cli.py::
-  test_golden_transcript` replays the fast rows this way;
+  test_golden_transcript` replays the fast rows this way, at the host's
+  int/str digit limit, at 640 (the least a host can set) and at none;
 - through an executable, in a child process per row, with `--script`.
   A fast row is stopped after FAST_TIMEOUT seconds and a slow row after
   SLOW_TIMEOUT, so a refusal that is no longer immediate fails its row.
   The CI install job replays every row through the installed script,
-  under the least host int/str digit limit and two hash seeds:
+  at digit limits 640 and 0, each under two hash seeds:
 
       PYTHONINTMAXSTRDIGITS=640 PYTHONHASHSEED=0 python tests/golden.py --script plmonster
 
-The rows hold at the host's default digit limit and at 640: a refusal
-names a value past the limit instead of showing it.
+The rows hold at every digit limit: documents and flags convert their
+integers themselves, and a message names a value of more than 640 digits
+instead of showing it.
 
 A change that alters output on purpose rewrites the hashes of every row,
 in process, with
@@ -45,6 +59,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import re
 import shlex
@@ -70,6 +85,41 @@ def _line_map(image: str, offset: str) -> bytes:
     ).encode("ascii")
 
 
+def _document(doc: dict) -> bytes:
+    # the library writer's layout: a two-space indent and a final newline
+    return (json.dumps(doc, indent=2) + "\n").encode("ascii")
+
+
+def _map_document(breakpoints, images, offset=0) -> dict:
+    return {
+        "format": "plmonster.map/1",
+        "lambda": None,
+        "slopes": None,
+        "breakpoints": breakpoints,
+        "images": images,
+        "offset": offset,
+    }
+
+
+def _relator(syllable=None, edge=None) -> bytes:
+    """The text of format_word(relator_word(default_context(), 1)), with
+    another element in its first syllable or another edge map."""
+    context = {
+        "left": {"generators": [2], "lambda": 2},
+        "right": {"generators": [2, 3], "lambda": 6},
+        "edge": edge or _map_document(["0", "1/4"], ["1/2", "0"]),
+    }
+    syllables = [
+        {"factor": "G1", "element": syllable or _map_document(["0"], ["0"], 1)},
+        {"factor": "G2", "element": _map_document(["0", "1/2"], ["1/4", "0"], -1)},
+    ]
+    return _document({"format": "plmonster.word/1", "context": context, "syllables": syllables})
+
+
+# a breakpoint 1/(3*10**4999 + 1): a member of neither factor, with a
+# denominator of 5,000 digits
+LONG_NON_MEMBER = _map_document(["0", "1/3" + "0" * 4998 + "1"], ["0", "1/2"])
+
 FIXTURES = {
     # a rotation by 1/3 lifted by 10**3700, past the least host digit limit
     "rigid.json": _line_map("1/3", "1" + "0" * 3700),
@@ -85,6 +135,17 @@ FIXTURES = {
     b'  "slopes": [\n    2,\n    3\n  ],\n'
     b'  "breakpoints": [\n    "1/6",\n    "1/3",\n    "5/6"\n  ],\n'
     b'  "images": [\n    "0",\n    "1/3",\n    "5/6"\n  ]\n}\n',
+    # a rotation by 1/3 lifted by 2: a rigid rotation, so any power is cheap
+    "rigid-2.json": _document(_map_document(["0"], ["1/3"], 2)),
+    "bare.json": b'{"format": "plmonster.map/1"}',
+    # nested past the interpreter's recursion limit
+    "deep.json": b"[" * 100_000 + b"]" * 100_000,
+    # g0 with an image of MAX_DIGITS + 1 digits
+    "long-image.json": b'{"format": "plmonster.map/1", "lambda": null, "slopes": null, '
+    b'"breakpoints": ["0", "1/4"], "images": ["1/' + b"3" * 100_001 + b'", "0"]}',
+    "relator.json": _relator(),
+    "long-syllable.json": _relator(syllable=LONG_NON_MEMBER),
+    "long-edge.json": _relator(edge=LONG_NON_MEMBER),
 }
 
 _REPEAT_RE = re.compile(r"\{(\d)\*(\d+)\}")
