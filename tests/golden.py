@@ -185,12 +185,21 @@ def in_process(argv, timeout):
 
 
 def through(script):
-    """A runner that calls the executable named by the shell words script."""
+    """A runner that calls the executable named by the shell words script.
+
+    The rows run in another directory, so relative PYTHONPATH entries are
+    made absolute here, against the directory the runner starts in.
+    """
     command = shlex.split(script)
+    env = dict(os.environ)
+    if env.get("PYTHONPATH"):
+        env["PYTHONPATH"] = os.pathsep.join(
+            map(os.path.abspath, env["PYTHONPATH"].split(os.pathsep))
+        )
 
     def run(argv, timeout):
         try:
-            done = subprocess.run(command + argv, capture_output=True, timeout=timeout)
+            done = subprocess.run(command + argv, capture_output=True, timeout=timeout, env=env)
         except subprocess.TimeoutExpired:
             return "timeout", b"", b""
         return done.returncode, done.stdout, done.stderr
@@ -199,7 +208,7 @@ def through(script):
 
 
 def _result(row, run):
-    """The four result fields of one row."""
+    """The four result fields of one row, and the first line of its stderr."""
     argv = [_REPEAT_RE.sub(lambda m: m[1] * int(m[2]), word) for word in shlex.split(row.argv)]
     code, out, err = run(argv, SLOW_TIMEOUT if row.slow else FAST_TIMEOUT)
     target = argv[argv.index("-o") + 1] if "-o" in argv else None
@@ -209,11 +218,12 @@ def _result(row, run):
         written = _sha(Path(target).read_bytes())
     else:
         written = "absent"
-    return [str(code), _sha(out), _sha(err), written]
+    return [str(code), _sha(out), _sha(err), written], err.decode(errors="replace").partition("\n")[0]
 
 
 def replay(rows, directory, run=in_process):
-    """The result fields of every row, run in order in directory."""
+    """The result fields and first stderr line of every row, run in order
+    in directory."""
     for name, data in FIXTURES.items():
         Path(directory, name).write_bytes(data)
     cwd = os.getcwd()
@@ -225,10 +235,10 @@ def replay(rows, directory, run=in_process):
 
 
 def mismatches(rows, directory, run=in_process):
-    """(id, expected, actual) for each row whose result changed."""
+    """(id, expected, actual, first stderr line) for each row whose result changed."""
     return [
-        (row.id, row.expected, actual)
-        for row, actual in zip(rows, replay(rows, directory, run))
+        (row.id, row.expected, actual, err)
+        for row, (actual, err) in zip(rows, replay(rows, directory, run))
         if actual != row.expected
     ]
 
@@ -237,7 +247,7 @@ def regenerate(path=GOLDEN) -> int:
     """Rewrite the hash fields of every row; the number of rows changed."""
     lines = path.read_text().splitlines()
     with tempfile.TemporaryDirectory() as directory:
-        results = iter(replay(load(path), directory))
+        results = iter([actual for actual, _ in replay(load(path), directory)])
     changed = 0
     for i, row in enumerate(map(_parse, lines)):
         if row:
@@ -259,6 +269,6 @@ if __name__ == "__main__":
         sys.exit(0)
     with tempfile.TemporaryDirectory() as directory:
         found = mismatches(load(), directory, through(args.script) if args.script else in_process)
-    for row_id, expected, actual in found:
-        print("%s: expected %s, got %s" % (row_id, " ".join(expected), " ".join(actual)))
+    for row_id, expected, actual, err in found:
+        print("%s: expected %s, got %s; stderr: %s" % (row_id, " ".join(expected), " ".join(actual), err))
     sys.exit(1 if found else 0)

@@ -276,6 +276,20 @@ def test_a_wrong_center_bracket_fails_both_center_checks(capsys, monkeypatch):
     ]
 
 
+def test_verify_seed_seeds_the_suites_own_generator(monkeypatch):
+    # `verify --seed N` seeds a suite's own generator with N: the verify
+    # rows print only counts, so they would pass under any other seed
+    import random
+
+    from plmonster import verify
+    from plmonster.stein import random_member
+
+    drawn = []
+    monkeypatch.setattr(verify, "random_member", lambda d, rng: drawn.append(random_member(d, rng)) or drawn[-1])
+    verify.run_arith(10, 42)
+    assert drawn[0] == random_member(THOMPSON, random.Random(42))
+
+
 def test_power_and_rot_budgets_exit_2_before_computing(capsys, g0_file, monkeypatch):
     from plmonster import rotation
 

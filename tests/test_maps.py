@@ -309,20 +309,6 @@ def test_maps_are_hashable_and_comparable():
     assert lift(g0(), 0) != lift(g0(), 1)
 
 
-def test_associativity_on_random_triples():
-    rng = random.Random(101)
-    pool = random_maps(rng, 12)
-    for _ in range(30):
-        f, g, h = rng.choice(pool), rng.choice(pool), rng.choice(pool)
-        assert compose(compose(f, g), h) == compose(f, compose(g, h))
-
-
-def test_inverse_law_on_random_maps():
-    rng = random.Random(102)
-    for f in random_maps(rng, 30):
-        assert compose(f, invert(f)).is_identity()
-
-
 def test_power_addition_on_random_maps():
     rng = random.Random(103)
     for f in random_maps(rng, 10):
@@ -364,34 +350,6 @@ def test_breakpoint_subadditivity():
         f, g = rng.choice(pool), rng.choice(pool)
         fg = compose(f, g)
         assert len(fg.breakpoints) <= len(f.breakpoints) + len(g.breakpoints)
-
-
-def test_lift_coherence_on_random_points():
-    rng = random.Random(105)
-    f = random_member(STEIN_2_3, rng)
-    fbar = lift(f, rng.choice((-2, -1, 0, 1, 2)))
-    assert project(lift(f, 3)) == f
-    assert lift(project(fbar), fbar.offset) == fbar
-    for _ in range(100):
-        x = F(rng.randint(-40, 40), rng.randint(1, 30))
-        assert evaluate_line(fbar, x + 1) == evaluate_line(fbar, x) + 1
-
-
-def test_displacement_contains_random_displacements():
-    rng = random.Random(106)
-    for f in random_maps(rng, 10):
-        fbar = lift(f, rng.choice((-1, 0, 1)))
-        d = displacement_interval(fbar)
-        for _ in range(20):
-            x = F(rng.randint(-30, 30), rng.randint(1, 25))
-            assert evaluate_line(fbar, x) - x in d
-
-
-def test_centrality_of_unit_translation():
-    rng = random.Random(107)
-    for f in random_maps(rng, 20):
-        fbar = lift(f, rng.choice((-1, 0, 1)))
-        assert compose(z(), fbar) == compose(fbar, z())
 
 
 def test_line_evaluation_is_strictly_increasing():

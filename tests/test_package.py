@@ -4,6 +4,7 @@ import ast
 import copy
 import importlib
 import pickle
+import runpy
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -219,3 +220,10 @@ def test_the_reference_module_imports_no_code_it_checks():
             taken |= {a.name for a in node.names}
     assert taken <= allowed, taken - allowed
     assert not taken & {"_core", "rotation", "stein", "compose", "invert", "power"}
+
+
+def test_every_mutant_row_applies_exactly_once():
+    # run_path keeps the table out of sys.modules, so its snippets never
+    # join the local constants that hypothesis draws from
+    table = runpy.run_path(str(Path(__file__).with_name("mutants.py")))
+    assert table["problems"]() == []
