@@ -24,6 +24,7 @@ from plmonster import (
     random_word,
     relator_word,
     rotation_map,
+    word_from_syllables,
     words_equal,
 )
 from plmonster.amalgam import FiniteAmalgamInstance, britton_reduce
@@ -41,6 +42,12 @@ def zline(k=1):
     return PLLineMap(identity_map(), k)
 
 
+def test_factor_tags():
+    assert Factor.G1.other is Factor.G2
+    assert Factor.G2.other is Factor.G1
+    assert Factor("G1") is Factor.G1
+
+
 def test_default_context_shape():
     c = ctx()
     assert c.left_descriptor == THOMPSON
@@ -50,6 +57,16 @@ def test_default_context_shape():
     assert c.descriptor(Factor.G2) == STEIN_2_3
     assert c == AmalgamContext()
     assert hash(c) == hash(AmalgamContext())
+
+
+def test_context_rejects_rational_edge():
+    with pytest.raises(ContextError):
+        AmalgamContext(edge=lift(rotation_map(F(1, 2)), 0))
+
+
+def test_context_rejects_identity_edge():
+    with pytest.raises(ContextError):
+        AmalgamContext(edge=lift(identity_map(), 0))
 
 
 def test_context_rejects_non_member_edge():
@@ -129,6 +146,38 @@ def test_non_members_are_refused_after_many_valid_words():
             AmalgamWord(c, sylls)
 
 
+def test_empty_word_is_trivial():
+    w = word_from_syllables([], ctx())
+    assert len(w) == 0 and w.is_trivial()
+
+
+def test_single_syllable_words():
+    c = ctx()
+    w = AmalgamWord(c, [(Factor.G1, zline())])
+    assert len(w) == 1 and not w.is_trivial()
+    assert not AmalgamWord(c, [(Factor.G2, c.edge)]).is_trivial()
+
+
+def test_relator_reduces_to_empty():
+    w = relator_word(ctx(), 1)
+    assert [s.factor for s in w.syllables] == [Factor.G1, Factor.G2]
+    assert w.reduce().syllables == ()
+    assert w.is_trivial()
+
+
+def test_relator_powers_are_trivial():
+    c = ctx()
+    for k in range(-5, 6):
+        assert relator_word(c, k).is_trivial()
+
+
+def test_free_cancellation_within_a_factor():
+    c = ctx()
+    g = c.edge
+    w = AmalgamWord(c, [(Factor.G2, g), (Factor.G2, invert(g))])
+    assert w.reduce().syllables == ()
+
+
 def test_context_with_a_negative_edge():
     # the edge g0 - 1 has negative translation number, so edge tests and
     # edge elements on the right go through its inverse's bracket
@@ -168,6 +217,11 @@ def test_multiply_empty_is_reduce():
     assert u.multiply(empty) == u.reduce()
 
 
+def test_invert_relator_is_trivial():
+    w = relator_word(ctx(), 1).invert_word()
+    assert w.is_trivial()
+
+
 def test_context_mismatch_raises():
     other = AmalgamContext(left=STEIN_2_3)
     u = AmalgamWord(ctx(), [(Factor.G1, zline())])
@@ -182,6 +236,23 @@ def test_words_equal():
     assert words_equal(u, u)
     assert words_equal(relator_word(c, 2), AmalgamWord(c))
     assert not words_equal(u.multiply(relator_word(c, 0)), u.multiply(u))
+
+
+def test_project_relator_to_identity():
+    assert relator_word(ctx(), 1).project_to_g1().is_identity()
+
+
+def test_project_words_without_left_syllables_to_identity():
+    c = ctx()
+    assert AmalgamWord(c).project_to_g1() == identity_map()
+    assert AmalgamWord(c, [(Factor.G2, c.edge)]).project_to_g1() == identity_map()
+
+
+def test_reduction_preserves_projection():
+    c = ctx()
+    for seed in range(8):
+        w = random_word(c, 5, seed)
+        assert w.reduce().project_to_g1() == w.project_to_g1()
 
 
 def test_random_word_determinism_and_shape():
@@ -240,6 +311,13 @@ def test_finite_instance_basics():
             inst.syllable(letter)
         with pytest.raises(ValueError, match="unknown letter"):
             inst.matrix(letter)
+
+
+def test_finite_oracle_small_enumeration():
+    report = finite_oracle_check(7)
+    assert report.words_checked == 4 + 16 + 64 + 256 + 1024 + 4096 + 16384
+    assert report.mismatches == ()
+    assert report.ok
 
 
 def test_finite_oracle_reports_mismatches(monkeypatch):

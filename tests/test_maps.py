@@ -18,10 +18,23 @@ from plmonster import (
     invert,
     lift,
     power,
+    project,
     rotation_map,
 )
 from plmonster.stein import irrational_candidate_g0 as g0
-from pools import g0bar, random_maps
+from pools import g0bar, random_maps, z
+
+
+def test_evaluate_circle_identity():
+    assert evaluate_circle(identity_map(), F(1, 3)) == F(1, 3)
+
+
+def test_evaluate_circle_g0_doubling_piece():
+    assert evaluate_circle(g0(), F(1, 8)) == F(3, 4)
+
+
+def test_evaluate_circle_g0_contracting_piece():
+    assert evaluate_circle(g0(), F(1, 2)) == F(1, 6)
 
 
 def test_evaluate_circle_rotation_wraps():
@@ -36,6 +49,41 @@ def test_evaluate_circle_rejects_points_outside_domain():
     # a point past the host's int/str digit limit is named, not shown
     with pytest.raises(ValueError, match=r"^circle points live in \[0, 1\); got a value too large"):
         evaluate_circle(g0(), F(10**5000))
+
+
+def test_evaluate_line_unit_translation():
+    assert evaluate_line(z(), F(5, 7)) == F(12, 7)
+
+
+def test_evaluate_line_g0_lift_at_zero():
+    assert evaluate_line(g0bar(), 0) == F(1, 2)
+
+
+def test_evaluate_line_commutes_with_unit_translation():
+    assert evaluate_line(g0bar(), 1) == F(3, 2)
+
+
+def test_compose_with_identity():
+    f = g0()
+    assert compose(f, identity_map()) == f
+    assert compose(identity_map(), f) == f
+
+
+def test_compose_rotations_add():
+    r = rotation_map(F(1, 3))
+    assert compose(r, r) == rotation_map(F(2, 3))
+
+
+def test_compose_with_inverse_is_identity():
+    f = g0()
+    assert compose(f, invert(f)).is_identity()
+    assert compose(invert(f), f).is_identity()
+
+
+def test_compose_is_left_to_right():
+    # apply g0 first, then the rotation: 1/8 -> 3/4 -> 1/4
+    f = compose(g0(), rotation_map(F(1, 2)))
+    assert evaluate_circle(f, F(1, 8)) == F(1, 4)
 
 
 def test_operators_are_their_functions_and_mixed_types_raise():
@@ -67,9 +115,82 @@ def test_operators_are_their_functions_and_mixed_types_raise():
                 h**n
 
 
+def test_invert_identity():
+    assert invert(identity_map()) == identity_map()
+
+
+def test_invert_rotation():
+    assert invert(rotation_map(F(1, 4))) == rotation_map(F(3, 4))
+
+
+def test_invert_g0_undoes_g0():
+    assert evaluate_circle(invert(g0()), F(1, 2)) == 0
+
+
 def test_power_zero_is_identity():
     assert power(g0(), 0) == identity_map()
     assert power(g0bar(), 0) == lift(identity_map(), 0)
+
+
+def test_power_of_center_translates():
+    z5 = power(z(), 5)
+    assert z5.offset == 5
+    assert z5.base == identity_map()
+    assert evaluate_line(z5, F(1, 3)) == F(16, 3)
+
+
+def test_power_of_g0_lift_at_zero():
+    assert evaluate_line(power(g0bar(), 2), 0) == F(7, 6)
+
+
+def test_power_negative_is_power_of_inverse():
+    f = g0()
+    assert power(f, -3) == power(invert(f), 3)
+
+
+def test_rotation_map_zero_is_identity():
+    assert rotation_map(0) == identity_map()
+
+
+def test_rotation_map_half_has_order_two():
+    r = rotation_map(F(1, 2))
+    assert compose(r, r).is_identity()
+
+
+def test_rotation_map_is_canonical_two_vertex_grid():
+    assert rotation_map(F(2, 7)).breakpoints == (F(0),)
+
+
+def test_lift_identity_gives_center_generator():
+    assert lift(identity_map(), 1) == z()
+
+
+def test_lift_g0_evaluates_by_construction():
+    assert evaluate_line(lift(g0(), 0), 0) == F(1, 2)
+
+
+def test_lift_of_half_rotation_squares_to_center():
+    h = lift(rotation_map(F(1, 2)), 0)
+    assert power(h, 2) == z()
+
+
+def test_project_center_is_identity():
+    assert project(z()).is_identity()
+    assert project(power(z(), -3)).is_identity()
+
+
+def test_project_round_trip():
+    assert project(g0bar()) == g0()
+
+
+def test_displacement_of_center():
+    d = displacement_interval(z())
+    assert (d.lo, d.hi) == (1, 1)
+
+
+def test_displacement_of_g0_lift():
+    d = displacement_interval(g0bar())
+    assert (d.lo, d.hi) == (F(1, 2), F(3, 4))
 
 
 def test_displacement_of_rigid_rotation():
@@ -177,6 +298,13 @@ def test_maps_are_hashable_and_comparable():
     assert lift(g0(), 0) != lift(g0(), 1)
 
 
+def test_power_addition_on_random_maps():
+    rng = random.Random(103)
+    for f in random_maps(rng, 10):
+        m, n = rng.randint(-4, 4), rng.randint(-4, 4)
+        assert power(f, m + n) == compose(power(f, m), power(f, n))
+
+
 def test_power_starts_from_its_first_factor(monkeypatch):
     calls = []
     kernel_compose = core.compose
@@ -202,3 +330,4 @@ def test_power_starts_from_its_first_factor(monkeypatch):
             for _ in range(abs(n)):
                 running = compose(running, f if n > 0 else invert(f))
             assert power(f, n) == running
+

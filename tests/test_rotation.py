@@ -56,6 +56,16 @@ def test_translation_bracket_of_center():
         assert (d.lo, d.hi) == (1, 1)
 
 
+def test_translation_bracket_of_g0():
+    d = translation_bracket(g0bar(), 1)
+    assert (d.lo, d.hi) == (F(1, 2), F(3, 4))
+
+
+def test_translation_bracket_of_rigid_rotation():
+    d = translation_bracket(lift(rotation_map(F(1, 3)), 0), 2)
+    assert (d.lo, d.hi) == (F(1, 3), F(1, 3))
+
+
 def test_translation_bracket_widths_shrink():
     fbar = g0bar()
     prev = None
@@ -66,6 +76,10 @@ def test_translation_bracket_widths_shrink():
             # brackets all contain the translation number, so they overlap
             assert d.lo <= prev.hi and prev.lo <= d.hi
         prev = d
+
+
+def test_rational_rotation_test_g0_has_no_denominator_one():
+    assert rational_rotation_test(irrational_candidate_g0(), 1) is None
 
 
 def test_rational_rotation_test_reuses_the_iterate_unless_p_over_q_reduces(monkeypatch):
@@ -83,6 +97,12 @@ def test_rational_rotation_test_reuses_the_iterate_unless_p_over_q_reduces(monke
         result = rational_rotation_test(half, q)
         assert calls == expected, q
         assert (None if result is None else result.value) == (None if q == 3 else F(1, 2))
+
+
+def test_rational_rotation_test_identity():
+    result = rational_rotation_test(identity_map(), 1)
+    assert result is not None
+    assert result.value == 0 and result.witness == 0
 
 
 def test_rotation_number_witness_is_exact_for_fixed_points():
@@ -152,6 +172,19 @@ def test_is_power_of_planted_powers():
         assert is_power_of(power(base, k), base) == k
 
 
+def test_is_power_of_rejects_center():
+    # translation number 1 leaves candidates near 3/2, none of which are
+    # exact powers of the edge map
+    assert is_power_of(z(), g0bar()) is None
+
+
+def test_power_detector_caches_and_repeats():
+    detector = PowerDetector(g0bar())
+    assert detector.detect(power(g0bar(), 5)) == 5
+    assert detector.detect(power(g0bar(), 5)) == 5
+    assert detector.detect(z()) is None
+
+
 def test_zero_bracket_error_for_fixed_point_maps():
     # a nonidentity map with a fixed point has translation number 0, so
     # the bracket can never exclude 0
@@ -160,6 +193,19 @@ def test_zero_bracket_error_for_fixed_point_maps():
         PowerDetector(lift(f, 0))
     with pytest.raises(ZeroBracketError):
         is_power_of(z(), lift(identity_map(), 0))
+
+
+def test_rotation_number_accepts_line_maps():
+    result = rotation_number(lift(rotation_map(F(1, 3)), 2), 10, 10)
+    assert isinstance(result, RationalRotation)
+    assert result.value == F(7, 3)  # translation number includes the offset
+    assert result.circle_value == F(1, 3)
+
+
+def test_detector_finds_every_edge_power():
+    detector = PowerDetector(g0bar())
+    for k in range(-40, 41):
+        assert detector.detect(power(g0bar(), k)) == k
 
 
 def test_detector_rejects_edge_powers_times_stein_members():

@@ -10,11 +10,14 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from plmonster import (
+    AmalgamWord,
     BudgetError,
     DocumentError,
     PLCircleMap,
+    PLLineMap,
     default_context,
     format_map,
+    format_word,
     fraction_to_str,
     identity_map,
     irrational_candidate_g0,
@@ -22,6 +25,8 @@ from plmonster import (
     map_from_document,
     map_to_document,
     parse_map,
+    parse_word,
+    power,
     relator_word,
     str_to_fraction,
     word_from_document,
@@ -37,11 +42,24 @@ from reference import str_to_fraction as reference_str_to_fraction
 from test_fuzz import SCALARS
 
 
+def test_fraction_to_str_forms():
+    assert fraction_to_str(F(1, 2)) == "1/2"
+    assert fraction_to_str(F(2)) == "2"
+    assert fraction_to_str(F(-3, 4)) == "-3/4"
+    assert fraction_to_str(F(0)) == "0"
+
+
 def test_str_to_fraction_accepts_canonical_forms():
     assert str_to_fraction("1/2") == F(1, 2)
     assert str_to_fraction("-3/4") == F(-3, 4)
     assert str_to_fraction("17") == 17
     assert str_to_fraction("0") == 0
+
+
+def test_str_to_fraction_rejects_noncanonical_forms():
+    for text in ("2/4", "1/1", "03", "-0", "1/0", "0/1", "1.5", " 1", "1 ", "a", "1/-2", "+1"):
+        with pytest.raises(DocumentError):
+            str_to_fraction(text)
 
 
 def test_canonical_check_matches_the_reference():
@@ -60,6 +78,16 @@ def test_fuzzed_fraction_strings_match_the_reference(text):
     assume(not isinstance(text, str) or len(text) <= 4300)
     expected = parse_outcome(reference_str_to_fraction, text)
     assert parse_outcome(str_to_fraction, text) == expected
+
+
+def test_format_parse_format_is_stable():
+    text = format_map(irrational_candidate_g0(), STEIN_2_3)
+    assert format_map(parse_map(text), STEIN_2_3) == text
+    assert text.endswith("\n")
+
+
+def test_identity_document_round_trip():
+    assert parse_map(format_map(identity_map())).is_identity()
 
 
 def test_map_document_errors():
@@ -83,6 +111,11 @@ def test_map_document_errors():
     for text in ("not json", "[1, 2]"):
         with pytest.raises(DocumentError):
             parse_map(text)
+
+
+def test_empty_word_document():
+    w = AmalgamWord(default_context())
+    assert parse_word(format_word(w)) == w
 
 
 @pytest.mark.parametrize(
@@ -146,6 +179,13 @@ def test_word_document_rejects_bad_syllables():
     assert "syllable" in str(info.value)
 
 
+def test_word_document_rationals_are_strings():
+    doc = word_to_document(relator_word(default_context(), 2))
+    text = json.dumps(doc)
+    for token in json.loads(text)["context"]["edge"]["breakpoints"]:
+        assert isinstance(token, str)
+
+
 @pytest.fixture(params=[640, 4300, 0])
 def digit_limit(request, monkeypatch):
     """A host digit limit that serialize must neither read nor set.
@@ -166,6 +206,13 @@ def digit_limit(request, monkeypatch):
         yield request.param
     finally:
         set_limit(saved)
+
+
+def test_values_past_the_default_digit_limit_round_trip(digit_limit):
+    h = power(lift(irrational_candidate_g0(), 0), 30000)
+    text = format_map(h)
+    assert max(len(v) for v in json.loads(text)["images"]) > digit_limit
+    assert parse_map(text) == h
 
 
 def test_fraction_strings_over_the_digit_budget_fail(digit_limit):
@@ -247,6 +294,17 @@ def _line_map_text(offset_digits: str) -> str:
     return format_map(lift(identity_map(), 1)).replace(
         '"offset": 1', '"offset": ' + offset_digits
     )
+
+
+def test_offsets_past_the_default_digit_limit_round_trip(digit_limit):
+    big = "1" + "0" * 4999  # 5,000 digits
+    text = _line_map_text(big)
+    h = parse_map(text)
+    assert isinstance(h, PLLineMap) and h.offset == 10**4999
+    assert format_map(h) == text
+    g = power(lift(identity_map(), 99), 10**4299)
+    assert g.offset == 99 * 10**4299  # 4,301 digits
+    assert parse_map(format_map(g)) == g
 
 
 def test_offsets_over_the_digit_budget_fail(digit_limit):

@@ -33,6 +33,7 @@ from plmonster import (
     tuple_map_report,
 )
 from plmonster import stein
+from plmonster.serialize import BudgetError, map_from_document, map_to_document
 from plmonster.stein import random_tuple_pair
 
 
@@ -110,6 +111,20 @@ def test_slope_solver_matches_brute_force_on_dependent_generators():
             assert d.slope_in_group(v) == (v in group), (gens, v)
             members += v in group
     assert 20 < members < 200
+
+
+def test_g0_is_member_of_stein_2_3():
+    report = is_member(irrational_candidate_g0(), STEIN_2_3)
+    assert report.member and report.violations == ()
+    assert bool(report)
+
+
+def test_rotation_by_fifth_is_not_member():
+    report = is_member(rotation_map(F(1, 5)), STEIN_2_3)
+    assert not report.member
+    assert [(v.kind, v.where) for v in report.violations] == [
+        ("image-not-in-Y", F(1, 5))
+    ]
 
 
 def test_identity_is_member_of_any_descriptor():
@@ -210,6 +225,27 @@ def test_membership_matches_trial_division(value, f):
             with pytest.raises(ValueError):
                 d.coordinate_depth(x)
         assert is_member(f, d) == ref.is_member(ref.lift_of(f), d.generators), (d, f)
+
+
+def test_tuple_map_two_points_stein():
+    f = tuple_map([0, F(1, 2)], [0, F(1, 4)], STEIN_2_3)
+    assert evaluate_circle(f, 0) == 0
+    assert evaluate_circle(f, F(1, 2)) == F(1, 4)
+    assert is_member(f, STEIN_2_3).member
+
+
+def test_tuple_map_frozen_two_point_output():
+    # deterministic tie-breaking makes the output reproducible
+    f = tuple_map([0, F(1, 2)], [F(1, 4), 0], THOMPSON)
+    assert f.breakpoints == (F(0), F(1, 4), F(1, 2))
+    assert f.images == (F(1, 4), F(3, 4), F(0))
+    assert f.segment_slopes() == (F(2), F(1), F(1, 2))
+
+
+def test_tuple_map_singleton():
+    f = tuple_map([F(1, 2)], [F(1, 2)], THOMPSON)
+    assert evaluate_circle(f, F(1, 2)) == F(1, 2)
+    assert is_member(f, THOMPSON).member
 
 
 def test_tuple_map_errors():
@@ -348,6 +384,13 @@ def test_torsion_rotation():
         torsion_rotation(THOMPSON, 1, 3 * 10**5000 + 1)
 
 
+def test_random_member_is_deterministic_member():
+    a = random_member(STEIN_2_3, random.Random(7))
+    b = random_member(STEIN_2_3, random.Random(7))
+    assert a == b
+    assert is_member(a, STEIN_2_3).member
+
+
 def test_descriptor_budget_bounds_factoring_time():
     # the largest accepted descriptor: 16 generators, each a 32-bit prime
     start = time.perf_counter()
@@ -359,3 +402,11 @@ def test_descriptor_budget_bounds_factoring_time():
         GroupDescriptor(2**32)
     with pytest.raises(ValueError, match="budget"):
         GroupDescriptor(*[2] * 17)
+
+
+def test_document_slope_generators_over_budget_are_budget_errors():
+    doc = map_to_document(irrational_candidate_g0(), STEIN_2_3)
+    doc["slopes"] = [2, 1000000000000000003]
+    doc["lambda"] = None
+    with pytest.raises(BudgetError, match="budget of 32 bits"):
+        map_from_document(doc)
